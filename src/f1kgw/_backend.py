@@ -1,21 +1,5 @@
-"""Kernel selection: compiled extension if importable, else pure Python.
+"""The map kernel the package computes with: the pure-Python ``_corepy``."""
 
-Set F1KGW_KERNEL=c or F1KGW_KERNEL=py to force a backend (the forced
-choice fails loudly if unavailable).
-"""
-
-import os
-
-_forced = os.environ.get("F1KGW_KERNEL", "").lower()
-
-if _forced == "py":
-    from . import _corepy as kernel
-elif _forced == "c":
-    from . import _core as kernel  # type: ignore[no-redef]
-else:
-    try:
-        from . import _core as kernel  # type: ignore[no-redef]
-    except ImportError:
-        from . import _corepy as kernel  # type: ignore[no-redef]
+from . import _corepy as kernel
 
 BACKEND = kernel.BACKEND

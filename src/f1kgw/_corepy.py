@@ -2,8 +2,6 @@
 
 A map n -> m is a tuple t of length n+1 with t[0] = 0, values in 0..m,
 and distinct nonzero values (injective outside the fibre over 0).
-The compiled kernel in ``_core`` implements the same interface; outputs
-must be identical element for element.
 """
 
 from functools import lru_cache
@@ -135,9 +133,3 @@ def universal_square_ok(l, t, b, r, u_size, v_size, w_size, x_size, bound):
         if len(seen) != pairs:
             return False
     return True
-
-
-def clear_caches():
-    hom_maps.cache_clear()
-    inflation_maps.cache_clear()
-    deflation_maps.cache_clear()

@@ -10,7 +10,6 @@ import json
 import sys
 
 from . import __version__
-from ._backend import BACKEND
 from .fincat import category_to_dot, category_to_json
 from .forms import (
     SymmetricForm,

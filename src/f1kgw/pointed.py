@@ -307,7 +307,7 @@ def _pullback_elements(bmap, rmap, w_size, v_size):
     return paired, kernels
 
 
-def _pushout_elements(lmap, tmap, w_size, v_size):
+def _pushout_elements(tmap, v_size):
     """Elements of the canonical pushout of W <-l- U >-t-> V.
 
     Returns survivors: the v in V not hit by t, ascending.  The pushout
@@ -392,7 +392,7 @@ class BicartesianSquare:
         universal property directly.
         """
         u, v, w, x = self.corners
-        survivors = _pushout_elements(self.left.map, self.top.map, w, v)
+        survivors = _pushout_elements(self.top.map, v)
         if x != w + len(survivors):
             return False
         seen = set()
@@ -473,7 +473,7 @@ def complete_pushout(l, t):
     if not is_inflation(t):
         raise NotAnInflation("span inflation leg is %s" % classify(t))
     u_size, w_size, v_size = int(l.src), int(l.dst), int(t.dst)
-    survivors = _pushout_elements(l.map, t.map, w_size, v_size)
+    survivors = _pushout_elements(t.map, v_size)
     x_size = w_size + len(survivors)
     bmap = [0] + list(range(1, w_size + 1))
     rmap = [0] * (v_size + 1)
@@ -719,15 +719,19 @@ def _default_defl(u, v):
 
 def _scan_iv_task(args):
     """Verify completions of all cospans W >--> X <<-- V for one size
-    triple (honest morphism classes; used by the parallel path)."""
-    w, x, v, ub = args
+    triple; returns (checked, first failure or None).  A leg that the
+    completion refuses counts as a failure, not an error."""
+    w, x, v, ub, infl, defl = args
     count = 0
-    for bm in kernel.inflation_maps(w, x):
+    for bm in infl(w, x):
         b = F1Morphism(w, x, bm)
-        for rm in kernel.deflation_maps(v, x):
+        for rm in defl(v, x):
             count += 1
             r = F1Morphism(v, x, rm)
-            sq = complete_pullback(b, r)
+            try:
+                sq = complete_pullback(b, r)
+            except NotAnInflation as exc:
+                return count, "cospan b=%s r=%s: %s" % (b, r, exc)
             if not sq.verify(ub) or not (
                 is_deflation(sq.left) and is_inflation(sq.top)
             ):
@@ -737,15 +741,19 @@ def _scan_iv_task(args):
 
 def _scan_v_task(args):
     """Verify completions of all spans W <<-- U >--> V for one size
-    triple (honest morphism classes; used by the parallel path)."""
-    w, u, v, ub = args
+    triple; returns (checked, first failure or None).  A leg that the
+    completion refuses counts as a failure, not an error."""
+    w, u, v, ub, infl, defl = args
     count = 0
-    for lm in kernel.deflation_maps(u, w):
+    for lm in defl(u, w):
         l = F1Morphism(u, w, lm)
-        for tm in kernel.inflation_maps(u, v):
+        for tm in infl(u, v):
             count += 1
             t = F1Morphism(u, v, tm)
-            sq = complete_pushout(l, t)
+            try:
+                sq = complete_pushout(l, t)
+            except NotAnInflation as exc:
+                return count, "span l=%s t=%s: %s" % (l, t, exc)
             if not sq.verify(ub) or not (
                 is_deflation(sq.right) and is_inflation(sq.bottom)
             ):
@@ -775,7 +783,9 @@ def axiom_suite(
 
     infl = inflation_maps_of or _default_infl
     defl = deflation_maps_of or _default_defl
+    # corrupted classes may be lambdas, which cannot cross to a worker
     honest = infl is _default_infl and defl is _default_defl
+    workers = jobs if honest else 1
     report = SuiteReport(title="exact structure axiom suite", max_size=max_size)
     add = report.checks.append
 
@@ -832,53 +842,22 @@ def axiom_suite(
             break
     add(CheckResult("axiom iii: cartesian iff cocartesian", bad is None, n, bad or ""))
 
-    # (iv) cospan completion to a bicartesian square
+    # (iv) cospan completion to a bicartesian square; (v) reuses the
+    # size triples as (w, u, v)
     sizes = range(max_size + 1)
-    if honest:
-        tasks = [(w, x, v, universal_bound) for w in sizes for x in sizes for v in sizes]
-        results = _parallel.parallel_map(_scan_iv_task, tasks, jobs)
-    else:
-        results = []
-        for w in sizes:
-            for x in sizes:
-                for v in sizes:
-                    count, wit = 0, None
-                    for bm in infl(w, x):
-                        if wit:
-                            break
-                        for rm in defl(v, x):
-                            count += 1
-                            b = F1Morphism(w, x, bm)
-                            r = F1Morphism(v, x, rm)
-                            if not complete_pullback(b, r).verify(universal_bound):
-                                wit = "cospan b=%s r=%s" % (b, r)
-                                break
-                    results.append((count, wit))
+    tasks = [
+        (a, b, c, universal_bound, infl, defl)
+        for a in sizes
+        for b in sizes
+        for c in sizes
+    ]
+    results = _parallel.parallel_map(_scan_iv_task, tasks, workers)
     n = sum(c for c, _ in results)
     bad = next((wit for _, wit in results if wit), None)
     add(CheckResult("axiom iv: pullback completion", bad is None, n, bad or ""))
 
     # (v) span completion to a bicartesian square
-    if honest:
-        tasks = [(w, u, v, universal_bound) for w in sizes for u in sizes for v in sizes]
-        results = _parallel.parallel_map(_scan_v_task, tasks, jobs)
-    else:
-        results = []
-        for w in sizes:
-            for u in sizes:
-                for v in sizes:
-                    count, wit = 0, None
-                    for lm in defl(u, w):
-                        if wit:
-                            break
-                        for tm in infl(u, v):
-                            count += 1
-                            l = F1Morphism(u, w, lm)
-                            t = F1Morphism(u, v, tm)
-                            if not complete_pushout(l, t).verify(universal_bound):
-                                wit = "span l=%s t=%s" % (l, t)
-                                break
-                    results.append((count, wit))
+    results = _parallel.parallel_map(_scan_v_task, tasks, workers)
     n = sum(c for c, _ in results)
     bad = next((wit for _, wit in results if wit), None)
     add(CheckResult("axiom v: pushout completion", bad is None, n, bad or ""))

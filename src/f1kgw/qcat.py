@@ -18,6 +18,8 @@ Every category is assembled through ``fincat.build_category``, so
 associativity and unit laws are certified exhaustively at build time.
 """
 
+import math
+
 from .fincat import (
     Functor,
     build_category,
@@ -582,7 +584,7 @@ def conflation_suite(max_size, fiber_sizes=(0, 1, 2)):
     checks = []
     E = conflation_category(max_size)
     expected = sum(
-        (x + 1) * _factorial(x) for x in range(max_size + 1)
+        (x + 1) * math.factorial(x) for x in range(max_size + 1)
     )
     checks.append(
         CheckResult(
@@ -709,13 +711,6 @@ def conflation_suite(max_size, fiber_sizes=(0, 1, 2)):
     return SuiteReport(title, max_size, checks, notes=[
         "fiber sizes exercised: %s" % (tuple(fiber_sizes),),
     ])
-
-
-def _factorial(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def _functorial(E, mids, mapper):
@@ -1165,7 +1160,7 @@ def completion_summary(window):
     for (a, b) in objects:
         components.setdefault(b - a, []).append((a, b))
     auts = {
-        (a, b): _factorial(a) * _factorial(b) for (a, b) in objects
+        (a, b): math.factorial(a) * math.factorial(b) for (a, b) in objects
     }
     return {
         "window": window,

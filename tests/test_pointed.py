@@ -222,6 +222,12 @@ def test_axiom_suite_rejects_corrupted_classes():
     assert not report.ok
     failed = [c for c in report.checks if not c.passed]
     assert failed and any(c.witness for c in failed)
+    # widening the inflation class hands the completions legs they
+    # refuse; the refusal is a failed check with a witness, not a crash
+    report = axiom_suite(2, inflation_maps_of=kernel.hom_maps)
+    assert not report.ok
+    (iv,) = [c for c in report.checks if c.name.startswith("axiom iv")]
+    assert not iv.passed and iv.witness.startswith("cospan b=")
 
 
 def test_enumeration_class_filters():
