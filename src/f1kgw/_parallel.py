@@ -5,13 +5,16 @@ any worker count.
 """
 
 import multiprocessing
+import os
 
 
 def parallel_map(func, tasks, jobs):
+    """[func(t) for t in tasks], on at most jobs worker processes and
+    never more than there are tasks or CPUs."""
     tasks = list(tasks)
-    if jobs is None or jobs <= 1 or len(tasks) < 2:
+    jobs = min(jobs or 1, len(tasks), os.cpu_count() or 1)
+    if jobs <= 1:
         return [func(t) for t in tasks]
-    jobs = min(jobs, len(tasks))
     ctx = multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else None)
     with ctx.Pool(jobs) as pool:
         return pool.map(func, tasks)

@@ -252,6 +252,17 @@ def cmd_export(args):
     return _emit_category(args, cat, args.what)
 
 
+def _size_bound(text):
+    """argparse type of --max-size: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError("expected an integer >= 0, got %r" % text)
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="kgw",
@@ -268,7 +279,7 @@ def build_parser():
         if max_size_default is not None:
             p.add_argument(
                 "--max-size",
-                type=int,
+                type=_size_bound,
                 default=max_size_default,
                 help="size bound (default %d)" % max_size_default,
             )

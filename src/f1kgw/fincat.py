@@ -141,8 +141,10 @@ def build_category(objects, morphisms, comp_rule):
         homs.setdefault((mor_src[mid], mor_dst[mid]), []).append(mid)
     homs = {k: tuple(v) for k, v in homs.items()}
     by_src = {}
+    by_dst = {}
     for mid in range(len(mor_src)):
         by_src.setdefault(mor_src[mid], []).append(mid)
+        by_dst.setdefault(mor_dst[mid], []).append(mid)
 
     comp = {}
     for f in range(len(mor_src)):
@@ -160,7 +162,7 @@ def build_category(objects, morphisms, comp_rule):
     for o in objects:
         units = []
         for e in homs.get((o, o), ()):
-            if all(comp[(e, f)] == f for f in range(len(mor_src)) if mor_dst[f] == o) and all(
+            if all(comp[(e, f)] == f for f in by_dst.get(o, ())) and all(
                 comp[(g, e)] == g for g in by_src.get(o, ())
             ):
                 units.append(e)

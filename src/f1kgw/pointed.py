@@ -22,6 +22,7 @@ wedge: blocks are concatenated, first summand first.
 """
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from ._backend import kernel
 
@@ -42,18 +43,6 @@ class NoFill(ValueError):
     pass
 
 
-class F1Object(int):
-    """A pointed set {0..n}, identified by its size n."""
-
-    def __new__(cls, size):
-        if size < 0:
-            raise ValueError("size must be >= 0")
-        return super().__new__(cls, size)
-
-    def __repr__(self):
-        return "F1Object(%d)" % int(self)
-
-
 class F1Morphism:
     """A partial injection src -> dst; ``map[i]`` is the image of i."""
 
@@ -65,8 +54,8 @@ class F1Morphism:
         dst = int(dst)
         if len(map) != src + 1 or not kernel.is_valid_map(map, dst):
             raise ValueError("invalid map %r for %d -> %d" % (map, src, dst))
-        object.__setattr__(self, "src", F1Object(src))
-        object.__setattr__(self, "dst", F1Object(dst))
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
         object.__setattr__(self, "map", map)
 
     def __setattr__(self, name, value):
@@ -183,7 +172,7 @@ def direct_sum(a, b):
         return F1Morphism(a.src + b.src, a.dst + b.dst, combined)
     if isinstance(a, F1Morphism) or isinstance(b, F1Morphism):
         raise TypeMismatch("cannot sum a morphism with an object")
-    return F1Object(int(a) + int(b))
+    return int(a) + int(b)
 
 
 def inc_left(u, v):
@@ -649,6 +638,18 @@ class CheckResult:
             text += "\n    witness: %s" % self.witness
         return text
 
+    @classmethod
+    def first_failure(cls, name, cases):
+        """Run a check whose cases yield "" on a pass and a witness
+        string on a failure; stop at the first witness, counting the
+        cases consumed up to and including it."""
+        checked = 0
+        for witness in cases:
+            checked += 1
+            if witness:
+                return cls(name, False, checked, witness)
+        return cls(name, True, checked)
+
 
 @dataclass
 class SuiteReport:
@@ -761,6 +762,194 @@ def _scan_v_task(args):
     return count, None
 
 
+def _zero_maps(max_size, infl, defl):
+    """(i) 0 -> U is an inflation and U -> 0 a deflation."""
+    for u in range(max_size + 1):
+        into, onto = kernel.zero_map(0, u), kernel.zero_map(u, 0)
+        yield "" if into in infl(0, u) else "0 -> %d not an inflation" % u
+        yield "" if onto in defl(u, 0) else "%d -> 0 not a deflation" % u
+
+
+def _class_closure(max_size, infl, defl):
+    """(ii) Both classes are closed under composition and contain the
+    isomorphisms."""
+    sizes = range(max_size + 1)
+    for a, b, c in product(sizes, repeat=3):
+        for label, maps in (("inflations", infl), ("deflations", defl)):
+            for f in maps(a, b):
+                for g in maps(b, c):
+                    ok = kernel.compose(g, f) in maps(a, c)
+                    yield "" if ok else "%s not closed: %r ∘ %r" % (label, g, f)
+    for a in sizes:
+        for m in kernel.inflation_maps(a, a):
+            ok = m in infl(a, a) and m in defl(a, a)
+            yield "" if ok else "iso %r missing from a class" % (m,)
+
+
+def _cartesian_iff_cocartesian(max_size, infl, defl):
+    """(iii) Every commuting square is a pullback iff it is a pushout."""
+    for square in _commuting_squares(max_size, infl, defl):
+        sq = BicartesianSquare(*square, check_classes=False)
+        pb, po = sq.is_pullback(), sq.is_pushout()
+        if pb != po:
+            yield "cartesian=%s cocartesian=%s for %r" % (pb, po, square)
+        else:
+            yield ""
+
+
+def _calibration(max_size, universal_bound):
+    """The intrinsic bicartesian criterion agrees with the universal
+    property on every commuting square with corners <= 2."""
+    for square in _commuting_squares(min(2, max_size), _default_infl, _default_defl):
+        sq = BicartesianSquare(*square)
+        intrinsic = sq.is_bicartesian()
+        universal = kernel.universal_square_ok(
+            sq.left.map,
+            sq.top.map,
+            sq.bottom.map,
+            sq.right.map,
+            *sq.corners,
+            max(3, universal_bound),
+        )
+        if intrinsic != universal:
+            yield "intrinsic=%s universal=%s for %r" % (intrinsic, universal, square)
+        else:
+            yield ""
+
+
+def _monoidal_unit(max_size):
+    """DS1: 0 is the unit of ⊕, on objects and on morphisms."""
+    for u in range(max_size + 1):
+        yield "" if direct_sum(u, 0) == u else "size %d ⊕ 0 changed" % u
+    small = range(min(3, max_size) + 1)
+    for u, v in product(small, repeat=2):
+        for m in kernel.hom_maps(u, v):
+            f = F1Morphism(u, v, m)
+            ok = direct_sum(f, F1Morphism.identity(0)) == f
+            yield "" if ok else "f ⊕ id_0 != f for %s" % f
+
+
+def _exact_bifunctor(max_size, universal_bound):
+    """DS2: ⊕ is a bifunctor preserving the exact structure."""
+    small = min(2, max_size)
+    composable = [
+        (F1Morphism(a, b, f), F1Morphism(b, c, g))
+        for a, b, c in product(range(small + 1), repeat=3)
+        for f in kernel.hom_maps(a, b)
+        for g in kernel.hom_maps(b, c)
+    ]
+    for (f1, g1), (f2, g2) in product(composable, repeat=2):
+        lhs = direct_sum(compose(g1, f1), compose(g2, f2))
+        rhs = compose(direct_sum(g1, g2), direct_sum(f1, f2))
+        yield "" if lhs == rhs else "⊕ not functorial"
+    for u, v in product(range(max_size + 1), repeat=2):
+        ok = is_inflation(inc_left(u, v)) and is_inflation(inc_right(u, v))
+        yield "" if ok else "block inclusion not an inflation at (%d,%d)" % (u, v)
+        ok = is_deflation(proj_left(u, v)) and is_deflation(proj_right(u, v))
+        yield "" if ok else "block projection not a deflation at (%d,%d)" % (u, v)
+    squares_small = [
+        BicartesianSquare(*sq, check_classes=False)
+        for sq in _commuting_squares(small, _default_infl, _default_defl)
+    ]
+    bicart_small = [sq for sq in squares_small if sq.is_bicartesian()]
+    for s1, s2 in product(bicart_small, repeat=2):
+        summed = BicartesianSquare(
+            left=direct_sum(s1.left, s2.left),
+            top=direct_sum(s1.top, s2.top),
+            bottom=direct_sum(s1.bottom, s2.bottom),
+            right=direct_sum(s1.right, s2.right),
+        )
+        ok = summed.verify(universal_bound)
+        yield "" if ok else "⊕ of bicartesian squares not bicartesian"
+
+
+def _restriction_injective(max_size):
+    """DS3: restriction along the block inclusions (dually, corestriction
+    along the block projections) is injective."""
+    sizes = range(max_size + 1)
+    for u, v in product(sizes, repeat=2):
+        il, ir = inc_left(u, v).map, inc_right(u, v).map
+        pl, pr = proj_left(u, v).map, proj_right(u, v).map
+        for w in sizes:
+            seen = set()
+            for m in kernel.hom_maps(u + v, w):
+                key = (kernel.compose(m, il), kernel.compose(m, ir))
+                clash = key in seen
+                yield "restriction collision out of %d⊕%d" % (u, v) if clash else ""
+                seen.add(key)
+            seen = set()
+            for m in kernel.hom_maps(w, u + v):
+                key = (kernel.compose(pl, m), kernel.compose(pr, m))
+                clash = key in seen
+                yield "corestriction collision into %d⊕%d" % (u, v) if clash else ""
+                seen.add(key)
+
+
+def _unique_splitting_extension(max_size):
+    """DS4: each section (dually, retraction) of a conflation extends to
+    a unique iso U⊕V ≅ X."""
+    for c in all_conflations(max_size):
+        u, v, x = int(c.sub), int(c.quotient), int(c.total)
+        il, ir = inc_left(u, v).map, inc_right(u, v).map
+        pl, pr = proj_left(u, v).map, proj_right(u, v).map
+        candidates = kernel.inflation_maps(u + v, x)
+        for s in conflation_sections(c):
+            hits = [
+                m
+                for m in candidates
+                if kernel.compose(m, il) == c.i.map
+                and kernel.compose(m, ir) == s.map
+            ]
+            ok = len(hits) == 1
+            yield "" if ok else "section %s of %r extends to %d isos" % (s, c, len(hits))
+        for q in conflation_retractions(c):
+            hits = [
+                m
+                for m in candidates
+                if kernel.compose(c.p.map, m) == pr
+                and kernel.compose(q.map, m) == pl
+            ]
+            ok = len(hits) == 1
+            yield "" if ok else "retraction %s of %r extends to %d isos" % (q, c, len(hits))
+
+
+def _sum_squares(max_size):
+    """Direct sums of morphisms commute with the block inclusions and
+    are isos exactly when both summands are."""
+    small = range(min(2, max_size) + 1)
+    for a, b, c, d in product(small, repeat=4):
+        for m1 in kernel.hom_maps(a, b):
+            for m2 in kernel.hom_maps(c, d):
+                f1 = F1Morphism(a, b, m1)
+                f2 = F1Morphism(c, d, m2)
+                s = direct_sum(f1, f2)
+                if compose(s, inc_left(a, c)) != compose(inc_left(b, d), f1):
+                    yield "left inclusion square broken"
+                elif compose(s, inc_right(a, c)) != compose(inc_right(b, d), f2):
+                    yield "right inclusion square broken"
+                elif is_iso(s) != (is_iso(f1) and is_iso(f2)):
+                    yield "iso detection broken for %s ⊕ %s" % (f1, f2)
+                else:
+                    yield ""
+
+
+def _block_squares(max_size, universal_bound):
+    """The pullback of a block projection along an inflation is the
+    block square."""
+    small = range(min(3, max_size) + 1)
+    for u, v, w in product(small, repeat=3):
+        for jm in kernel.inflation_maps(u, v):
+            j = F1Morphism(u, v, jm)
+            sq = BicartesianSquare(
+                left=proj_left(u, w),
+                top=direct_sum(j, F1Morphism.identity(w)),
+                bottom=j,
+                right=proj_left(v, w),
+            )
+            ok = sq.verify(universal_bound)
+            yield "" if ok else "block square for j=%s, W=%d not bicartesian" % (j, w)
+
+
 def axiom_suite(
     max_size,
     universal_bound=2,
@@ -769,6 +958,12 @@ def axiom_suite(
     deflation_maps_of=None,
 ):
     """Exhaustively certify the exact-structure axioms up to max_size.
+
+    Every check stops at its first failing case and reports it as the
+    witness.  Axioms iv and v scan each size triple as a separate task
+    (so that workers can share them): each task stops at its first
+    failing case, the witness is that of the first failing triple, and
+    the cases of every triple are counted.
 
     universal_bound: completions and small squares additionally get the
     pullback/pushout universal property checked against every test
@@ -788,280 +983,45 @@ def axiom_suite(
     workers = jobs if honest else 1
     report = SuiteReport(title="exact structure axiom suite", max_size=max_size)
     add = report.checks.append
+    run = CheckResult.first_failure
 
-    # (i) zero in and out
-    bad = None
-    n = 0
-    for u in range(max_size + 1):
-        n += 2
-        into = kernel.zero_map(0, u)
-        onto = kernel.zero_map(u, 0)
-        if into not in infl(0, u):
-            bad = "0 -> %d not an inflation" % u
-            break
-        if onto not in defl(u, 0):
-            bad = "%d -> 0 not a deflation" % u
-            break
-    add(CheckResult("axiom i: zero maps", bad is None, n, bad or ""))
+    add(run("axiom i: zero maps", _zero_maps(max_size, infl, defl)))
+    add(run("axiom ii: class closure", _class_closure(max_size, infl, defl)))
+    add(
+        run(
+            "axiom iii: cartesian iff cocartesian",
+            _cartesian_iff_cocartesian(max_size, infl, defl),
+        )
+    )
 
-    # (ii) closure under composition, isomorphisms contained
-    bad = None
-    n = 0
-    for a in range(max_size + 1):
-        for b in range(max_size + 1):
-            for c in range(max_size + 1):
-                for f in infl(a, b):
-                    for g in infl(b, c):
-                        n += 1
-                        if kernel.compose(g, f) not in infl(a, c):
-                            bad = "inflations not closed: %r ∘ %r" % (g, f)
-                for f in defl(a, b):
-                    for g in defl(b, c):
-                        n += 1
-                        if kernel.compose(g, f) not in defl(a, c):
-                            bad = "deflations not closed: %r ∘ %r" % (g, f)
-    for a in range(max_size + 1):
-        for m in kernel.inflation_maps(a, a):
-            n += 1
-            if m not in infl(a, a) or m not in defl(a, a):
-                bad = "iso %r missing from a class" % (m,)
-    add(CheckResult("axiom ii: class closure", bad is None, n, bad or ""))
-
-    # (iii) cartesian iff cocartesian, over every commuting square
-    bad = None
-    n = 0
-    for square in _commuting_squares(max_size, infl, defl):
-        sq = BicartesianSquare(*square, check_classes=False)
-        n += 1
-        if sq.is_pullback() != sq.is_pushout():
-            bad = "cartesian=%s cocartesian=%s for %r" % (
-                sq.is_pullback(),
-                sq.is_pushout(),
-                square,
-            )
-            break
-    add(CheckResult("axiom iii: cartesian iff cocartesian", bad is None, n, bad or ""))
-
-    # (iv) cospan completion to a bicartesian square; (v) reuses the
-    # size triples as (w, u, v)
-    sizes = range(max_size + 1)
+    # (iv) cospan and (v) span completion to a bicartesian square, one
+    # task per size triple, read as (w, x, v) for iv and (w, u, v) for v
     tasks = [
         (a, b, c, universal_bound, infl, defl)
-        for a in sizes
-        for b in sizes
-        for c in sizes
+        for a, b, c in product(range(max_size + 1), repeat=3)
     ]
-    results = _parallel.parallel_map(_scan_iv_task, tasks, workers)
-    n = sum(c for c, _ in results)
-    bad = next((wit for _, wit in results if wit), None)
-    add(CheckResult("axiom iv: pullback completion", bad is None, n, bad or ""))
+    for name, scan in (
+        ("axiom iv: pullback completion", _scan_iv_task),
+        ("axiom v: pushout completion", _scan_v_task),
+    ):
+        results = _parallel.parallel_map(scan, tasks, workers)
+        bad = next((wit for _, wit in results if wit), "")
+        add(CheckResult(name, not bad, sum(c for c, _ in results), bad))
 
-    # (v) span completion to a bicartesian square
-    results = _parallel.parallel_map(_scan_v_task, tasks, workers)
-    n = sum(c for c, _ in results)
-    bad = next((wit for _, wit in results if wit), None)
-    add(CheckResult("axiom v: pushout completion", bad is None, n, bad or ""))
-
-    # calibration: intrinsic criterion vs universal property, small corners
-    bad = None
-    n = 0
-    cal = min(2, max_size)
-    for square in _commuting_squares(cal, _default_infl, _default_defl):
-        sq = BicartesianSquare(*square)
-        n += 1
-        intrinsic = sq.is_bicartesian()
-        universal = kernel.universal_square_ok(
-            sq.left.map,
-            sq.top.map,
-            sq.bottom.map,
-            sq.right.map,
-            *[int(s) for s in sq.corners],
-            max(3, universal_bound),
+    add(
+        run(
+            "calibration: intrinsic vs universal",
+            _calibration(max_size, universal_bound),
         )
-        if intrinsic != universal:
-            bad = "intrinsic=%s universal=%s for %r" % (intrinsic, universal, square)
-            break
-    add(CheckResult("calibration: intrinsic vs universal", bad is None, n, bad or ""))
+    )
     report.notes.append(
         "universal property checked against all test objects of size <= %d"
         % universal_bound
     )
-
-    # DS1: 0 is the unit
-    bad = None
-    n = 0
-    for u in range(max_size + 1):
-        n += 1
-        if direct_sum(F1Object(u), F1Object(0)) != u:
-            bad = "size %d ⊕ 0 changed" % u
-    for u in range(min(3, max_size) + 1):
-        for v in range(min(3, max_size) + 1):
-            for m in kernel.hom_maps(u, v):
-                n += 1
-                f = F1Morphism(u, v, m)
-                if direct_sum(f, F1Morphism.identity(0)) != f:
-                    bad = "f ⊕ id_0 != f for %s" % f
-    add(CheckResult("DS1: monoidal unit", bad is None, n, bad or ""))
-
-    # DS2: ⊕ is a bifunctor preserving the exact structure
-    bad = None
-    n = 0
-    small = min(2, max_size)
-    for a in range(small + 1):
-        for b in range(small + 1):
-            for c in range(small + 1):
-                for f1 in kernel.hom_maps(a, b):
-                    for g1 in kernel.hom_maps(b, c):
-                        for a2 in range(small + 1):
-                            for b2 in range(small + 1):
-                                for c2 in range(small + 1):
-                                    for f2 in kernel.hom_maps(a2, b2):
-                                        for g2 in kernel.hom_maps(b2, c2):
-                                            n += 1
-                                            lhs = direct_sum(
-                                                compose(
-                                                    F1Morphism(b, c, g1),
-                                                    F1Morphism(a, b, f1),
-                                                ),
-                                                compose(
-                                                    F1Morphism(b2, c2, g2),
-                                                    F1Morphism(a2, b2, f2),
-                                                ),
-                                            )
-                                            rhs = compose(
-                                                direct_sum(
-                                                    F1Morphism(b, c, g1),
-                                                    F1Morphism(b2, c2, g2),
-                                                ),
-                                                direct_sum(
-                                                    F1Morphism(a, b, f1),
-                                                    F1Morphism(a2, b2, f2),
-                                                ),
-                                            )
-                                            if lhs != rhs:
-                                                bad = "⊕ not functorial"
-    for u in range(max_size + 1):
-        for v in range(max_size + 1):
-            n += 2
-            if not is_inflation(inc_left(u, v)) or not is_inflation(inc_right(u, v)):
-                bad = "block inclusion not an inflation at (%d,%d)" % (u, v)
-            if not is_deflation(proj_left(u, v)) or not is_deflation(proj_right(u, v)):
-                bad = "block projection not a deflation at (%d,%d)" % (u, v)
-    squares_small = [
-        BicartesianSquare(*sq, check_classes=False)
-        for sq in _commuting_squares(small, _default_infl, _default_defl)
-    ]
-    bicart_small = [sq for sq in squares_small if sq.is_bicartesian()]
-    for s1 in bicart_small:
-        for s2 in bicart_small:
-            n += 1
-            summed = BicartesianSquare(
-                left=direct_sum(s1.left, s2.left),
-                top=direct_sum(s1.top, s2.top),
-                bottom=direct_sum(s1.bottom, s2.bottom),
-                right=direct_sum(s1.right, s2.right),
-            )
-            if not summed.verify(universal_bound):
-                bad = "⊕ of bicartesian squares not bicartesian"
-    add(CheckResult("DS2: exact bifunctor", bad is None, n, bad or ""))
-
-    # DS3: restriction along the block inclusions/projections is injective
-    bad = None
-    n = 0
-    for u in range(max_size + 1):
-        for v in range(max_size + 1):
-            il, ir = inc_left(u, v).map, inc_right(u, v).map
-            pl, pr = proj_left(u, v).map, proj_right(u, v).map
-            for w in range(max_size + 1):
-                seen = {}
-                for m in kernel.hom_maps(u + v, w):
-                    n += 1
-                    key = (kernel.compose(m, il), kernel.compose(m, ir))
-                    if key in seen:
-                        bad = "restriction collision out of %d⊕%d" % (u, v)
-                    seen[key] = m
-                seen = {}
-                for m in kernel.hom_maps(w, u + v):
-                    n += 1
-                    key = (kernel.compose(pl, m), kernel.compose(pr, m))
-                    if key in seen:
-                        bad = "corestriction collision into %d⊕%d" % (u, v)
-                    seen[key] = m
-    add(CheckResult("DS3: restriction injective", bad is None, n, bad or ""))
-
-    # DS4: each section (dually, retraction) extends to a unique iso U⊕V ≅ X
-    bad = None
-    n = 0
-    for c in all_conflations(max_size):
-        u, v, x = int(c.sub), int(c.quotient), int(c.total)
-        il, ir = inc_left(u, v).map, inc_right(u, v).map
-        pl, pr = proj_left(u, v).map, proj_right(u, v).map
-        candidates = kernel.inflation_maps(u + v, x)
-        for s in conflation_sections(c):
-            n += 1
-            hits = [
-                m
-                for m in candidates
-                if kernel.compose(m, il) == c.i.map
-                and kernel.compose(m, ir) == s.map
-            ]
-            if len(hits) != 1:
-                bad = "section %s of %r extends to %d isos" % (s, c, len(hits))
-        for q in conflation_retractions(c):
-            n += 1
-            hits = [
-                m
-                for m in candidates
-                if kernel.compose(c.p.map, m) == pr
-                and kernel.compose(q.map, m) == pl
-            ]
-            if len(hits) != 1:
-                bad = "retraction %s of %r extends to %d isos" % (q, c, len(hits))
-    add(CheckResult("DS4: unique splitting extension", bad is None, n, bad or ""))
-
-    # direct sums of morphisms: inclusion squares and iso detection
-    bad = None
-    n = 0
-    for a in range(small + 1):
-        for b in range(small + 1):
-            for c in range(small + 1):
-                for d in range(small + 1):
-                    for m1 in kernel.hom_maps(a, b):
-                        for m2 in kernel.hom_maps(c, d):
-                            n += 1
-                            f1 = F1Morphism(a, b, m1)
-                            f2 = F1Morphism(c, d, m2)
-                            s = direct_sum(f1, f2)
-                            if compose(s, inc_left(a, c)) != compose(
-                                inc_left(b, d), f1
-                            ):
-                                bad = "left inclusion square broken"
-                            if compose(s, inc_right(a, c)) != compose(
-                                inc_right(b, d), f2
-                            ):
-                                bad = "right inclusion square broken"
-                            if is_iso(s) != (is_iso(f1) and is_iso(f2)):
-                                bad = "iso detection broken for %s ⊕ %s" % (f1, f2)
-    add(CheckResult("direct sums: inclusion squares, isos", bad is None, n, bad or ""))
-
-    # pullback of a block projection along an inflation is the block square
-    bad = None
-    n = 0
-    lim = min(3, max_size)
-    for u in range(lim + 1):
-        for v in range(lim + 1):
-            for w in range(lim + 1):
-                for jm in kernel.inflation_maps(u, v):
-                    n += 1
-                    j = F1Morphism(u, v, jm)
-                    sq = BicartesianSquare(
-                        left=proj_left(u, w),
-                        top=direct_sum(j, F1Morphism.identity(w)),
-                        bottom=j,
-                        right=proj_left(v, w),
-                    )
-                    if not sq.verify(universal_bound):
-                        bad = "block square for j=%s, W=%d not bicartesian" % (j, w)
-    add(CheckResult("block pullback squares", bad is None, n, bad or ""))
-
+    add(run("DS1: monoidal unit", _monoidal_unit(max_size)))
+    add(run("DS2: exact bifunctor", _exact_bifunctor(max_size, universal_bound)))
+    add(run("DS3: restriction injective", _restriction_injective(max_size)))
+    add(run("DS4: unique splitting extension", _unique_splitting_extension(max_size)))
+    add(run("direct sums: inclusion squares, isos", _sum_squares(max_size)))
+    add(run("block pullback squares", _block_squares(max_size, universal_bound)))
     return report

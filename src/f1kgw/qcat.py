@@ -530,8 +530,15 @@ def scalar_action_object(c, X):
     )
 
 
-def scalar_action_bmap(c, mor):
-    return direct_sum(F1Morphism.identity(c), mor.b).map
+def scalar_action(E_index, c, mor):
+    """C·f: the scalar action on a morphism, id_C ⊕ b on the totals."""
+    return E_index[
+        (
+            scalar_action_object(c, mor.src),
+            scalar_action_object(c, mor.dst),
+            direct_sum(F1Morphism.identity(c), mor.b).map,
+        )
+    ]
 
 
 def restriction_to_zero(E_index, mor):
@@ -579,7 +586,8 @@ def conflation_suite(max_size, fiber_sizes=(0, 1, 2)):
     the fiber embeddings (as equivalences), both base changes to and
     from the zero fiber, the scalar action, and the two natural
     isomorphisms comparing the action with extension/restriction
-    round trips.
+    round trips.  Every check stops at its first failing case and
+    reports it as the witness.
     """
     checks = []
     E = conflation_category(max_size)
@@ -623,6 +631,17 @@ def conflation_suite(max_size, fiber_sizes=(0, 1, 2)):
             )
         )
 
+    run = CheckResult.first_failure
+
+    def within(mids, c):
+        """The ids among mids whose source and target fit c + total <= max_size."""
+        return [
+            m
+            for m in mids
+            if c + int(E.data(m).src.total) <= max_size
+            and c + int(E.data(m).dst.total) <= max_size
+        ]
+
     zero_fiber_mids = [
         m
         for m in range(E.n_morphisms)
@@ -637,73 +656,60 @@ def conflation_suite(max_size, fiber_sizes=(0, 1, 2)):
             and int(E.data(m).dst.quotient) == c
             and E.data(m).quotient_span() == QSpan.identity(c)
         ]
-        for name, mapper, domain in (
+        for name, mapper in (
             ("restriction to the zero fiber (quotient size %d)" % c,
-             lambda m: restriction_to_zero(E_index, E.data(m)), fiber_mids),
+             lambda m: restriction_to_zero(E_index, E.data(m))),
             ("total-object functor to the zero fiber (quotient size %d)" % c,
-             lambda m: total_to_zero(E_index, E.data(m)), fiber_mids),
+             lambda m: total_to_zero(E_index, E.data(m))),
         ):
-            ok, checked, witness = _functorial(E, domain, mapper)
-            checks.append(CheckResult(name, ok, checked, witness))
+            checks.append(run(name, _functorial(E, fiber_mids, mapper)))
 
-        budget_mids = [
-            m
-            for m in zero_fiber_mids
-            if c + int(E.data(m).src.total) <= max_size
-            and c + int(E.data(m).dst.total) <= max_size
-        ]
-        ok, checked, witness = _functorial(
-            E, budget_mids, lambda m: zero_to_fiber(E_index, c, E.data(m))
-        )
+        budget_mids = within(zero_fiber_mids, c)
         checks.append(
-            CheckResult(
+            run(
                 "extension from the zero fiber (quotient size %d)" % c,
-                ok,
-                checked,
-                witness,
+                _functorial(
+                    E, budget_mids, lambda m: zero_to_fiber(E_index, c, E.data(m))
+                ),
             )
         )
-
-        action_mids = [
-            m
-            for m in range(E.n_morphisms)
-            if c + int(E.data(m).src.total) <= max_size
-            and c + int(E.data(m).dst.total) <= max_size
-        ]
-
-        def act(m, c=c):
-            d = E.data(m)
-            return E_index[
-                (
-                    scalar_action_object(c, d.src),
-                    scalar_action_object(c, d.dst),
-                    scalar_action_bmap(c, d),
-                )
-            ]
-
-        ok, checked, witness = _functorial(E, action_mids, act)
         checks.append(
-            CheckResult(
-                "scalar action by size %d is functorial" % c, ok, checked, witness
+            run(
+                "scalar action by size %d is functorial" % c,
+                _functorial(
+                    E,
+                    within(range(E.n_morphisms), c),
+                    lambda m: scalar_action(E_index, c, E.data(m)),
+                ),
             )
         )
-
-        ok, checked, witness = _natural_iso_action_extension(E, E_index, c, max_size)
+        fitting = [X for X in E.objects if c + int(X.total) <= max_size]
         checks.append(
-            CheckResult(
+            run(
                 "action = extension after restriction on the fiber (size %d)" % c,
-                ok,
-                checked,
-                witness,
+                _natural_iso(
+                    E,
+                    E_index,
+                    c,
+                    [X for X in fitting if int(X.quotient) == c],
+                    _sorted_comparison,
+                    within(fiber_mids, c),
+                    lambda d: zero_to_fiber(E_index, c, E.data(total_to_zero(E_index, d))),
+                ),
             )
         )
-        ok, checked, witness = _natural_iso_action_zero(E, E_index, c, max_size)
         checks.append(
-            CheckResult(
+            run(
                 "action = restriction after extension over the zero fiber (size %d)" % c,
-                ok,
-                checked,
-                witness,
+                _natural_iso(
+                    E,
+                    E_index,
+                    c,
+                    [X for X in fitting if int(X.quotient) == 0],
+                    _identity_comparison,
+                    budget_mids,
+                    lambda d: total_to_zero(E_index, E.data(zero_to_fiber(E_index, c, d))),
+                ),
             )
         )
 
@@ -714,19 +720,21 @@ def conflation_suite(max_size, fiber_sizes=(0, 1, 2)):
 
 
 def _functorial(E, mids, mapper):
-    """Check a morphism assignment preserves identities and
-    composition on the given ids; returns (ok, checked, witness)."""
+    """Witnesses that a morphism assignment fails to preserve identities
+    or composition on the given ids: one case per morphism, then one
+    per composable pair."""
+    idents = set(E.identities.values())
     images = {}
     for m in mids:
         try:
             images[m] = mapper(m)
         except KeyError:
-            return False, len(mids), "image of morphism %d is not a valid morphism" % m
-    idents = set(E.identities.values())
-    checked = 0
-    for m in mids:
+            yield "image of morphism %d is not a valid morphism" % m
+            continue
         if m in idents and images[m] not in idents:
-            return False, checked, "identity %d not sent to an identity" % m
+            yield "identity %d not sent to an identity" % m
+        else:
+            yield ""
     by_src = {}
     for m in mids:
         by_src.setdefault(E.data(m).src, []).append(m)
@@ -734,115 +742,60 @@ def _functorial(E, mids, mapper):
         for g in by_src.get(E.data(f).dst, ()):
             gf = E.comp[(g, f)]
             if gf not in images:
-                return False, checked, "composite of %d, %d left the domain" % (g, f)
-            if E.comp[(images[g], images[f])] != images[gf]:
-                return False, checked, "composition broken at (g=%d, f=%d)" % (g, f)
-            checked += 1
-    return True, checked + len(mids), ""
-
-
-def _natural_iso_action_extension(E, E_index, c, max_size):
-    """On the fiber over size c: the scalar action agrees with
-    extension after the total-object base change, via the comparison
-    that sorts the total C⊕B by quotient value then sub membership."""
-    fiber_objs = [
-        X
-        for X in E.objects
-        if int(X.quotient) == c and c + int(X.total) <= max_size
-    ]
-    eta = {}
-    checked = 0
-    for X in fiber_objs:
-        lhs = scalar_action_object(c, X)
-        rhs = Conflation(
-            inc_right(c, int(X.total)), proj_left(c, int(X.total))
-        )
-        bsize = int(X.total)
-        bmap = [0] * (c + bsize + 1)
-        pi_fiber = {}
-        for y in range(1, bsize + 1):
-            cc = X.p.map[y]
-            if cc != 0:
-                bmap[c + y] = cc
-                pi_fiber[cc] = y
+                yield "composite of %d, %d left the domain" % (g, f)
+            elif E.comp[(images[g], images[f])] != images[gf]:
+                yield "composition broken at (g=%d, f=%d)" % (g, f)
             else:
-                bmap[c + y] = c + y
-        for cc in range(1, c + 1):
-            bmap[cc] = c + pi_fiber[cc]
-        key = (lhs, rhs, tuple(bmap))
-        if key not in E_index:
-            return False, checked, "comparison at %s is not a morphism" % (X,)
-        mid = E_index[key]
-        if not E.is_iso(mid):
-            return False, checked, "comparison at %s is not invertible" % (X,)
-        eta[X] = mid
-        checked += 1
-    fiber_mids = [
-        m
-        for m in range(E.n_morphisms)
-        if E.data(m).src in eta
-        and E.data(m).dst in eta
-        and int(E.data(m).src.quotient) == c
-        and int(E.data(m).dst.quotient) == c
-        and E.data(m).quotient_span() == QSpan.identity(c)
-    ]
-    for m in fiber_mids:
-        d = E.data(m)
-        lhs_m = E_index[
-            (
-                scalar_action_object(c, d.src),
-                scalar_action_object(c, d.dst),
-                scalar_action_bmap(c, d),
-            )
-        ]
-        rhs_m = zero_to_fiber(E_index, c, E.data(total_to_zero(E_index, d)))
-        if E.comp[(eta[d.dst], lhs_m)] != E.comp[(rhs_m, eta[d.src])]:
-            return False, checked, "naturality fails at morphism %d" % m
-        checked += 1
-    return True, checked, ""
+                yield ""
 
 
-def _natural_iso_action_zero(E, E_index, c, max_size):
-    """Over the zero fiber: the scalar action agrees with restriction
-    after extension, via the identity comparison on the total C⊕B."""
-    objs = [
-        X
-        for X in E.objects
-        if int(X.quotient) == 0 and c + int(X.total) <= max_size
-    ]
+def _sorted_comparison(c, X):
+    """Target and totals map of the comparison from C·X to the extension
+    of X's total: C⊕B sorted by quotient value, then sub membership."""
+    bsize = int(X.total)
+    bmap = [0] * (c + bsize + 1)
+    pi_fiber = {}
+    for y in range(1, bsize + 1):
+        cc = X.p.map[y]
+        if cc != 0:
+            bmap[c + y] = cc
+            pi_fiber[cc] = y
+        else:
+            bmap[c + y] = c + y
+    for cc in range(1, c + 1):
+        bmap[cc] = c + pi_fiber[cc]
+    return canonical_extension(c, bsize), tuple(bmap)
+
+
+def _identity_comparison(c, X):
+    """Target and totals map of the identity comparison from C·X to the
+    zero-quotient conflation on C⊕B."""
+    total = c + int(X.total)
+    target = Conflation(F1Morphism.identity(total), F1Morphism.zero(total, 0))
+    return target, tuple(range(total + 1))
+
+
+def _natural_iso(E, E_index, c, objects, comparison, mids, round_trip):
+    """Witnesses that the scalar action by size c is not naturally
+    isomorphic to round_trip on the given objects and the morphisms
+    mids between them.  comparison(c, X) gives the target and the
+    totals map of the component at X.  One case per object, then one
+    per morphism."""
     eta = {}
-    checked = 0
-    for X in objs:
-        lhs = scalar_action_object(c, X)
-        total = c + int(X.total)
-        rhs = Conflation(F1Morphism.identity(total), F1Morphism.zero(total, 0))
-        key = (lhs, rhs, tuple(range(total + 1)))
-        if key not in E_index:
-            return False, checked, "identity comparison at %s is not a morphism" % (X,)
-        mid = E_index[key]
-        if not E.is_iso(mid):
-            return False, checked, "comparison at %s is not invertible" % (X,)
-        eta[X] = mid
-        checked += 1
-    mids = [
-        m
-        for m in range(E.n_morphisms)
-        if E.data(m).src in eta and E.data(m).dst in eta
-    ]
+    for X in objects:
+        mid = E_index.get((scalar_action_object(c, X),) + comparison(c, X))
+        if mid is None:
+            yield "comparison at %s is not a morphism" % (X,)
+        elif not E.is_iso(mid):
+            yield "comparison at %s is not invertible" % (X,)
+        else:
+            eta[X] = mid
+            yield ""
     for m in mids:
         d = E.data(m)
-        lhs_m = E_index[
-            (
-                scalar_action_object(c, d.src),
-                scalar_action_object(c, d.dst),
-                scalar_action_bmap(c, d),
-            )
-        ]
-        rhs_m = total_to_zero(E_index, E.data(zero_to_fiber(E_index, c, d)))
-        if E.comp[(eta[d.dst], lhs_m)] != E.comp[(rhs_m, eta[d.src])]:
-            return False, checked, "naturality fails at morphism %d" % m
-        checked += 1
-    return True, checked, ""
+        lhs = E.comp[(eta[d.dst], scalar_action(E_index, c, d))]
+        rhs = E.comp[(round_trip(d), eta[d.src])]
+        yield "" if lhs == rhs else "naturality fails at morphism %d" % m
 
 
 # ---------------------------------------------------------------------------

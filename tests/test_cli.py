@@ -149,6 +149,14 @@ def test_unknown_command_exits_two():
     assert exc.value.code == 2
 
 
+def test_negative_max_size_is_a_usage_error(capsys):
+    for command in ("axioms", "forms", "k0", "gw0", "witt", "qcat", "qhcat", "suites", "export"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--max-size", "-1"])
+        assert exc.value.code == 2
+        assert "--max-size: expected an integer >= 0, got '-1'" in capsys.readouterr().err
+
+
 def test_console_script_round_trip():
     # the installed entry point and byte determinism across processes
     cmd = [sys.executable, "-m", "f1kgw.cli", "witt", "--max-size", "3", "--output", "json"]

@@ -1,0 +1,51 @@
+"""Work partitioning: results in task order, bounded worker count."""
+
+import multiprocessing
+import os
+
+from f1kgw import _parallel
+
+
+def _square(x):
+    return x * x
+
+
+def _fake_pools(monkeypatch, cpus):
+    """Replace process pools by in-process fakes that record their size."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, tasks):
+            return [func(t) for t in tasks]
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: FakeContext())
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return sizes
+
+
+def test_worker_count_is_bounded_by_tasks_and_cpus(monkeypatch):
+    sizes = _fake_pools(monkeypatch, cpus=4)
+    assert _parallel.parallel_map(_square, range(10), 10**6) == [x * x for x in range(10)]
+    assert _parallel.parallel_map(_square, range(3), 10**6) == [0, 1, 4]
+    assert sizes == [4, 3]
+
+
+def test_one_worker_runs_in_process(monkeypatch):
+    sizes = _fake_pools(monkeypatch, cpus=None)
+    assert _parallel.parallel_map(_square, range(5), 10**6) == [0, 1, 4, 9, 16]
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert _parallel.parallel_map(_square, range(5), 1) == [0, 1, 4, 9, 16]
+    assert _parallel.parallel_map(_square, [], 8) == []
+    assert sizes == []

@@ -230,6 +230,18 @@ def test_axiom_suite_rejects_corrupted_classes():
     assert not iv.passed and iv.witness.startswith("cospan b=")
 
 
+def test_axiom_suite_reports_first_witness():
+    # without isomorphisms the inflation class fails check ii at the
+    # first iso, id_0, and the check stops there
+    report = axiom_suite(
+        2, inflation_maps_of=lambda u, v: () if u == v else kernel.inflation_maps(u, v)
+    )
+    (ii,) = [c for c in report.checks if c.name.startswith("axiom ii:")]
+    assert not ii.passed
+    assert ii.witness == "iso (0,) missing from a class"
+    assert ii.checked == 22
+
+
 def test_enumeration_class_filters():
     for u in range(4):
         for v in range(4):
