@@ -13,11 +13,9 @@ from . import __version__
 from .fincat import category_to_dot, category_to_json
 from .forms import (
     SymmetricForm,
-    enumerate_forms,
     involution_count,
     iso_simple_decomposition,
     isometry_group,
-    witt_monoid,
 )
 from .invariants import gw0, hermitian_component_count, k0, k0_from_sums, w0
 from .pointed import axiom_suite
@@ -209,6 +207,12 @@ def cmd_qhcat(args):
 
 
 def cmd_suites(args):
+    if args.max_size < 1:
+        sys.stderr.write(
+            "error: suites needs --max-size >= 1, got %d: the split-summand "
+            "suite adds a point to forms of size max_size - 1\n" % args.max_size
+        )
+        return 2
     reports = [
         axiom_suite(args.max_size, jobs=args.jobs),
         conflation_suite(args.max_size),
@@ -252,15 +256,21 @@ def cmd_export(args):
     return _emit_category(args, cat, args.what)
 
 
-def _size_bound(text):
-    """argparse type of --max-size: an integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError("expected an integer >= 0, got %r" % text)
-    return value
+def _int_at_least(low):
+    """argparse type of --max-size and --jobs: an integer >= low."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                "expected an integer >= %d, got %r" % (low, text)
+            )
+        return value
+
+    return parse
 
 
 def build_parser():
@@ -279,13 +289,16 @@ def build_parser():
         if max_size_default is not None:
             p.add_argument(
                 "--max-size",
-                type=_size_bound,
+                type=_int_at_least(0),
                 default=max_size_default,
                 help="size bound (default %d)" % max_size_default,
             )
         if with_jobs:
             p.add_argument(
-                "--jobs", type=int, default=1, help="worker processes (default 1)"
+                "--jobs",
+                type=_int_at_least(1),
+                default=1,
+                help="worker processes (default 1)",
             )
         p.add_argument(
             "--output",

@@ -10,7 +10,6 @@ inverse.  Everything here is exhaustively checkable at desk scale.
 
 from functools import lru_cache
 
-from ._backend import kernel
 from .pointed import (
     F1Morphism,
     TypeMismatch,
@@ -201,25 +200,65 @@ def is_isometry(phi, M, N):
     return compose(back, compose(N.morphism, phi)).map == M.psi
 
 
-def isometries(M, N):
-    """All isometries M -> N, in lexicographic map order."""
+def _isometry_maps(M, N):
+    """Yield the map tuples of the bijections φ with φ∘ψ_M = ψ_N∘φ, in
+    lexicographic order, by a depth-first search.
+
+    The least unassigned point k tries each unused v in ascending order;
+    a fixed point of ψ_M may only go to a fixed point of ψ_N, a 2-cycle
+    point only to a 2-cycle point, and φ(k) = v forces φ(ψ_M k) = ψ_N v.
+    A forced position is fixed by an earlier choice, so two outputs first
+    differ at a chosen position and the order is that of the value tuples.
+    """
     if M.size != N.size:
-        return []
-    out = []
-    for m in kernel.inflation_maps(M.size, N.size):
+        return
+    n, psi_m, psi_n = M.size, M.psi, N.psi
+    phi = [0] * (n + 1)
+    used = [False] * (n + 1)
+
+    def rec(k):
+        while k <= n and phi[k]:
+            k += 1
+        if k > n:
+            yield tuple(phi)
+            return
+        j = psi_m[k]
+        for v in range(1, n + 1):
+            w = psi_n[v]
+            if used[v] or (j == k) != (w == v):
+                continue
+            phi[k], phi[j], used[v], used[w] = v, w, True, True
+            yield from rec(k + 1)
+            phi[k], phi[j], used[v], used[w] = 0, 0, False, False
+
+    yield from rec(1)
+
+
+def _verified_isometries(M, N):
+    """Each map of the search as an F1Morphism, checked by is_isometry."""
+    for m in _isometry_maps(M, N):
         phi = F1Morphism(M.size, N.size, m)
-        if is_isometry(phi, M, N):
-            out.append(phi)
-    return out
+        if not is_isometry(phi, M, N):
+            raise AssertionError("isometry search produced %s" % (phi,))
+        yield phi
+
+
+def isometries(M, N):
+    """All isometries M -> N, in lexicographic map order.
+
+    A depth-first search that respects ψ (see _isometry_maps) lists every
+    candidate, and each one is verified by is_isometry before it is kept.
+    """
+    return list(_verified_isometries(M, N))
 
 
 def are_isometric(M, N):
-    if M.size != N.size:
-        return False
-    for m in kernel.inflation_maps(M.size, N.size):
-        if is_isometry(F1Morphism(M.size, N.size, m), M, N):
-            return True
-    return False
+    """Is there an isometry M -> N?
+
+    True on the first verified isometry of the complete search behind
+    isometries, False when that search runs out.
+    """
+    return next(_verified_isometries(M, N), None) is not None
 
 
 def isometry_group(M):

@@ -32,7 +32,6 @@ from .fincat import (
 )
 from ._backend import kernel
 from .forms import (
-    SymmetricForm,
     direct_sum_form,
     enumerate_forms,
     hyperbolic,
@@ -857,9 +856,10 @@ def comma_tau_suite(max_size, bases=None):
     """Certify the stabilization equivalences under a base form.
 
     For each base M (default: the zero form and the rank-one
-    hyperbolic form), the comma category of hermitian spans out of M
-    into fixed-point-free forms is equivalent to the isomorphism
-    groupoid, via V -> (M ⊕ H(V), projection span).
+    hyperbolic form, as far as they fit in max_size), the comma
+    category of hermitian spans out of M into fixed-point-free forms is
+    equivalent to the isomorphism groupoid, via
+    V -> (M ⊕ H(V), projection span).
     """
     SH = hyperbolic_groupoid(max_size)
     QH = qh_category(max_size)
@@ -875,7 +875,7 @@ def comma_tau_suite(max_size, bases=None):
         )
     )
     if bases is None:
-        bases = [identity_form(0), hyperbolic(1)]
+        bases = [M for M in (identity_form(0), hyperbolic(1)) if M.size <= max_size]
     qh_index = {
         (QH.mor_src[m], QH.mor_dst[m], QH.data(m).key()): m
         for m in range(QH.n_morphisms)
@@ -933,7 +933,7 @@ def comma_tau_suite(max_size, bases=None):
         "stabilized comma category suite",
         max_size,
         checks,
-        notes=["bases: %s" % ", ".join(str(M) for M in (bases or []))],
+        notes=["bases: %s" % ", ".join(str(M) for M in bases)],
     )
 
 
@@ -945,8 +945,14 @@ def stabilization_equivalence_suite(target_size=3, domain_size=2):
     The domain is the product of the split form's automorphism
     groupoid with the fixed-point-free full subcategory at
     domain_size; the functor adds the split summand to objects and
-    spans alike.
+    spans alike.  The image has size domain_size + 1, so target_size
+    must be at least that.
     """
+    if target_size < domain_size + 1:
+        raise ValueError(
+            "target_size %d is below domain_size + 1 = %d"
+            % (target_size, domain_size + 1)
+        )
     S_form = identity_form(1)
     auts = isometries(S_form, S_form)
     checks = []

@@ -124,6 +124,17 @@ def test_suites_exit_zero(capsys):
     assert out.count("result: ALL PASS") == 4
 
 
+def test_suites_smallest_windows(capsys):
+    rc, out = run(["suites", "--max-size", "1"], capsys)
+    assert rc == 0
+    assert out.count("result: ALL PASS") == 4
+    rc = main(["suites", "--max-size", "0"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "error: suites needs --max-size >= 1, got 0" in captured.err
+
+
 def test_export_to_file(tmp_path, capsys):
     target = tmp_path / "completion.json"
     rc, out = run(
@@ -155,6 +166,15 @@ def test_negative_max_size_is_a_usage_error(capsys):
             main([command, "--max-size", "-1"])
         assert exc.value.code == 2
         assert "--max-size: expected an integer >= 0, got '-1'" in capsys.readouterr().err
+
+
+def test_jobs_below_one_is_a_usage_error(capsys):
+    for command in ("axioms", "suites"):
+        for jobs in ("0", "-5"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--max-size", "1", "--jobs", jobs])
+            assert exc.value.code == 2
+            assert "--jobs: expected an integer >= 1, got %r" % jobs in capsys.readouterr().err
 
 
 def test_console_script_round_trip():

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from f1kgw import forms
 from f1kgw.forms import (
     CommMonoidPresentation,
     NotAnInvolution,
@@ -31,7 +32,7 @@ from f1kgw.forms import (
     split_off_form,
     witt_monoid,
 )
-from f1kgw.pointed import F1Morphism, compose, dualize
+from f1kgw.pointed import F1Morphism, compose, dualize, inflations
 
 
 def brute_involution_count(n):
@@ -148,6 +149,41 @@ def test_isometric_iff_same_signature():
                     len(B.fixed_points()),
                 )
                 assert are_isometric(A, B) == same_signature
+
+
+def brute_isometries(A, B):
+    """Independent oracle: filter every isomorphism A -> B by definition."""
+    if A.size != B.size:
+        return []
+    return [phi for phi in inflations(A.size, B.size) if is_isometry(phi, A, B)]
+
+
+def test_isometry_search_matches_brute_force_filter():
+    fs = [form for n in range(6) for form in enumerate_forms(n)]
+    for A in fs:
+        for B in fs:
+            expected = brute_isometries(A, B)
+            assert isometries(A, B) == expected
+            assert are_isometric(A, B) == bool(expected)
+
+
+def test_isometry_search_verifies_only_isometries(monkeypatch):
+    calls = []
+    real = forms.is_isometry
+
+    def counting(phi, M, N):
+        calls.append(phi)
+        return real(phi, M, N)
+
+    monkeypatch.setattr(forms, "is_isometry", counting)
+    assert not are_isometric(identity_form(6), hyperbolic(3))
+    assert calls == []
+    for t in range(4):
+        f = 6 - 2 * t
+        form = direct_sum_form(hyperbolic(t), identity_form(f))
+        calls.clear()
+        G = isometry_group(form)
+        assert len(calls) == len(G) == math.factorial(f) * 2**t * math.factorial(t)
 
 
 def test_isometries_are_closed_under_composition():

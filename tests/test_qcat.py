@@ -210,6 +210,17 @@ def test_comma_tau_suite():
     assert report.ok
 
 
+def test_comma_tau_suite_default_bases_fit_the_window():
+    report = comma_tau_suite(1)
+    assert report.ok
+    assert report.notes == ["bases: inv:()"]
+
+
+def test_stabilization_equivalence_suite_needs_room_for_the_point():
+    with pytest.raises(ValueError, match="target_size 2 is below domain_size"):
+        stabilization_equivalence_suite(2, 2)
+
+
 def test_stabilization_equivalence_suite():
     report = stabilization_equivalence_suite(3, 2)
     assert report.ok
