@@ -34,7 +34,10 @@ class FiniteCategory:
     homs: (src_id, dst_id) -> tuple of morphism ids.
     comp: (g, f) -> id of g∘f, defined exactly on composable pairs.
     identities: object id -> id of its identity morphism.
-    mor_data: optional payload per morphism id (spans, maps, ...).
+    mor_data: optional payload per morphism id (spans, maps, ...).  Data
+    is hashable and tells the morphisms of one hom set apart, so
+    ``find(src, dst, data)`` recovers the id; ``find`` on a category
+    without data is an error.
     """
 
     __slots__ = (
@@ -47,6 +50,7 @@ class FiniteCategory:
         "mor_data",
         "obj_index",
         "_inverses",
+        "_by_data",
     )
 
     def __init__(self, objects, homs, comp, identities, mor_src, mor_dst, mor_data=None):
@@ -59,6 +63,7 @@ class FiniteCategory:
         self.mor_data = tuple(mor_data) if mor_data is not None else None
         self.obj_index = {o: k for k, o in enumerate(self.objects)}
         self._inverses = None
+        self._by_data = None
 
     @property
     def n_morphisms(self):
@@ -72,6 +77,16 @@ class FiniteCategory:
 
     def data(self, mid):
         return self.mor_data[mid] if self.mor_data is not None else None
+
+    def find(self, src, dst, data):
+        """Id of the morphism src -> dst carrying data, or None."""
+        if self._by_data is None:
+            if self.mor_data is None:
+                raise ValueError("the category carries no morphism data")
+            self._by_data = _data_index(
+                list(zip(self.mor_src, self.mor_dst, self.mor_data))
+            )
+        return self._by_data.get((src, dst, data))
 
     def inverse(self, mid):
         """Id of the two-sided inverse, or None."""
@@ -188,6 +203,37 @@ def build_category(objects, morphisms, comp_rule):
     )
 
 
+def _data_index(morphisms):
+    """(src, dst, data) -> position in the list of such entries; raises
+    ValueError when data repeats within a hom set."""
+    index = {entry: m for m, entry in enumerate(morphisms)}
+    if len(index) != len(morphisms):
+        raise ValueError("morphism data repeats within a hom set")
+    return index
+
+
+def compose_by_data(morphisms, compose_data):
+    """A comp_rule for build_category over (src, dst, data) morphisms.
+
+    compose_data(g, f) receives the entries of g and f and returns the
+    data of g∘f; the composite is the morphism f.src -> g.dst carrying
+    it.  A composite outside its hom set raises ValueError.
+    """
+    index = _data_index(morphisms)
+
+    def comp_rule(g, f):
+        eg, ef = morphisms[g], morphisms[f]
+        data = compose_data(eg, ef)
+        mid = index.get((ef[0], eg[1], data))
+        if mid is None:
+            raise ValueError(
+                "composite of %d after %d is not a morphism: %r" % (g, f, data)
+            )
+        return mid
+
+    return comp_rule
+
+
 @dataclass(frozen=True)
 class Functor:
     """Object and morphism maps between explicit finite categories."""
@@ -302,56 +348,38 @@ def comma_category(F, d):
         for m in T.hom(d, F.obj_map[c]):
             objs.append((c, m))
     morphisms = []
-    mor_index = {}
     for (c, m) in objs:
         for g in range(S.n_morphisms):
-            if S.mor_src[g] != c:
-                continue
-            m2 = T.comp[(F.mor_map[g], m)]
-            src = (c, m)
-            dst = (S.mor_dst[g], m2)
-            mor_index[(src, g)] = len(morphisms)
-            morphisms.append((src, dst, g))
-
-    def comp_rule(gg, ff):
-        src, g1 = morphisms[ff][0], morphisms[ff][2]
-        g2 = morphisms[gg][2]
-        return mor_index[(src, S.comp[(g2, g1)])]
-
+            if S.mor_src[g] == c:
+                dst = (S.mor_dst[g], T.comp[(F.mor_map[g], m)])
+                morphisms.append(((c, m), dst, g))
+    comp_rule = compose_by_data(morphisms, lambda gg, ff: S.comp[(gg[2], ff[2])])
     return build_category(objs, morphisms, comp_rule)
 
 
 def product_category(C, D):
     """C × D with componentwise composition; data records (mid, mid)."""
     objs = [(c, d) for c in C.objects for d in D.objects]
-    morphisms = []
-    mor_index = {}
-    for mc in range(C.n_morphisms):
-        for md in range(D.n_morphisms):
-            src = (C.mor_src[mc], D.mor_src[md])
-            dst = (C.mor_dst[mc], D.mor_dst[md])
-            mor_index[(mc, md)] = len(morphisms)
-            morphisms.append((src, dst, (mc, md)))
+    morphisms = [
+        ((C.mor_src[mc], D.mor_src[md]), (C.mor_dst[mc], D.mor_dst[md]), (mc, md))
+        for mc in range(C.n_morphisms)
+        for md in range(D.n_morphisms)
+    ]
 
-    def comp_rule(g, f):
-        gc, gd = morphisms[g][2]
-        fc, fd = morphisms[f][2]
-        return mor_index[(C.comp[(gc, fc)], D.comp[(gd, fd)])]
+    def compose_data(g, f):
+        (gc, gd), (fc, fd) = g[2], f[2]
+        return C.comp[(gc, fc)], D.comp[(gd, fd)]
 
-    return build_category(objs, morphisms, comp_rule)
+    return build_category(objs, morphisms, compose_by_data(morphisms, compose_data))
 
 
 def one_object_groupoid(elements, compose_fn, identity_element, label="*"):
     """B(G) for a finite group given by elements and composition."""
     elements = list(elements)
-    index = {e: k for k, e in enumerate(elements)}
-    if identity_element not in index:
+    if identity_element not in elements:
         raise ValueError("identity element missing")
     morphisms = [(label, label, e) for e in elements]
-
-    def comp_rule(g, f):
-        return index[compose_fn(elements[g], elements[f])]
-
+    comp_rule = compose_by_data(morphisms, lambda g, f: compose_fn(g[2], f[2]))
     return build_category([label], morphisms, comp_rule)
 
 
@@ -612,6 +640,16 @@ def smith_invariants(rows, ncols):
     return invariants
 
 
+def abelian_group(rows, ngens):
+    """The abelian group on ngens generators subject to the integer
+    relation rows, as an AbelianGroupSNF."""
+    invariants = smith_invariants(rows, ngens)
+    return AbelianGroupSNF(
+        rank=ngens - len(invariants),
+        torsion=tuple(d for d in invariants if d > 1),
+    )
+
+
 def abelianize(pres):
     """Abelianization of a presentation as an AbelianGroupSNF."""
     ngen = len(pres.generators)
@@ -621,11 +659,7 @@ def abelianize(pres):
         for s in w:
             row[abs(s) - 1] += 1 if s > 0 else -1
         rows.append(row)
-    invariants = smith_invariants(rows, ngen)
-    return AbelianGroupSNF(
-        rank=ngen - len(invariants),
-        torsion=tuple(d for d in invariants if d > 1),
-    )
+    return abelian_group(rows, ngen)
 
 
 # ---------------------------------------------------------------------------

@@ -491,7 +491,7 @@ class CommMonoidPresentation:
 
     def grothendieck_group(self):
         """Group completion as an AbelianGroupSNF."""
-        from .fincat import AbelianGroupSNF, smith_invariants
+        from .fincat import abelian_group
 
         rows = []
         for lhs, rhs in self.relations:
@@ -501,11 +501,7 @@ class CommMonoidPresentation:
             for k in rhs:
                 row[k] -= 1
             rows.append(row)
-        inv = smith_invariants(rows, len(self.generators))
-        return AbelianGroupSNF(
-            rank=len(self.generators) - len(inv),
-            torsion=tuple(d for d in inv if d > 1),
-        )
+        return abelian_group(rows, len(self.generators))
 
 
 def witt_monoid(max_size):

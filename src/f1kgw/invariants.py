@@ -9,7 +9,7 @@ the same group exist, both are exposed so they can be compared.
 
 from dataclasses import dataclass
 
-from .fincat import AbelianGroupSNF, pi0, smith_invariants
+from .fincat import AbelianGroupSNF, abelian_group, pi0
 from .forms import (
     CommMonoidPresentation,
     are_isometric,
@@ -45,12 +45,8 @@ def k0(max_size):
     """The exact-structure Grothendieck group from the conflation
     census: one generator per size, one relation [total] = [sub] +
     [quotient] per conflation shape."""
-    shapes = sorted(
-        {
-            (int(c.sub), int(c.total), int(c.quotient))
-            for c in all_conflations(max_size)
-        }
-    )
+    conflations = all_conflations(max_size)
+    shapes = sorted({(c.sub, c.total, c.quotient) for c in conflations})
     rows = []
     for a, x, v in shapes:
         row = [0] * (max_size + 1)
@@ -58,17 +54,12 @@ def k0(max_size):
         row[a] -= 1
         row[v] -= 1
         rows.append(row)
-    inv = smith_invariants(rows, max_size + 1)
-    group = AbelianGroupSNF(
-        rank=max_size + 1 - len(inv), torsion=tuple(d for d in inv if d > 1)
-    )
     return InvariantResult(
         "K0",
         max_size,
-        group,
+        abelian_group(rows, max_size + 1),
         details=(
-            "%d conflation shapes among %d conflations"
-            % (len(shapes), len(all_conflations(max_size))),
+            "%d conflation shapes among %d conflations" % (len(shapes), len(conflations)),
         ),
     )
 
@@ -122,14 +113,10 @@ def gw0(max_size):
             row[b] -= 1
             rows.append(row)
             instances += 1
-    inv = smith_invariants(rows, tmax + 1)
-    group = AbelianGroupSNF(
-        rank=tmax + 1 - len(inv), torsion=tuple(d for d in inv if d > 1)
-    )
     return InvariantResult(
         "GW0",
         max_size,
-        group,
+        abelian_group(rows, tmax + 1),
         details=(
             "hyperbolic ranks 0..%d, %d additivity instances verified"
             % (tmax, instances),

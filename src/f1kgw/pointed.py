@@ -73,7 +73,7 @@ class F1Morphism:
         )
 
     def __hash__(self):
-        return hash((int(self.src), int(self.dst), self.map))
+        return hash((self.src, self.dst, self.map))
 
     def __str__(self):
         return "[%s]:%d->%d" % (
@@ -109,7 +109,7 @@ class F1Morphism:
             raise ValueError("bad morphism literal %r" % text) from exc
 
     def to_json(self):
-        return {"src": int(self.src), "dst": int(self.dst), "map": list(self.map)}
+        return {"src": self.src, "dst": self.dst, "map": list(self.map)}
 
     @classmethod
     def from_json(cls, data):
@@ -266,14 +266,6 @@ class Conflation:
     def canonical(cls, u, v):
         """U >--> U⊕V -->> V with the block inclusion and projection."""
         return cls(inc_left(u, v), proj_right(u, v))
-
-    def as_square(self):
-        return BicartesianSquare(
-            left=F1Morphism.zero(self.sub, 0),
-            top=self.i,
-            bottom=F1Morphism.zero(0, self.quotient),
-            right=self.p,
-        )
 
 
 def _pullback_elements(bmap, rmap, w_size, v_size):
@@ -432,7 +424,7 @@ def complete_pullback(b, r):
         raise TypeMismatch("cospan legs must share the codomain")
     if not is_inflation(b):
         raise NotAnInflation("cospan inflation leg is %s" % classify(b))
-    w_size, v_size = int(b.src), int(r.src)
+    w_size, v_size = b.src, r.src
     paired, kernels = _pullback_elements(b.map, r.map, w_size, v_size)
     u_size = len(paired) + len(kernels)
     lmap = [0] * (u_size + 1)
@@ -461,7 +453,7 @@ def complete_pushout(l, t):
         raise TypeMismatch("span legs must share the domain")
     if not is_inflation(t):
         raise NotAnInflation("span inflation leg is %s" % classify(t))
-    u_size, w_size, v_size = int(l.src), int(l.dst), int(t.dst)
+    u_size, w_size, v_size = l.src, l.dst, t.dst
     survivors = _pushout_elements(t.map, v_size)
     x_size = w_size + len(survivors)
     bmap = [0] + list(range(1, w_size + 1))
@@ -490,7 +482,7 @@ def split_conflation(c):
     φ sends the U block through i and the V block through the inverse
     image of p (each nonzero fibre of p is a single element).
     """
-    u, v, x = int(c.sub), int(c.quotient), int(c.total)
+    u, v, x = c.sub, c.quotient, c.total
     pinv = kernel.adjoint(c.p.map, v)
     phi = list(c.i.map) + [pinv[j] for j in range(1, v + 1)]
     return F1Morphism(u + v, x, phi)
@@ -498,11 +490,11 @@ def split_conflation(c):
 
 def conflation_splittings(c):
     """All isomorphisms φ: U⊕V -> X with φ∘inc = i and p∘φ = proj."""
-    u, v = int(c.sub), int(c.quotient)
+    u, v = c.sub, c.quotient
     inc = inc_left(u, v).map
     proj = proj_right(u, v).map
     out = []
-    for m in kernel.inflation_maps(u + v, int(c.total)):
+    for m in kernel.inflation_maps(u + v, c.total):
         if kernel.compose(m, inc) != c.i.map:
             continue
         if kernel.compose(c.p.map, m) != proj:
@@ -513,7 +505,7 @@ def conflation_splittings(c):
 
 def conflation_sections(c):
     """All s: V -> X with p∘s = id."""
-    v, x = int(c.quotient), int(c.total)
+    v, x = c.quotient, c.total
     ident = kernel.identity(v)
     return tuple(
         F1Morphism(v, x, m)
@@ -524,7 +516,7 @@ def conflation_sections(c):
 
 def conflation_retractions(c):
     """All q: X -> U with q∘i = id."""
-    u, x = int(c.sub), int(c.total)
+    u, x = c.sub, c.total
     ident = kernel.identity(u)
     return tuple(
         F1Morphism(x, u, m)
@@ -535,20 +527,19 @@ def conflation_retractions(c):
 
 def section_of_splitting(c, phi):
     """φ restricted to the V block, a section of p."""
-    return compose(phi, inc_right(int(c.sub), int(c.quotient)))
+    return compose(phi, inc_right(c.sub, c.quotient))
 
 
 def retraction_of_splitting(c, phi):
     """proj_U ∘ φ⁻¹, a retraction of i."""
-    return compose(proj_left(int(c.sub), int(c.quotient)), dualize(phi))
+    return compose(proj_left(c.sub, c.quotient), dualize(phi))
 
 
-def fill_conflation_morphism(top, bottom, f, g, verify_unique=True):
+def fill_conflation_morphism(top, bottom, f, g):
     """The unique h with h∘i₁ = i₂∘f and p₂∘h = g∘p₁.
 
-    Built through the canonical splittings as φ₂∘(f⊕g)∘φ₁⁻¹; when
-    verify_unique is set the full hom set is filtered to certify
-    uniqueness.
+    Built through the canonical splittings as φ₂∘(f⊕g)∘φ₁⁻¹; the full
+    hom set is filtered to certify uniqueness.
     """
     if f.src != top.sub or f.dst != bottom.sub:
         raise TypeMismatch("f does not connect the sub objects")
@@ -557,21 +548,20 @@ def fill_conflation_morphism(top, bottom, f, g, verify_unique=True):
     phi1 = split_conflation(top)
     phi2 = split_conflation(bottom)
     h = compose(phi2, compose(direct_sum(f, g), dualize(phi1)))
-    if verify_unique:
-        i1, p1 = top.i.map, top.p.map
-        i2, p2 = bottom.i.map, bottom.p.map
-        want_left = kernel.compose(i2, f.map)
-        want_right = kernel.compose(g.map, p1)
-        hits = [
-            m
-            for m in kernel.hom_maps(int(top.total), int(bottom.total))
-            if kernel.compose(m, i1) == want_left
-            and kernel.compose(p2, m) == want_right
-        ]
-        if not hits:
-            raise NoFill("no morphism fills the conflation morphism")
-        if hits != [h.map]:
-            raise NoFill("fill is not unique: %d candidates" % len(hits))
+    i1, p1 = top.i.map, top.p.map
+    i2, p2 = bottom.i.map, bottom.p.map
+    want_left = kernel.compose(i2, f.map)
+    want_right = kernel.compose(g.map, p1)
+    hits = [
+        m
+        for m in kernel.hom_maps(top.total, bottom.total)
+        if kernel.compose(m, i1) == want_left
+        and kernel.compose(p2, m) == want_right
+    ]
+    if not hits:
+        raise NoFill("no morphism fills the conflation morphism")
+    if hits != [h.map]:
+        raise NoFill("fill is not unique: %d candidates" % len(hits))
     return h
 
 
@@ -582,7 +572,7 @@ def decompose_inflation(i, blocks):
     target block (ascending within each block) and i = (i1⊕i2)∘f.
     """
     n1, n2 = blocks
-    if int(i.dst) != n1 + n2:
+    if i.dst != n1 + n2:
         raise TypeMismatch("blocks do not sum to the codomain")
     if not is_inflation(i):
         raise NotAnInflation(str(i))
@@ -889,7 +879,7 @@ def _unique_splitting_extension(max_size):
     """DS4: each section (dually, retraction) of a conflation extends to
     a unique iso U⊕V ≅ X."""
     for c in all_conflations(max_size):
-        u, v, x = int(c.sub), int(c.quotient), int(c.total)
+        u, v, x = c.sub, c.quotient, c.total
         il, ir = inc_left(u, v).map, inc_right(u, v).map
         pl, pr = proj_left(u, v).map, proj_right(u, v).map
         candidates = kernel.inflation_maps(u + v, x)

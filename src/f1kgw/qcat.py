@@ -16,6 +16,14 @@ Four constructions share this module:
 
 Every category is assembled through ``fincat.build_category``, so
 associativity and unit laws are certified exhaustively at build time.
+Morphism data tells the morphisms of a hom set apart, and
+``FiniteCategory.find`` maps it back to the id:
+
+* span category: the canonical QSpan;
+* hermitian span category: the underlying QSpan;
+* conflation category: the map tuple of the middle inflation;
+* isomorphism and hyperbolic groupoids: the map, as an F1Morphism;
+* group-completion category: (v, alpha, beta) in canonical form.
 """
 
 import math
@@ -25,7 +33,9 @@ from .fincat import (
     build_category,
     check_functor,
     comma_category,
+    compose_by_data,
     full_subcategory,
+    one_object_groupoid,
     pi0,
     product_category,
     subcategory,
@@ -188,17 +198,8 @@ def q_category(max_size):
     """The span category on sizes 0..max_size; morphism data is the
     QSpan."""
     objects = list(range(max_size + 1))
-    morphisms = []
-    index = {}
-    for u in objects:
-        for v in objects:
-            for s in q_span_morphisms(u, v):
-                index[s.key()] = len(morphisms)
-                morphisms.append((u, v, s))
-
-    def comp_rule(g, f):
-        return index[q_compose(morphisms[g][2], morphisms[f][2]).key()]
-
+    morphisms = [(u, v, s) for u in objects for v in objects for s in q_span_morphisms(u, v)]
+    comp_rule = compose_by_data(morphisms, lambda g, f: q_compose(g[2], f[2]))
     return build_category(objects, morphisms, comp_rule)
 
 
@@ -268,33 +269,28 @@ def qh_category(max_size):
     objects = []
     for n in range(max_size + 1):
         objects.extend(enumerate_forms(n))
-    obj_index = {o: k for k, o in enumerate(objects)}
-    morphisms = []
-    index = {}
-    for M in objects:
-        for N in objects:
-            for s in reductive_spans(M, N):
-                index[(obj_index[M], obj_index[N], s.key())] = len(morphisms)
-                morphisms.append((M, N, s))
+    morphisms = [
+        (M, N, s) for M in objects for N in objects for s in reductive_spans(M, N)
+    ]
 
-    def comp_rule(g, f):
-        Mf, Nf, sf = morphisms[f]
-        Mg, Ng, sg = morphisms[g]
-        s = q_compose(sg, sf)
-        if not is_reductive_span(Mf, Ng, s):
+    def compose_data(g, f):
+        s = q_compose(g[2], f[2])
+        if not is_reductive_span(f[0], g[1], s):
             raise AssertionError(
                 "span composition left the hermitian category: %s" % s
             )
-        return index[(obj_index[Mf], obj_index[Ng], s.key())]
+        return s
 
-    return build_category(objects, morphisms, comp_rule)
+    return build_category(objects, morphisms, compose_by_data(morphisms, compose_data))
 
 
 def qh_forgetful(qh, q):
     """The functor to the span category: a form goes to its size."""
     obj_map = {M: M.size for M in qh.objects}
-    q_index = {q.data(m).key(): m for m in range(q.n_morphisms)}
-    mor_map = {m: q_index[qh.data(m).key()] for m in range(qh.n_morphisms)}
+    mor_map = {}
+    for m in range(qh.n_morphisms):
+        span = qh.data(m)
+        mor_map[m] = q.find(span.src, span.dst, span)
     return Functor(qh, q, obj_map, mor_map)
 
 
@@ -342,22 +338,15 @@ def qh_census_counts(max_size):
 
 class ConflationMorphism:
     """A morphism of conflations X' -> X, determined by the middle
-    inflation b: B' >-> B.
-
-    Derived parts, all forced by b: the hit quotient subset C1 of C
-    with the corestriction pi1: B' ->> C1; the comparison k: A >-> B'
-    (target sub pulled back through b, forming a conflation row with
-    pi1); its factorization a: A >-> A' through the source sub; and
-    the quotient comparison q: C1 ->> C' with q∘pi1 = pi'.
+    inflation b: B' >-> B, with the parts forced by b that give its
+    quotient span: the hit quotient subset c1 of C and the quotient
+    comparison q: C1 ->> C'.
     """
 
-    __slots__ = ("src", "dst", "b", "c1", "pi1", "k", "a", "q")
+    __slots__ = ("src", "dst", "b", "c1", "q")
 
-    def __init__(self, src, dst, b, c1, pi1, k, a, q):
-        for name, value in (
-            ("src", src), ("dst", dst), ("b", b), ("c1", c1),
-            ("pi1", pi1), ("k", k), ("a", a), ("q", q),
-        ):
+    def __init__(self, src, dst, b, c1, q):
+        for name, value in (("src", src), ("dst", dst), ("b", b), ("c1", c1), ("q", q)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):
@@ -375,10 +364,10 @@ def conflation_morphism(src, dst, b):
     """Build the morphism src -> dst with middle leg b, or None.
 
     Every condition is checked: b an inflation, the quotient
-    corestriction a deflation, the pulled-back sub k an inflation
-    forming a conflation row with it, the sub comparison a an
-    inflation, and the forced quotient comparison q a deflation
-    compatible with both projections.
+    corestriction pi1: B' ->> C1 a deflation, the pulled-back sub
+    k: A >-> B' an inflation forming a conflation row with it, the sub
+    comparison a: A >-> A' an inflation through which k factors, and
+    the forced quotient comparison q a deflation with q∘pi1 = pi'.
     """
     if b.src != src.total or b.dst != dst.total:
         return None
@@ -388,7 +377,7 @@ def conflation_morphism(src, dst, b):
     c1 = tuple(sorted(set(pi_b.map[1:]) - {0}))
     pos = {c: k + 1 for k, c in enumerate(c1)}
     pi1 = F1Morphism(
-        int(src.total), len(c1), tuple(0 if m == 0 else pos[m] for m in pi_b.map)
+        src.total, len(c1), tuple(0 if m == 0 else pos[m] for m in pi_b.map)
     )
     if not is_deflation(pi1):
         return None
@@ -403,7 +392,7 @@ def conflation_morphism(src, dst, b):
     if compose(src.i, a).map != k.map:
         return None
     qmap = [0] * (len(c1) + 1)
-    for x in range(1, int(src.total) + 1):
+    for x in range(1, src.total + 1):
         c = pi1.map[x]
         want = src.p.map[x]
         if c == 0:
@@ -414,89 +403,52 @@ def conflation_morphism(src, dst, b):
         elif qmap[c] != want:
             return None
     try:
-        q = F1Morphism(len(c1), int(src.quotient), tuple(qmap))
+        q = F1Morphism(len(c1), src.quotient, tuple(qmap))
     except ValueError:
         return None
     if not is_deflation(q):
         return None
-    return ConflationMorphism(src, dst, b, c1, pi1, k, a, q)
+    return ConflationMorphism(src, dst, b, c1, q)
 
 
 def conflation_category(max_size):
     """The category of conflations with total object of size <=
-    max_size; morphism data is the ConflationMorphism."""
+    max_size; morphism data is the map tuple of the middle inflation."""
     objects = list(all_conflations(max_size))
-    obj_index = {o: k for k, o in enumerate(objects)}
     morphisms = []
-    index = {}
     for src in objects:
         for dst in objects:
-            for bmap in kernel.inflation_maps(int(src.total), int(dst.total)):
-                b = F1Morphism(int(src.total), int(dst.total), bmap)
-                mor = conflation_morphism(src, dst, b)
-                if mor is None:
-                    continue
-                key = (obj_index[src], obj_index[dst], bmap)
-                index[key] = len(morphisms)
-                morphisms.append((src, dst, mor))
-
-    def comp_rule(g, f):
-        sf, df, mf = morphisms[f]
-        sg, dg, mg = morphisms[g]
-        bmap = kernel.compose(mg.b.map, mf.b.map)
-        return index[(obj_index[sf], obj_index[dg], bmap)]
-
+            for bmap in kernel.inflation_maps(src.total, dst.total):
+                b = F1Morphism(src.total, dst.total, bmap)
+                if conflation_morphism(src, dst, b) is not None:
+                    morphisms.append((src, dst, bmap))
+    comp_rule = compose_by_data(morphisms, lambda g, f: kernel.compose(g[2], f[2]))
     return build_category(objects, morphisms, comp_rule)
+
+
+def middle_inflation(E, m):
+    """The middle inflation of morphism m of the conflation category."""
+    return F1Morphism(E.mor_src[m].total, E.mor_dst[m].total, E.data(m))
 
 
 def quotient_fibration(E, q):
     """The functor from conflations to spans taking quotients."""
-    obj_map = {X: int(X.quotient) for X in E.objects}
-    q_index = {q.data(m).key(): m for m in range(q.n_morphisms)}
+    obj_map = {X: X.quotient for X in E.objects}
     mor_map = {}
     for m in range(E.n_morphisms):
-        mor_map[m] = q_index[E.data(m).quotient_span().key()]
+        src, dst = E.mor_src[m], E.mor_dst[m]
+        span = conflation_morphism(src, dst, middle_inflation(E, m)).quotient_span()
+        mor_map[m] = q.find(src.quotient, dst.quotient, span)
     return Functor(E, q, obj_map, mor_map)
 
 
-def conflation_fiber(E, c):
-    """The fiber over the size-c quotient: objects with that quotient,
-    morphisms whose induced span is the identity."""
-    objs = [X for X in E.objects if int(X.quotient) == c]
-    ident = QSpan.identity(c)
-    mids = [
-        m
-        for m in range(E.n_morphisms)
-        if int(E.data(m).src.quotient) == c
-        and int(E.data(m).dst.quotient) == c
-        and E.data(m).quotient_span() == ident
-    ]
-    return subcategory(E, objs, mids)
-
-
 def iso_groupoid(max_size):
-    """The groupoid of sizes 0..max_size and isomorphisms."""
+    """The groupoid of sizes 0..max_size and isomorphisms; data is the
+    isomorphism."""
     objects = list(range(max_size + 1))
-    morphisms = []
-    index = {}
-    for n in objects:
-        for phi in isos(n):
-            index[phi.map] = len(morphisms)
-            morphisms.append((n, n, phi))
-
-    def comp_rule(g, f):
-        return index[kernel.compose(morphisms[g][2].map, morphisms[f][2].map)]
-
+    morphisms = [(n, n, phi) for n in objects for phi in isos(n)]
+    comp_rule = compose_by_data(morphisms, lambda g, f: compose(g[2], f[2]))
     return build_category(objects, morphisms, comp_rule)
-
-
-def _fiber_morphism_index(fiber):
-    """(src, dst, bmap) -> morphism id for a conflation (sub)category."""
-    out = {}
-    for m in range(fiber.n_morphisms):
-        d = fiber.data(m)
-        out[(d.src, d.dst, d.b.map)] = m
-    return out
 
 
 def canonical_extension(c, a):
@@ -508,16 +460,12 @@ def canonical_extension(c, a):
 def fiber_embedding(S, fiber, c):
     """The functor from the isomorphism groupoid into the fiber over
     size c: A goes to the standard extension, phi to id_C ⊕ phi."""
-    obj_map = {}
-    for a in S.objects:
-        obj_map[a] = canonical_extension(c, a)
-    findex = _fiber_morphism_index(fiber)
+    obj_map = {a: canonical_extension(c, a) for a in S.objects}
     mor_map = {}
     for m in range(S.n_morphisms):
         phi = S.data(m)
-        a = phi.src
-        b = direct_sum(F1Morphism.identity(c), phi)
-        mor_map[m] = findex[(obj_map[a], obj_map[a], b.map)]
+        X = obj_map[phi.src]
+        mor_map[m] = fiber.find(X, X, direct_sum(F1Morphism.identity(c), phi).map)
     return Functor(S, fiber, obj_map, mor_map)
 
 
@@ -525,69 +473,64 @@ def scalar_action_object(c, X):
     """C·X: the conflation C⊕A >-> C⊕B ->> C' (quotient unchanged)."""
     return Conflation(
         direct_sum(F1Morphism.identity(c), X.i),
-        compose(X.p, proj_right(c, int(X.total))),
+        compose(X.p, proj_right(c, X.total)),
     )
 
 
-def scalar_action(E_index, c, mor):
+def scalar_action(E, c, m):
     """C·f: the scalar action on a morphism, id_C ⊕ b on the totals."""
-    return E_index[
-        (
-            scalar_action_object(c, mor.src),
-            scalar_action_object(c, mor.dst),
-            direct_sum(F1Morphism.identity(c), mor.b).map,
-        )
-    ]
+    return E.find(
+        scalar_action_object(c, E.mor_src[m]),
+        scalar_action_object(c, E.mor_dst[m]),
+        direct_sum(F1Morphism.identity(c), middle_inflation(E, m)).map,
+    )
 
 
-def restriction_to_zero(E_index, mor):
+def _zero_quotient(n):
+    """The conflation N >-> N ->> 0."""
+    return Conflation(F1Morphism.identity(n), F1Morphism.zero(n, 0))
+
+
+def restriction_to_zero(E, m):
     """z*: the fiber morphism restricted to the subs: (A,B,C) becomes
     (A,A,0) and b becomes the induced map on subs."""
-    src0 = Conflation(
-        F1Morphism.identity(int(mor.src.sub)), F1Morphism.zero(int(mor.src.sub), 0)
-    )
-    dst0 = Conflation(
-        F1Morphism.identity(int(mor.dst.sub)), F1Morphism.zero(int(mor.dst.sub), 0)
-    )
-    b0 = compose(dualize(mor.dst.i), compose(mor.b, mor.src.i))
-    return E_index[(src0, dst0, b0.map)]
+    src, dst = E.mor_src[m], E.mor_dst[m]
+    b0 = compose(dualize(dst.i), compose(middle_inflation(E, m), src.i))
+    return E.find(_zero_quotient(src.sub), _zero_quotient(dst.sub), b0.map)
 
 
-def total_to_zero(E_index, mor):
+def total_to_zero(E, m):
     """p*: the fiber morphism pushed to the totals: (A,B,C) becomes
     (B,B,0) and b is reused."""
-    src0 = Conflation(
-        F1Morphism.identity(int(mor.src.total)), F1Morphism.zero(int(mor.src.total), 0)
+    return E.find(
+        _zero_quotient(E.mor_src[m].total), _zero_quotient(E.mor_dst[m].total), E.data(m)
     )
-    dst0 = Conflation(
-        F1Morphism.identity(int(mor.dst.total)), F1Morphism.zero(int(mor.dst.total), 0)
-    )
-    return E_index[(src0, dst0, mor.b.map)]
 
 
-def zero_to_fiber(E_index, c, mor):
+def zero_to_fiber(E, c, m):
     """The extension functor from the fiber over 0: (A,B,0) becomes
     A >-> C⊕B ->> C and b becomes id_C ⊕ b."""
-    src = Conflation(
-        compose(inc_right(c, int(mor.src.total)), mor.src.i), proj_left(c, int(mor.src.total))
-    )
-    dst = Conflation(
-        compose(inc_right(c, int(mor.dst.total)), mor.dst.i), proj_left(c, int(mor.dst.total))
-    )
-    b = direct_sum(F1Morphism.identity(c), mor.b)
-    return E_index[(src, dst, b.map)]
+
+    def extend(X):
+        return Conflation(compose(inc_right(c, X.total), X.i), proj_left(c, X.total))
+
+    b = direct_sum(F1Morphism.identity(c), middle_inflation(E, m))
+    return E.find(extend(E.mor_src[m]), extend(E.mor_dst[m]), b.map)
 
 
-def conflation_suite(max_size, fiber_sizes=(0, 1, 2)):
+def conflation_suite(max_size, fiber_sizes=None):
     """Certify the conflation category's fibration structure.
 
     Within the truncation: the object census, the quotient functor,
     the fiber embeddings (as equivalences), both base changes to and
     from the zero fiber, the scalar action, and the two natural
     isomorphisms comparing the action with extension/restriction
-    round trips.  Every check stops at its first failing case and
-    reports it as the witness.
+    round trips.  The fiber sizes default to those of 0, 1, 2 within
+    max_size.  Every check stops at its first failing case and reports
+    it as the witness.
     """
+    if fiber_sizes is None:
+        fiber_sizes = tuple(c for c in (0, 1, 2) if c <= max_size)
     checks = []
     E = conflation_category(max_size)
     expected = sum(
@@ -602,7 +545,8 @@ def conflation_suite(max_size, fiber_sizes=(0, 1, 2)):
         )
     )
     q = q_category(max_size)
-    rep = check_functor(quotient_fibration(E, q), "functoriality")
+    quotient = quotient_fibration(E, q)
+    rep = check_functor(quotient, "functoriality")
     checks.append(
         CheckResult(
             "quotient functor to the span category",
@@ -611,16 +555,13 @@ def conflation_suite(max_size, fiber_sizes=(0, 1, 2)):
             rep.failures[0] if rep.failures else "",
         )
     )
-    E_index = {}
-    for m in range(E.n_morphisms):
-        d = E.data(m)
-        E_index[(d.src, d.dst, d.b.map)] = m
-
+    fiber_mids = {}
     for c in fiber_sizes:
-        fiber = conflation_fiber(E, c)
+        over_identity = q.find(c, c, QSpan.identity(c))
+        fiber_mids[c] = [m for m in range(E.n_morphisms) if quotient(m) == over_identity]
+        fiber = subcategory(E, [X for X in E.objects if X.quotient == c], fiber_mids[c])
         S = iso_groupoid(max_size - c)
-        emb = fiber_embedding(S, fiber, c)
-        rep = check_functor(emb, "equivalence")
+        rep = check_functor(fiber_embedding(S, fiber, c), "equivalence")
         checks.append(
             CheckResult(
                 "fiber embedding at quotient size %d is an equivalence" % c,
@@ -637,63 +578,51 @@ def conflation_suite(max_size, fiber_sizes=(0, 1, 2)):
         return [
             m
             for m in mids
-            if c + int(E.data(m).src.total) <= max_size
-            and c + int(E.data(m).dst.total) <= max_size
+            if c + E.mor_src[m].total <= max_size
+            and c + E.mor_dst[m].total <= max_size
         ]
 
     zero_fiber_mids = [
         m
         for m in range(E.n_morphisms)
-        if int(E.data(m).src.quotient) == 0 and int(E.data(m).dst.quotient) == 0
+        if E.mor_src[m].quotient == 0 and E.mor_dst[m].quotient == 0
     ]
 
     for c in fiber_sizes:
-        fiber_mids = [
-            m
-            for m in range(E.n_morphisms)
-            if int(E.data(m).src.quotient) == c
-            and int(E.data(m).dst.quotient) == c
-            and E.data(m).quotient_span() == QSpan.identity(c)
-        ]
         for name, mapper in (
             ("restriction to the zero fiber (quotient size %d)" % c,
-             lambda m: restriction_to_zero(E_index, E.data(m))),
+             lambda m: restriction_to_zero(E, m)),
             ("total-object functor to the zero fiber (quotient size %d)" % c,
-             lambda m: total_to_zero(E_index, E.data(m))),
+             lambda m: total_to_zero(E, m)),
         ):
-            checks.append(run(name, _functorial(E, fiber_mids, mapper)))
+            checks.append(run(name, _functorial(E, fiber_mids[c], mapper)))
 
         budget_mids = within(zero_fiber_mids, c)
         checks.append(
             run(
                 "extension from the zero fiber (quotient size %d)" % c,
-                _functorial(
-                    E, budget_mids, lambda m: zero_to_fiber(E_index, c, E.data(m))
-                ),
+                _functorial(E, budget_mids, lambda m: zero_to_fiber(E, c, m)),
             )
         )
         checks.append(
             run(
                 "scalar action by size %d is functorial" % c,
                 _functorial(
-                    E,
-                    within(range(E.n_morphisms), c),
-                    lambda m: scalar_action(E_index, c, E.data(m)),
+                    E, within(range(E.n_morphisms), c), lambda m: scalar_action(E, c, m)
                 ),
             )
         )
-        fitting = [X for X in E.objects if c + int(X.total) <= max_size]
+        fitting = [X for X in E.objects if c + X.total <= max_size]
         checks.append(
             run(
                 "action = extension after restriction on the fiber (size %d)" % c,
                 _natural_iso(
                     E,
-                    E_index,
                     c,
-                    [X for X in fitting if int(X.quotient) == c],
+                    [X for X in fitting if X.quotient == c],
                     _sorted_comparison,
-                    within(fiber_mids, c),
-                    lambda d: zero_to_fiber(E_index, c, E.data(total_to_zero(E_index, d))),
+                    within(fiber_mids[c], c),
+                    lambda m: zero_to_fiber(E, c, total_to_zero(E, m)),
                 ),
             )
         )
@@ -702,12 +631,11 @@ def conflation_suite(max_size, fiber_sizes=(0, 1, 2)):
                 "action = restriction after extension over the zero fiber (size %d)" % c,
                 _natural_iso(
                     E,
-                    E_index,
                     c,
-                    [X for X in fitting if int(X.quotient) == 0],
+                    [X for X in fitting if X.quotient == 0],
                     _identity_comparison,
                     budget_mids,
-                    lambda d: total_to_zero(E_index, E.data(zero_to_fiber(E_index, c, d))),
+                    lambda m: total_to_zero(E, zero_to_fiber(E, c, m)),
                 ),
             )
         )
@@ -725,20 +653,20 @@ def _functorial(E, mids, mapper):
     idents = set(E.identities.values())
     images = {}
     for m in mids:
-        try:
-            images[m] = mapper(m)
-        except KeyError:
+        image = mapper(m)
+        if image is None:
             yield "image of morphism %d is not a valid morphism" % m
             continue
-        if m in idents and images[m] not in idents:
+        images[m] = image
+        if m in idents and image not in idents:
             yield "identity %d not sent to an identity" % m
         else:
             yield ""
     by_src = {}
     for m in mids:
-        by_src.setdefault(E.data(m).src, []).append(m)
+        by_src.setdefault(E.mor_src[m], []).append(m)
     for f in mids:
-        for g in by_src.get(E.data(f).dst, ()):
+        for g in by_src.get(E.mor_dst[f], ()):
             gf = E.comp[(g, f)]
             if gf not in images:
                 yield "composite of %d, %d left the domain" % (g, f)
@@ -751,7 +679,7 @@ def _functorial(E, mids, mapper):
 def _sorted_comparison(c, X):
     """Target and totals map of the comparison from C·X to the extension
     of X's total: C⊕B sorted by quotient value, then sub membership."""
-    bsize = int(X.total)
+    bsize = X.total
     bmap = [0] * (c + bsize + 1)
     pi_fiber = {}
     for y in range(1, bsize + 1):
@@ -769,12 +697,11 @@ def _sorted_comparison(c, X):
 def _identity_comparison(c, X):
     """Target and totals map of the identity comparison from C·X to the
     zero-quotient conflation on C⊕B."""
-    total = c + int(X.total)
-    target = Conflation(F1Morphism.identity(total), F1Morphism.zero(total, 0))
-    return target, tuple(range(total + 1))
+    total = c + X.total
+    return _zero_quotient(total), tuple(range(total + 1))
 
 
-def _natural_iso(E, E_index, c, objects, comparison, mids, round_trip):
+def _natural_iso(E, c, objects, comparison, mids, round_trip):
     """Witnesses that the scalar action by size c is not naturally
     isomorphic to round_trip on the given objects and the morphisms
     mids between them.  comparison(c, X) gives the target and the
@@ -782,7 +709,7 @@ def _natural_iso(E, E_index, c, objects, comparison, mids, round_trip):
     per morphism."""
     eta = {}
     for X in objects:
-        mid = E_index.get((scalar_action_object(c, X),) + comparison(c, X))
+        mid = E.find(scalar_action_object(c, X), *comparison(c, X))
         if mid is None:
             yield "comparison at %s is not a morphism" % (X,)
         elif not E.is_iso(mid):
@@ -791,9 +718,8 @@ def _natural_iso(E, E_index, c, objects, comparison, mids, round_trip):
             eta[X] = mid
             yield ""
     for m in mids:
-        d = E.data(m)
-        lhs = E.comp[(eta[d.dst], scalar_action(E_index, c, d))]
-        rhs = E.comp[(round_trip(d), eta[d.src])]
+        lhs = E.comp[(eta[E.mor_dst[m]], scalar_action(E, c, m))]
+        rhs = E.comp[(round_trip(m), eta[E.mor_src[m]])]
         yield "" if lhs == rhs else "naturality fails at morphism %d" % m
 
 
@@ -810,37 +736,21 @@ def hyperbolic_groupoid(max_size):
         for M in enumerate_forms(n)
         if not M.fixed_points()
     ]
-    obj_index = {o: k for k, o in enumerate(objects)}
-    morphisms = []
-    index = {}
-    for M in objects:
-        for N in objects:
-            for phi in isometries(M, N):
-                index[(obj_index[M], obj_index[N], phi.map)] = len(morphisms)
-                morphisms.append((M, N, phi))
-
-    def comp_rule(g, f):
-        Mf, Nf, pf = morphisms[f]
-        Mg, Ng, pg = morphisms[g]
-        return index[(obj_index[Mf], obj_index[Ng], kernel.compose(pg.map, pf.map))]
-
+    morphisms = [(M, N, phi) for M in objects for N in objects for phi in isometries(M, N)]
+    comp_rule = compose_by_data(morphisms, lambda g, f: compose(g[2], f[2]))
     return build_category(objects, morphisms, comp_rule)
 
 
 def graph_of_isometries(SH, QH):
     """The functor sending an isometry phi: M -> N to the span whose
     middle is all of N and whose deflation is phi inverted."""
-    qh_index = {
-        (QH.mor_src[m], QH.mor_dst[m], QH.data(m).key()): m
-        for m in range(QH.n_morphisms)
-    }
     obj_map = {M: M for M in SH.objects}
     mor_map = {}
     for m in range(SH.n_morphisms):
         phi = SH.data(m)
         M, N = SH.mor_src[m], SH.mor_dst[m]
         span = QSpan.from_morphisms(dualize(phi), F1Morphism.identity(N.size))
-        mor_map[m] = qh_index[(M, N, span.key())]
+        mor_map[m] = QH.find(M, N, span)
     return Functor(SH, QH, obj_map, mor_map)
 
 
@@ -852,14 +762,13 @@ def standard_stabilization(base, V):
     return QSpan(m, m + 2 * v, sub, pmap)
 
 
-def comma_tau_suite(max_size, bases=None):
+def comma_tau_suite(max_size):
     """Certify the stabilization equivalences under a base form.
 
-    For each base M (default: the zero form and the rank-one
-    hyperbolic form, as far as they fit in max_size), the comma
-    category of hermitian spans out of M into fixed-point-free forms is
-    equivalent to the isomorphism groupoid, via
-    V -> (M ⊕ H(V), projection span).
+    For each base M (the zero form and the rank-one hyperbolic form, as
+    far as they fit in max_size), the comma category of hermitian spans
+    out of M into fixed-point-free forms is equivalent to the
+    isomorphism groupoid, via V -> (M ⊕ H(V), projection span).
     """
     SH = hyperbolic_groupoid(max_size)
     QH = qh_category(max_size)
@@ -874,28 +783,16 @@ def comma_tau_suite(max_size, bases=None):
             rep.failures[0] if rep.failures else "",
         )
     )
-    if bases is None:
-        bases = [M for M in (identity_form(0), hyperbolic(1)) if M.size <= max_size]
-    qh_index = {
-        (QH.mor_src[m], QH.mor_dst[m], QH.data(m).key()): m
-        for m in range(QH.n_morphisms)
-    }
-    sh_index = {
-        (SH.mor_src[m], SH.mor_dst[m], SH.data(m).map): m
-        for m in range(SH.n_morphisms)
-    }
+    bases = [M for M in (identity_form(0), hyperbolic(1)) if M.size <= max_size]
     for M in bases:
         comma = comma_category(tau, M)
-        comma_index = {
-            (comma.mor_src[m], comma.data(m)): m for m in range(comma.n_morphisms)
-        }
         vmax = (max_size - M.size) // 2
         S = iso_groupoid(vmax)
         obj_map = {}
         for v in S.objects:
             N = direct_sum_form(M, hyperbolic(v))
             span = standard_stabilization(M, v)
-            obj_map[v] = (N, qh_index[(M, N, span.key())])
+            obj_map[v] = (N, QH.find(M, N, span))
         mor_map = {}
         ok = True
         witness = ""
@@ -904,16 +801,15 @@ def comma_tau_suite(max_size, bases=None):
             v = phi.src
             N = obj_map[v][0]
             g = direct_sum(M.morphism.identity(M.size), hyperbolic_on_morphism(phi))
-            g_mid = sh_index.get((N, N, g.map))
+            g_mid = SH.find(N, N, g)
             if g_mid is None:
                 ok, witness = False, "image of %s is not an isometry" % (phi,)
                 break
-            cm = comma_index.get((obj_map[v], g_mid))
+            cm = comma.find(obj_map[v], obj_map[v], g_mid)
             if cm is None:
-                ok, witness = False, "image of %s leaves the comma category" % (phi,)
-                break
-            if comma.mor_dst[cm] != obj_map[v]:
-                ok, witness = False, "stabilized span not preserved by %s" % (phi,)
+                ok, witness = False, (
+                    "image of %s is not a comma morphism fixing the stabilized span" % (phi,)
+                )
                 break
             mor_map[m] = cm
         if ok:
@@ -956,11 +852,7 @@ def stabilization_equivalence_suite(target_size=3, domain_size=2):
     S_form = identity_form(1)
     auts = isometries(S_form, S_form)
     checks = []
-    BG = build_category(
-        [S_form],
-        [(S_form, S_form, phi) for phi in auts],
-        lambda g, f: _aut_index(auts, kernel.compose(auts[g].map, auts[f].map)),
-    )
+    BG = one_object_groupoid(auts, compose, F1Morphism.identity(1), label=S_form)
     QHd = qh_category(domain_size)
     dom_f0 = full_subcategory(
         QHd, [Mo for Mo in QHd.objects if not Mo.fixed_points()]
@@ -972,10 +864,6 @@ def stabilization_equivalence_suite(target_size=3, domain_size=2):
         if S_form in comp:
             component = comp
     target = full_subcategory(QHt, component)
-    t_index = {
-        (target.mor_src[m], target.mor_dst[m], target.data(m).key()): m
-        for m in range(target.n_morphisms)
-    }
     obj_map = {}
     for (star, N) in dom.objects:
         obj_map[(star, N)] = direct_sum_form(S_form, N)
@@ -992,7 +880,7 @@ def stabilization_equivalence_suite(target_size=3, domain_size=2):
         )
         src = obj_map[dom.mor_src[m]]
         dst = obj_map[dom.mor_dst[m]]
-        tm = t_index.get((src, dst, new_span.key()))
+        tm = target.find(src, dst, new_span)
         if tm is None:
             ok, witness = False, "image span invalid at morphism %d" % m
             break
@@ -1010,23 +898,17 @@ def stabilization_equivalence_suite(target_size=3, domain_size=2):
             witness,
         )
     )
-    counts_ok = True
-    counts_checked = 0
-    witness2 = ""
-    for (s1, M) in dom.objects:
-        for (s2, N) in dom.objects:
-            want = len(auts) * len(QHd.hom(M, N))
-            got = len(target.hom(obj_map[(s1, M)], obj_map[(s2, N)]))
-            counts_checked += 1
-            if want != got:
-                counts_ok = False
-                witness2 = "hom count %s -> %s: %d vs %d" % (M, N, want, got)
+
+    def hom_counts():
+        for (s1, M) in dom.objects:
+            for (s2, N) in dom.objects:
+                want = len(auts) * len(QHd.hom(M, N))
+                got = len(target.hom(obj_map[(s1, M)], obj_map[(s2, N)]))
+                yield "" if want == got else "hom count %s -> %s: %d vs %d" % (M, N, want, got)
+
     checks.append(
-        CheckResult(
-            "hom sets multiply: |aut| x |spans| matches the component",
-            counts_ok,
-            counts_checked,
-            witness2,
+        CheckResult.first_failure(
+            "hom sets multiply: |aut| x |spans| matches the component", hom_counts()
         )
     )
     return SuiteReport(
@@ -1035,13 +917,6 @@ def stabilization_equivalence_suite(target_size=3, domain_size=2):
         checks,
         notes=["domain truncated at size %d" % domain_size],
     )
-
-
-def _aut_index(auts, m):
-    for k, phi in enumerate(auts):
-        if phi.map == m:
-            return k
-    raise KeyError(m)
 
 
 # ---------------------------------------------------------------------------
@@ -1087,25 +962,23 @@ def completion_category(window):
     separately for larger windows.
     """
     objects = [(a, b) for a in range(window + 1) for b in range(window + 1)]
-    morphisms = []
-    index = {}
-    for (a, b) in objects:
-        for (a2, b2) in objects:
-            for data in completion_morphisms(a, b, a2, b2):
-                index[((a, b), (a2, b2), data)] = len(morphisms)
-                morphisms.append(((a, b), (a2, b2), data))
+    morphisms = [
+        (src, dst, data)
+        for src in objects
+        for dst in objects
+        for data in completion_morphisms(*src, *dst)
+    ]
 
-    def comp_rule(g, f):
-        (a, b), (a2, b2), (v, amap, bmap) = morphisms[f]
-        _, (a3, b3), (v2, amap2, bmap2) = morphisms[g]
+    def compose_data(g, f):
+        (a, b), _, (v, amap, bmap) = f
+        v2, amap2, bmap2 = g[2]
         ja = tuple(range(v2 + 1)) + tuple(v2 + k for k in amap[1:])
         jb = tuple(range(v2 + 1)) + tuple(v2 + k for k in bmap[1:])
         na = kernel.compose(amap2, ja)
         nb = kernel.compose(bmap2, jb)
-        canon = _stab_canonical(v2 + v, a, b, na, nb)
-        return index[((a, b), (a3, b3), (v2 + v, canon[0], canon[1]))]
+        return (v2 + v,) + _stab_canonical(v2 + v, a, b, na, nb)
 
-    return build_category(objects, morphisms, comp_rule)
+    return build_category(objects, morphisms, compose_by_data(morphisms, compose_data))
 
 
 def completion_summary(window):

@@ -20,6 +20,7 @@ from f1kgw.fincat import (
     category_to_json,
     check_functor,
     comma_category,
+    compose_by_data,
     full_subcategory,
     one_object_groupoid,
     pi0,
@@ -28,6 +29,7 @@ from f1kgw.fincat import (
     smith_invariants,
     subcategory,
 )
+from f1kgw.qcat import completion_category, conflation_category, q_category, qh_category
 
 
 def walking_arrow():
@@ -69,6 +71,33 @@ def test_build_category_requires_identities():
     with pytest.raises(UnitViolation):
         # a single non-identity endomorphism (e*e = e has no unit partner)
         build_category(["*"], [("*", "*"), ("*", "*")], lambda g, f: 1)
+
+
+@pytest.mark.parametrize(
+    "build,size",
+    [(q_category, 3), (qh_category, 3), (conflation_category, 2), (completion_category, 2)],
+)
+def test_find_recovers_every_morphism_from_its_data(build, size):
+    cat = build(size)
+    for m in range(cat.n_morphisms):
+        assert cat.find(cat.mor_src[m], cat.mor_dst[m], cat.data(m)) == m
+    a = cat.objects[0]
+    assert cat.find(a, a, "no such datum") is None
+
+
+def test_find_needs_morphism_data():
+    with pytest.raises(ValueError, match="no morphism data"):
+        walking_arrow().find(0, 1, None)
+
+
+def test_compose_by_data_rejects_a_missing_composite():
+    # Z/3 given only 0 and 1: 1 + 1 = 2 has no morphism
+    morphisms = [("*", "*", 0), ("*", "*", 1)]
+    comp_rule = compose_by_data(morphisms, lambda g, f: (g[2] + f[2]) % 3)
+    with pytest.raises(ValueError, match="not a morphism"):
+        build_category(["*"], morphisms, comp_rule)
+    with pytest.raises(ValueError, match="repeats within a hom set"):
+        compose_by_data(morphisms + [("*", "*", 1)], lambda g, f: 0)
 
 
 def test_groupoid_inverses():

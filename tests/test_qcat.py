@@ -181,6 +181,13 @@ def test_conflation_suite_small():
     assert "result: ALL PASS" in report.render()
 
 
+def test_conflation_suite_default_fiber_sizes_fit_the_window():
+    report = conflation_suite(1)
+    assert report.ok
+    assert report.notes == ["fiber sizes exercised: (0, 1)"]
+    assert not [c.name for c in report.checks if "size 2" in c.name]
+
+
 # -------------------------------------------------- comma / stabilization
 
 
