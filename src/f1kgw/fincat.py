@@ -5,12 +5,16 @@ Morphisms are dense integer ids; every table is index-based.  All
 certification is by full enumeration over the composition table: a
 FiniteCategory built through ``build_category`` has had associativity
 and the unit laws checked on every composable triple and every
-morphism.  Ties everywhere are broken by least id, so construction is
+morphism.  The check runs over one composition table per object (a row
+per morphism out of it, a column per morphism into it), so each
+triple costs a list read, not a dict lookup, and no triple is skipped.
+Ties everywhere are broken by least id, so construction is
 deterministic.
 """
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 
 class AssociativityViolation(Exception):
@@ -126,10 +130,13 @@ def build_category(objects, morphisms, comp_rule):
     morphisms: iterable of (src_id, dst_id) or (src_id, dst_id, data).
     comp_rule(g, f): morphism id of g∘f for every composable pair.
 
-    Every composable pair is composed once; unit laws are checked for
-    every object (UnitViolation if no unique unit exists) and
-    associativity on every composable triple (AssociativityViolation
-    with the witnessing ids).
+    Every composable pair is composed once, into the composition table
+    of the middle object: row g, column f holds g∘f.  Unit laws are
+    checked for every object (UnitViolation if no unique unit exists).
+    Associativity is checked on every composable triple, a whole row of
+    f at a time (AssociativityViolation with the least witnessing
+    (f, g, h)).  The tables are dropped afterwards; the category keeps
+    only the (g, f) -> g∘f dict ``comp``.
     """
     objects = tuple(objects)
     index = {}
@@ -151,46 +158,56 @@ def build_category(objects, morphisms, comp_rule):
         mor_src.append(src)
         mor_dst.append(dst)
         mor_data.append(data)
+    n = len(mor_src)
     homs = {}
-    for mid in range(len(mor_src)):
+    for mid in range(n):
         homs.setdefault((mor_src[mid], mor_dst[mid]), []).append(mid)
     homs = {k: tuple(v) for k, v in homs.items()}
-    by_src = {}
-    by_dst = {}
-    for mid in range(len(mor_src)):
-        by_src.setdefault(mor_src[mid], []).append(mid)
-        by_dst.setdefault(mor_dst[mid], []).append(mid)
+    # dense object indices; out_of[k] / into[k] list ids in ascending order
+    src_k = [index[o] for o in mor_src]
+    dst_k = [index[o] for o in mor_dst]
+    out_of = [[] for _ in objects]
+    into = [[] for _ in objects]
+    col = [0] * n  # col[f]: position of f in into[dst_k[f]]
+    for mid in range(n):
+        out_of[src_k[mid]].append(mid)
+        col[mid] = len(into[dst_k[mid]])
+        into[dst_k[mid]].append(mid)
 
+    # row[g][col[f]] = g∘f: the table of object o has one row per
+    # morphism out of o and one column per morphism into o
+    row = [[None] * len(into[k]) for k in src_k]
     comp = {}
-    for f in range(len(mor_src)):
-        for g in by_src.get(mor_dst[f], ()):
+    for f in range(n):
+        cf, sf = col[f], src_k[f]
+        for g in out_of[dst_k[f]]:
             h = comp_rule(g, f)
-            if not isinstance(h, int) or not 0 <= h < len(mor_src):
+            if not isinstance(h, int) or not 0 <= h < n:
                 raise ValueError("comp_rule returned a bad id %r" % (h,))
-            if mor_src[h] != mor_src[f] or mor_dst[h] != mor_dst[g]:
+            if src_k[h] != sf or dst_k[h] != dst_k[g]:
                 raise ValueError(
                     "composite of %d after %d has wrong endpoints" % (g, f)
                 )
+            row[g][cf] = h
             comp[(g, f)] = h
+    row = [tuple(r) for r in row]
 
     identities = {}
-    for o in objects:
-        units = []
-        for e in homs.get((o, o), ()):
-            if all(comp[(e, f)] == f for f in by_dst.get(o, ())) and all(
-                comp[(g, e)] == g for g in by_src.get(o, ())
-            ):
-                units.append(e)
+    for k, o in enumerate(objects):
+        want = tuple(into[k])
+        units = [
+            e
+            for e in homs.get((o, o), ())
+            if row[e] == want and all(row[g][col[e]] == g for g in out_of[k])
+        ]
         if len(units) != 1:
             raise UnitViolation(
                 "object %r has %d units" % (o, len(units))
             )
         identities[o] = units[0]
 
-    for (g, f), gf in comp.items():
-        for h in by_src.get(mor_dst[g], ()):
-            if comp[(comp[(h, g)], f)] != comp[(h, gf)]:
-                raise AssociativityViolation(h, g, f)
+    _certify_associativity(row, col, out_of, dst_k, into, src_k)
+    del row
 
     return FiniteCategory(
         objects,
@@ -201,6 +218,35 @@ def build_category(objects, morphisms, comp_rule):
         mor_dst,
         mor_data if has_data else None,
     )
+
+
+def _certify_associativity(row, col, out_of, dst_k, into, src_k):
+    """Check (h∘g)∘f == h∘(g∘f) on every composable triple.
+
+    For g: c -> b and h out of b, both sides come as whole rows over the
+    f into c: (h∘g)∘f is the row of h∘g as is, and h∘(g∘f) is the row of
+    h read at the columns of g's composites.  On failure the witness is
+    the least (f, g, h), raised as AssociativityViolation(h, g, f).
+    """
+    least = None
+    for g, rg in enumerate(row):
+        cols = [col[gf] for gf in rg]
+        if len(cols) > 1:
+            through_g = itemgetter(*cols)
+        else:
+            through_g = lambda r, c=cols[0]: (r[c],)
+        cg = col[g]
+        for h in out_of[dst_k[g]]:
+            rh = row[h]
+            left, right = row[rh[cg]], through_g(rh)
+            if left != right:
+                k = next(k for k, (x, y) in enumerate(zip(left, right)) if x != y)
+                witness = (into[src_k[g]][k], g, h)
+                if least is None or witness < least:
+                    least = witness
+    if least is not None:
+        f, g, h = least
+        raise AssociativityViolation(h, g, f)
 
 
 def _data_index(morphisms):

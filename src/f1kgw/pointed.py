@@ -215,7 +215,7 @@ def isos(n):
 class Conflation:
     """U >--i--> X --p->> V with ker(p) = im(i) away from the base point."""
 
-    __slots__ = ("i", "p")
+    __slots__ = ("i", "p", "_hash")
 
     def __init__(self, i, p):
         if i.dst != p.src:
@@ -232,6 +232,8 @@ class Conflation:
             )
         object.__setattr__(self, "i", i)
         object.__setattr__(self, "p", p)
+        # every category lookup keyed by a conflation hashes it
+        object.__setattr__(self, "_hash", hash((i, p)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Conflation is immutable")
@@ -254,7 +256,7 @@ class Conflation:
         )
 
     def __hash__(self):
-        return hash((self.i, self.p))
+        return self._hash
 
     def __repr__(self):
         return "Conflation(%r, %r)" % (self.i, self.p)

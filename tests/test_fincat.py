@@ -3,6 +3,7 @@ fundamental-group presentations, and exact Smith reduction."""
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -71,6 +72,71 @@ def test_build_category_requires_identities():
     with pytest.raises(UnitViolation):
         # a single non-identity endomorphism (e*e = e has no unit partner)
         build_category(["*"], [("*", "*"), ("*", "*")], lambda g, f: 1)
+
+
+def test_build_category_rejects_a_bad_composite_id():
+    table = {(0, 0): 0, (1, 1): 1, (2, 0): 2, (1, 2): 2}
+    for bad in (3, -1, None):
+        with pytest.raises(ValueError, match="bad id"):
+            build_category([0, 1], [(0, 0), (1, 1), (0, 1)], lambda g, f: bad)
+    # id_0 ∘ id_0 answered by the arrow 0 -> 1
+    wrong = {**table, (0, 0): 2}
+    with pytest.raises(ValueError, match="wrong endpoints"):
+        build_category([0, 1], [(0, 0), (1, 1), (0, 1)], lambda g, f: wrong[(g, f)])
+
+
+def _triple_loop_verdict(cat, comp):
+    """The verdict of the pair-by-pair certification on a corrupted table:
+    unit search by dict lookups, then associativity triple by triple in
+    the order of comp, the first failure being the witness."""
+    by_src, by_dst = {}, {}
+    for m in range(cat.n_morphisms):
+        by_src.setdefault(cat.mor_src[m], []).append(m)
+        by_dst.setdefault(cat.mor_dst[m], []).append(m)
+    for o in cat.objects:
+        units = [
+            e
+            for e in cat.hom(o, o)
+            if all(comp[(e, f)] == f for f in by_dst.get(o, ()))
+            and all(comp[(g, e)] == g for g in by_src.get(o, ()))
+        ]
+        if len(units) != 1:
+            return "units"
+    for (g, f), gf in comp.items():
+        for h in by_src.get(cat.mor_dst[g], ()):
+            if comp[(comp[(h, g)], f)] != comp[(h, gf)]:
+                return (h, g, f)
+    return "ok"
+
+
+@pytest.mark.parametrize("build,size,trials", [(q_category, 3, 160), (completion_category, 2, 100)])
+def test_associativity_witness_matches_the_triple_loop(build, size, trials):
+    cat = build(size)
+    morphisms = list(zip(cat.mor_src, cat.mor_dst))
+    # pairs whose hom set offers another composite with the same endpoints
+    pairs = [
+        (g, f)
+        for (g, f) in cat.comp
+        if len(cat.hom(cat.mor_src[f], cat.mor_dst[g])) > 1
+    ]
+    rng = random.Random(size)
+    seen = {"ok": 0, "units": 0, "assoc": 0}
+    for _ in range(trials):
+        g, f = rng.choice(pairs)
+        hom = cat.hom(cat.mor_src[f], cat.mor_dst[g])
+        comp = dict(cat.comp)
+        comp[(g, f)] = rng.choice([m for m in hom if m != comp[(g, f)]])
+        want = _triple_loop_verdict(cat, comp)
+        try:
+            build_category(cat.objects, morphisms, lambda g, f: comp[(g, f)])
+            got = "ok"
+        except UnitViolation:
+            got = "units"
+        except AssociativityViolation as exc:
+            got = exc.witness
+        assert got == want, (g, f)
+        seen[want if isinstance(want, str) else "assoc"] += 1
+    assert seen["assoc"] >= trials // 4
 
 
 @pytest.mark.parametrize(
