@@ -190,7 +190,8 @@ def build_category(objects, morphisms, comp_rule):
                 )
             row[g][cf] = h
             comp[(g, f)] = h
-    row = [tuple(r) for r in row]
+    for g, r in enumerate(row):  # in place, so no second copy of the tables
+        row[g] = tuple(r)
 
     identities = {}
     for k, o in enumerate(objects):
