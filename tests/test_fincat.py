@@ -86,9 +86,9 @@ def test_build_category_rejects_a_bad_composite_id():
 
 
 def _triple_loop_verdict(cat, comp):
-    """The verdict of the pair-by-pair certification on a corrupted table:
-    unit search by dict lookups, then associativity triple by triple in
-    the order of comp, the first failure being the witness."""
+    """Reference verdict on a possibly corrupted table: unit search by
+    dict lookups, then associativity triple by triple over comp in its
+    insertion order, the first failing triple being the witness."""
     by_src, by_dst = {}, {}
     for m in range(cat.n_morphisms):
         by_src.setdefault(cat.mor_src[m], []).append(m)
@@ -120,7 +120,7 @@ def test_associativity_witness_matches_the_triple_loop(build, size, trials):
         if len(cat.hom(cat.mor_src[f], cat.mor_dst[g])) > 1
     ]
     rng = random.Random(size)
-    seen = {"ok": 0, "units": 0, "assoc": 0}
+    witnesses = 0
     for _ in range(trials):
         g, f = rng.choice(pairs)
         hom = cat.hom(cat.mor_src[f], cat.mor_dst[g])
@@ -135,8 +135,8 @@ def test_associativity_witness_matches_the_triple_loop(build, size, trials):
         except AssociativityViolation as exc:
             got = exc.witness
         assert got == want, (g, f)
-        seen[want if isinstance(want, str) else "assoc"] += 1
-    assert seen["assoc"] >= trials // 4
+        witnesses += isinstance(want, tuple)
+    assert witnesses >= trials // 4
 
 
 @pytest.mark.parametrize(
