@@ -45,6 +45,53 @@ def adjoint(f, dst):
     return tuple(adj)
 
 
+def block_sum(f, g, f_dst):
+    """f ⊕ g: the blocks of g follow those of f, shifted past f_dst."""
+    return f + tuple(v + f_dst if v != 0 else 0 for v in g[1:])
+
+
+def pullback_legs(b, r, w_size, v_size):
+    """The legs (l, t) of the elementwise pullback of W -b-> X <-r- V.
+
+    The pullback U has one element per w in W whose b(w) has an
+    r-preimage v (l = w, t = v), then one per v in the kernel of r
+    (l = 0, t = v), both ascending.
+    """
+    rinv = {r[v]: v for v in range(1, v_size + 1) if r[v] != 0}
+    l, t = [0], [0]
+    for w in range(1, w_size + 1):
+        v = rinv.get(b[w])
+        if v is not None:
+            l.append(w)
+            t.append(v)
+    for v in range(1, v_size + 1):
+        if r[v] == 0:
+            l.append(0)
+            t.append(v)
+    return tuple(l), tuple(t)
+
+
+def is_pullback(l, t, b, r, u_size, v_size, w_size, x_size):
+    """Is the commuting square (shape as in ``universal_square_ok``) a
+    pullback, i.e. is its comparison into the elementwise pullback a
+    bijection?  Sound when t is injective; l may be arbitrary."""
+
+    # name an element by its W image, or by its V image when that is 0
+    def names(left, top):
+        return sorted((left[e], 0 if left[e] else top[e]) for e in range(1, len(left)))
+
+    return names(l, t) == names(*pullback_legs(b, r, w_size, v_size))
+
+
+def is_pushout(l, t, b, r, u_size, v_size, w_size, x_size):
+    """Is the commuting square a pushout, i.e. is the comparison out of
+    the elementwise pushout (W∖0, then the points of V that t misses) a
+    bijection?  Sound when l is surjective."""
+    hit = set(t[1:])
+    images = list(b[1:]) + [r[v] for v in range(1, v_size + 1) if v not in hit]
+    return sorted(images) == list(range(1, x_size + 1))
+
+
 def is_injective(f):
     """Injective everywhere, i.e. no nonzero element maps to 0."""
     return all(v != 0 for v in f[1:])

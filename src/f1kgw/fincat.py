@@ -59,9 +59,9 @@ class FiniteCategory:
 
     def __init__(self, objects, homs, comp, identities, mor_src, mor_dst, mor_data=None):
         self.objects = tuple(objects)
-        self.homs = dict(homs)
-        self.comp = dict(comp)
-        self.identities = dict(identities)
+        self.homs = homs
+        self.comp = comp
+        self.identities = identities
         self.mor_src = tuple(mor_src)
         self.mor_dst = tuple(mor_dst)
         self.mor_data = tuple(mor_data) if mor_data is not None else None

@@ -10,6 +10,7 @@ inverse.  Everything here is exhaustively checkable at desk scale.
 
 from functools import lru_cache
 
+from ._backend import kernel
 from .pointed import (
     F1Morphism,
     TypeMismatch,
@@ -402,8 +403,7 @@ def split_off_form(infl, M, N):
 
 def direct_sum_form(M, N):
     """(M ⊕ N, ψ_M ⊕ ψ_N)."""
-    psi = list(M.psi) + [M.size + k for k in N.psi[1:]]
-    return SymmetricForm(M.size + N.size, tuple(psi))
+    return SymmetricForm(M.size + N.size, kernel.block_sum(M.psi, N.psi, M.size))
 
 
 def isotropic_splitting(N, iso):

@@ -19,6 +19,11 @@ bicartesian when it is simultaneously a pullback and a pushout.  A
 bicartesian square with W = 0 is a conflation, written U >--> X -->> V
 (i into the total object X, p onto the quotient V).  Direct sum is the
 wedge: blocks are concatenated, first summand first.
+
+F1Morphism is the boundary type: it validates its map, and the public
+functions here wrap the kernel's map-level operations.  The axiom suite
+computes on map tuples, and builds F1Morphisms only to print a witness
+or to certify the public square constructions themselves.
 """
 
 from dataclasses import dataclass, field
@@ -87,11 +92,11 @@ class F1Morphism:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, kernel.identity(int(n)))
+        return cls(n, n, kernel.identity(n))
 
     @classmethod
     def zero(cls, src, dst):
-        return cls(src, dst, kernel.zero_map(int(src), int(dst)))
+        return cls(src, dst, kernel.zero_map(src, dst))
 
     @classmethod
     def from_literal(cls, text):
@@ -166,13 +171,12 @@ def classify(f):
 def direct_sum(a, b):
     """Wedge sum of objects or morphisms (first-summand block first)."""
     if isinstance(a, F1Morphism) and isinstance(b, F1Morphism):
-        combined = list(a.map)
-        for v in b.map[1:]:
-            combined.append(v + a.dst if v != 0 else 0)
-        return F1Morphism(a.src + b.src, a.dst + b.dst, combined)
+        return F1Morphism(
+            a.src + b.src, a.dst + b.dst, kernel.block_sum(a.map, b.map, a.dst)
+        )
     if isinstance(a, F1Morphism) or isinstance(b, F1Morphism):
         raise TypeMismatch("cannot sum a morphism with an object")
-    return int(a) + int(b)
+    return a + b
 
 
 def inc_left(u, v):
@@ -197,15 +201,15 @@ def proj_right(u, v):
 
 def hom_morphisms(src, dst):
     """All morphisms src -> dst (lexicographic in the map tuple)."""
-    return tuple(F1Morphism(src, dst, m) for m in kernel.hom_maps(int(src), int(dst)))
+    return tuple(F1Morphism(src, dst, m) for m in kernel.hom_maps(src, dst))
 
 
 def inflations(src, dst):
-    return tuple(F1Morphism(src, dst, m) for m in kernel.inflation_maps(int(src), int(dst)))
+    return tuple(F1Morphism(src, dst, m) for m in kernel.inflation_maps(src, dst))
 
 
 def deflations(src, dst):
-    return tuple(F1Morphism(src, dst, m) for m in kernel.deflation_maps(int(src), int(dst)))
+    return tuple(F1Morphism(src, dst, m) for m in kernel.deflation_maps(src, dst))
 
 
 def isos(n):
@@ -270,36 +274,6 @@ class Conflation:
         return cls(inc_left(u, v), proj_right(u, v))
 
 
-def _pullback_elements(bmap, rmap, w_size, v_size):
-    """Elements of the canonical pullback of W >-b-> X <<-r- V.
-
-    Returns (paired, kernels): paired[k] is the unique v with
-    r(v) = b(w) for w = k+1 (ascending in w, or absent when b(w) misses
-    the image of r); kernels lists v with r(v) = 0, ascending.
-    """
-    rinv = {}
-    for v in range(1, v_size + 1):
-        if rmap[v] != 0:
-            rinv[rmap[v]] = v
-    paired = []
-    for w in range(1, w_size + 1):
-        v = rinv.get(bmap[w])
-        if v is not None:
-            paired.append((w, v))
-    kernels = [v for v in range(1, v_size + 1) if rmap[v] == 0]
-    return paired, kernels
-
-
-def _pushout_elements(tmap, v_size):
-    """Elements of the canonical pushout of W <-l- U >-t-> V.
-
-    Returns survivors: the v in V not hit by t, ascending.  The pushout
-    is W∖0 followed by the survivors; t(u) is glued to l(u).
-    """
-    hit = set(v for v in tmap[1:] if v != 0)
-    return [v for v in range(1, v_size + 1) if v not in hit]
-
-
 class BicartesianSquare:
     """A commuting distinguished square; see the module docstring shape."""
 
@@ -338,6 +312,10 @@ class BicartesianSquare:
         """(U, V, W, X) sizes."""
         return (self.top.src, self.top.dst, self.left.dst, self.right.dst)
 
+    def _maps(self):
+        """(l, t, b, r, U, V, W, X): the leg maps, then the corner sizes."""
+        return (self.left.map, self.top.map, self.bottom.map, self.right.map) + self.corners
+
     def is_pullback(self):
         """Comparison with the canonical elementwise pullback is bijective.
 
@@ -345,26 +323,7 @@ class BicartesianSquare:
         constructor unless class checks were disabled by a corrupted
         classifier); the left leg may be arbitrary.
         """
-        u, v, w, x = self.corners
-        paired, kernels = _pullback_elements(self.bottom.map, self.right.map, w, v)
-        if u != len(paired) + len(kernels):
-            return False
-        index = {}
-        for k, (pw, _) in enumerate(paired):
-            index[("w", pw)] = k
-        for k, kv in enumerate(kernels):
-            index[("k", kv)] = len(paired) + k
-        seen = set()
-        for e in range(1, u + 1):
-            lw = self.left.map[e]
-            if lw != 0:
-                pos = index.get(("w", lw))
-            else:
-                pos = index.get(("k", self.top.map[e]))
-            if pos is None or pos in seen:
-                return False
-            seen.add(pos)
-        return True
+        return kernel.is_pullback(*self._maps())
 
     def is_pushout(self):
         """Comparison from the canonical elementwise pushout is bijective.
@@ -374,22 +333,7 @@ class BicartesianSquare:
         check in the axiom suite compares this criterion against the
         universal property directly.
         """
-        u, v, w, x = self.corners
-        survivors = _pushout_elements(self.top.map, v)
-        if x != w + len(survivors):
-            return False
-        seen = set()
-        for pw in range(1, w + 1):
-            img = self.bottom.map[pw]
-            if img == 0 or img in seen:
-                return False
-            seen.add(img)
-        for sv in survivors:
-            img = self.right.map[sv]
-            if img == 0 or img in seen:
-                return False
-            seen.add(img)
-        return True
+        return kernel.is_pushout(*self._maps())
 
     def is_bicartesian(self):
         return self.is_pullback() and self.is_pushout()
@@ -401,18 +345,7 @@ class BicartesianSquare:
             return False
         if universal_bound is None:
             return True
-        u, v, w, x = self.corners
-        return kernel.universal_square_ok(
-            self.left.map,
-            self.top.map,
-            self.bottom.map,
-            self.right.map,
-            u,
-            v,
-            w,
-            x,
-            universal_bound,
-        )
+        return kernel.universal_square_ok(*self._maps(), universal_bound)
 
 
 def complete_pullback(b, r):
@@ -426,19 +359,11 @@ def complete_pullback(b, r):
         raise TypeMismatch("cospan legs must share the codomain")
     if not is_inflation(b):
         raise NotAnInflation("cospan inflation leg is %s" % classify(b))
-    w_size, v_size = b.src, r.src
-    paired, kernels = _pullback_elements(b.map, r.map, w_size, v_size)
-    u_size = len(paired) + len(kernels)
-    lmap = [0] * (u_size + 1)
-    tmap = [0] * (u_size + 1)
-    for k, (pw, pv) in enumerate(paired):
-        lmap[k + 1] = pw
-        tmap[k + 1] = pv
-    for k, kv in enumerate(kernels):
-        tmap[len(paired) + k + 1] = kv
+    lmap, tmap = kernel.pullback_legs(b.map, r.map, b.src, r.src)
+    u_size = len(lmap) - 1
     return BicartesianSquare(
-        left=F1Morphism(u_size, w_size, lmap),
-        top=F1Morphism(u_size, v_size, tmap),
+        left=F1Morphism(u_size, b.src, lmap),
+        top=F1Morphism(u_size, r.src, tmap),
         bottom=b,
         right=r,
         check_classes=False,
@@ -455,24 +380,18 @@ def complete_pushout(l, t):
         raise TypeMismatch("span legs must share the domain")
     if not is_inflation(t):
         raise NotAnInflation("span inflation leg is %s" % classify(t))
-    u_size, w_size, v_size = l.src, l.dst, t.dst
-    survivors = _pushout_elements(t.map, v_size)
-    x_size = w_size + len(survivors)
-    bmap = [0] + list(range(1, w_size + 1))
-    rmap = [0] * (v_size + 1)
-    glue = {}
-    for e in range(1, u_size + 1):
-        if t.map[e] != 0:
-            glue[t.map[e]] = l.map[e]
-    for k, sv in enumerate(survivors):
-        rmap[sv] = w_size + k + 1
+    w_size, v_size = l.dst, t.dst
+    back = kernel.adjoint(t.map, v_size)
+    rmap = list(kernel.compose(l.map, back))
+    x_size = w_size
     for v in range(1, v_size + 1):
-        if v in glue:
-            rmap[v] = glue[v]
+        if back[v] == 0:
+            x_size += 1
+            rmap[v] = x_size
     return BicartesianSquare(
         left=l,
         top=t,
-        bottom=F1Morphism(w_size, x_size, bmap),
+        bottom=F1Morphism(w_size, x_size, kernel.identity(w_size)),
         right=F1Morphism(v_size, x_size, rmap),
         check_classes=False,
     )
@@ -663,8 +582,15 @@ class SuiteReport:
         return "\n".join(lines)
 
 
+# the largest test object of the universal property, in the suite and
+# in the calibration of the intrinsic criterion against it
+UNIVERSAL_BOUND = 2
+CALIBRATION_BOUND = 3
+
+
 def _commuting_squares(max_size, infl, defl):
-    """Yield every commuting distinguished square with corners <= max_size.
+    """Yield every commuting distinguished square with corners <= max_size,
+    as (l, t, b, r, u, v, w, x): the leg maps, then the corner sizes.
 
     Enumerates (t, r, l) and derives b pointwise from b∘l = r∘t: the
     nonzero fibres of a deflation l are single elements, so b is forced;
@@ -690,16 +616,18 @@ def _commuting_squares(max_size, infl, defl):
                                         bmap[le] = d[e]
                                 if not ok:
                                     continue
-                                if not kernel.is_valid_map(tuple(bmap), x):
+                                bmap = tuple(bmap)
+                                if not kernel.is_valid_map(bmap, x):
                                     continue
                                 if not kernel.is_injective(bmap):
                                     continue
-                                yield (
-                                    F1Morphism(u, w, l),
-                                    F1Morphism(u, v, t),
-                                    F1Morphism(w, x, bmap),
-                                    F1Morphism(v, x, r),
-                                )
+                                yield l, t, bmap, r, u, v, w, x
+
+
+def _square_text(l, t, b, r, u, v, w, x):
+    """A square's legs as F1Morphisms, the way witnesses print them."""
+    legs = ((u, w, l), (u, v, t), (w, x, b), (v, x, r))
+    return repr(tuple(F1Morphism(*leg) for leg in legs))
 
 
 def _default_infl(u, v):
@@ -714,7 +642,7 @@ def _scan_iv_task(args):
     """Verify completions of all cospans W >--> X <<-- V for one size
     triple; returns (checked, first failure or None).  A leg that the
     completion refuses counts as a failure, not an error."""
-    w, x, v, ub, infl, defl = args
+    w, x, v, infl, defl = args
     count = 0
     for bm in infl(w, x):
         b = F1Morphism(w, x, bm)
@@ -725,7 +653,7 @@ def _scan_iv_task(args):
                 sq = complete_pullback(b, r)
             except NotAnInflation as exc:
                 return count, "cospan b=%s r=%s: %s" % (b, r, exc)
-            if not sq.verify(ub) or not (
+            if not sq.verify(UNIVERSAL_BOUND) or not (
                 is_deflation(sq.left) and is_inflation(sq.top)
             ):
                 return count, "cospan b=%s r=%s" % (b, r)
@@ -736,7 +664,7 @@ def _scan_v_task(args):
     """Verify completions of all spans W <<-- U >--> V for one size
     triple; returns (checked, first failure or None).  A leg that the
     completion refuses counts as a failure, not an error."""
-    w, u, v, ub, infl, defl = args
+    w, u, v, infl, defl = args
     count = 0
     for lm in defl(u, w):
         l = F1Morphism(u, w, lm)
@@ -747,7 +675,7 @@ def _scan_v_task(args):
                 sq = complete_pushout(l, t)
             except NotAnInflation as exc:
                 return count, "span l=%s t=%s: %s" % (l, t, exc)
-            if not sq.verify(ub) or not (
+            if not sq.verify(UNIVERSAL_BOUND) or not (
                 is_deflation(sq.right) and is_inflation(sq.bottom)
             ):
                 return count, "span l=%s t=%s" % (l, t)
@@ -780,31 +708,26 @@ def _class_closure(max_size, infl, defl):
 
 def _cartesian_iff_cocartesian(max_size, infl, defl):
     """(iii) Every commuting square is a pullback iff it is a pushout."""
-    for square in _commuting_squares(max_size, infl, defl):
-        sq = BicartesianSquare(*square, check_classes=False)
-        pb, po = sq.is_pullback(), sq.is_pushout()
+    for sq in _commuting_squares(max_size, infl, defl):
+        pb, po = kernel.is_pullback(*sq), kernel.is_pushout(*sq)
         if pb != po:
-            yield "cartesian=%s cocartesian=%s for %r" % (pb, po, square)
+            yield "cartesian=%s cocartesian=%s for %s" % (pb, po, _square_text(*sq))
         else:
             yield ""
 
 
-def _calibration(max_size, universal_bound):
+def _calibration(max_size):
     """The intrinsic bicartesian criterion agrees with the universal
     property on every commuting square with corners <= 2."""
-    for square in _commuting_squares(min(2, max_size), _default_infl, _default_defl):
-        sq = BicartesianSquare(*square)
-        intrinsic = sq.is_bicartesian()
-        universal = kernel.universal_square_ok(
-            sq.left.map,
-            sq.top.map,
-            sq.bottom.map,
-            sq.right.map,
-            *sq.corners,
-            max(3, universal_bound),
-        )
+    for sq in _commuting_squares(min(2, max_size), _default_infl, _default_defl):
+        intrinsic = kernel.is_pullback(*sq) and kernel.is_pushout(*sq)
+        universal = kernel.universal_square_ok(*sq, CALIBRATION_BOUND)
         if intrinsic != universal:
-            yield "intrinsic=%s universal=%s for %r" % (intrinsic, universal, square)
+            yield "intrinsic=%s universal=%s for %s" % (
+                intrinsic,
+                universal,
+                _square_text(*sq),
+            )
         else:
             yield ""
 
@@ -821,38 +744,56 @@ def _monoidal_unit(max_size):
             yield "" if ok else "f ⊕ id_0 != f for %s" % f
 
 
-def _exact_bifunctor(max_size, universal_bound):
+def _exact_bifunctor(max_size):
     """DS2: ⊕ is a bifunctor preserving the exact structure."""
     small = min(2, max_size)
     composable = [
-        (F1Morphism(a, b, f), F1Morphism(b, c, g))
+        (b, c, f, g)
         for a, b, c in product(range(small + 1), repeat=3)
         for f in kernel.hom_maps(a, b)
         for g in kernel.hom_maps(b, c)
     ]
-    for (f1, g1), (f2, g2) in product(composable, repeat=2):
-        lhs = direct_sum(compose(g1, f1), compose(g2, f2))
-        rhs = compose(direct_sum(g1, g2), direct_sum(f1, f2))
+    for (b1, c1, f1, g1), (_, _, f2, g2) in product(composable, repeat=2):
+        lhs = kernel.block_sum(kernel.compose(g1, f1), kernel.compose(g2, f2), c1)
+        rhs = kernel.compose(
+            kernel.block_sum(g1, g2, c1), kernel.block_sum(f1, f2, b1)
+        )
         yield "" if lhs == rhs else "⊕ not functorial"
     for u, v in product(range(max_size + 1), repeat=2):
         ok = is_inflation(inc_left(u, v)) and is_inflation(inc_right(u, v))
         yield "" if ok else "block inclusion not an inflation at (%d,%d)" % (u, v)
         ok = is_deflation(proj_left(u, v)) and is_deflation(proj_right(u, v))
         yield "" if ok else "block projection not a deflation at (%d,%d)" % (u, v)
-    squares_small = [
-        BicartesianSquare(*sq, check_classes=False)
+    bicart_small = [
+        sq
         for sq in _commuting_squares(small, _default_infl, _default_defl)
+        if kernel.is_pullback(*sq) and kernel.is_pushout(*sq)
     ]
-    bicart_small = [sq for sq in squares_small if sq.is_bicartesian()]
     for s1, s2 in product(bicart_small, repeat=2):
-        summed = BicartesianSquare(
-            left=direct_sum(s1.left, s2.left),
-            top=direct_sum(s1.top, s2.top),
-            bottom=direct_sum(s1.bottom, s2.bottom),
-            right=direct_sum(s1.right, s2.right),
-        )
-        ok = summed.verify(universal_bound)
+        ok = _summed_square_ok(s1, s2)
         yield "" if ok else "⊕ of bicartesian squares not bicartesian"
+
+
+def _summed_square_ok(s1, s2):
+    """Is the blockwise sum of two squares a commuting distinguished
+    square that is bicartesian, also against the universal property?"""
+    l1, t1, b1, r1, u1, v1, w1, x1 = s1
+    l2, t2, b2, r2, u2, v2, w2, x2 = s2
+    l = kernel.block_sum(l1, l2, w1)
+    t = kernel.block_sum(t1, t2, v1)
+    b = kernel.block_sum(b1, b2, x1)
+    r = kernel.block_sum(r1, r2, x1)
+    sq = (l, t, b, r, u1 + u2, v1 + v2, w1 + w2, x1 + x2)
+    return (
+        kernel.compose(b, l) == kernel.compose(r, t)
+        and kernel.is_injective(t)
+        and kernel.is_injective(b)
+        and kernel.is_surjective(l, w1 + w2)
+        and kernel.is_surjective(r, x1 + x2)
+        and kernel.is_pullback(*sq)
+        and kernel.is_pushout(*sq)
+        and kernel.universal_square_ok(*sq, UNIVERSAL_BOUND)
+    )
 
 
 def _restriction_injective(max_size):
@@ -925,7 +866,7 @@ def _sum_squares(max_size):
                     yield ""
 
 
-def _block_squares(max_size, universal_bound):
+def _block_squares(max_size):
     """The pullback of a block projection along an inflation is the
     block square."""
     small = range(min(3, max_size) + 1)
@@ -938,17 +879,11 @@ def _block_squares(max_size, universal_bound):
                 bottom=j,
                 right=proj_left(v, w),
             )
-            ok = sq.verify(universal_bound)
+            ok = sq.verify(UNIVERSAL_BOUND)
             yield "" if ok else "block square for j=%s, W=%d not bicartesian" % (j, w)
 
 
-def axiom_suite(
-    max_size,
-    universal_bound=2,
-    jobs=1,
-    inflation_maps_of=None,
-    deflation_maps_of=None,
-):
+def axiom_suite(max_size, jobs=1, inflation_maps_of=None, deflation_maps_of=None):
     """Exhaustively certify the exact-structure axioms up to max_size.
 
     Every check stops at its first failing case and reports it as the
@@ -957,10 +892,10 @@ def axiom_suite(
     failing case, the witness is that of the first failing triple, and
     the cases of every triple are counted.
 
-    universal_bound: completions and small squares additionally get the
-    pullback/pushout universal property checked against every test
-    object of size <= this bound (the intrinsic elementwise criterion is
-    always checked, at every size).
+    Completions and small squares additionally get the pullback/pushout
+    universal property checked against every test object of size <=
+    UNIVERSAL_BOUND (the intrinsic elementwise criterion is always
+    checked, at every size).
 
     inflation_maps_of/deflation_maps_of can replace the morphism-class
     enumerations, for corruption experiments; the default classes are
@@ -989,7 +924,7 @@ def axiom_suite(
     # (iv) cospan and (v) span completion to a bicartesian square, one
     # task per size triple, read as (w, x, v) for iv and (w, u, v) for v
     tasks = [
-        (a, b, c, universal_bound, infl, defl)
+        (a, b, c, infl, defl)
         for a, b, c in product(range(max_size + 1), repeat=3)
     ]
     for name, scan in (
@@ -1003,17 +938,17 @@ def axiom_suite(
     add(
         run(
             "calibration: intrinsic vs universal",
-            _calibration(max_size, universal_bound),
+            _calibration(max_size),
         )
     )
     report.notes.append(
         "universal property checked against all test objects of size <= %d"
-        % universal_bound
+        % UNIVERSAL_BOUND
     )
     add(run("DS1: monoidal unit", _monoidal_unit(max_size)))
-    add(run("DS2: exact bifunctor", _exact_bifunctor(max_size, universal_bound)))
+    add(run("DS2: exact bifunctor", _exact_bifunctor(max_size)))
     add(run("DS3: restriction injective", _restriction_injective(max_size)))
     add(run("DS4: unique splitting extension", _unique_splitting_extension(max_size)))
     add(run("direct sums: inclusion squares, isos", _sum_squares(max_size)))
-    add(run("block pullback squares", _block_squares(max_size, universal_bound)))
+    add(run("block pullback squares", _block_squares(max_size)))
     return report

@@ -24,6 +24,11 @@ Morphism data tells the morphisms of a hom set apart, and
 * conflation category: the map tuple of the middle inflation;
 * isomorphism and hyperbolic groupoids: the map, as an F1Morphism;
 * group-completion category: (v, alpha, beta) in canonical form.
+
+Spans compose on their canonical map tuples (``sub`` and ``pmap``)
+through the kernel's pullback legs; ``QSpan`` validates its data
+through the kernel, and F1Morphism is the boundary type of
+``QSpan.to_morphisms`` and ``QSpan.from_morphisms``.
 """
 
 import math
@@ -58,7 +63,6 @@ from .pointed import (
     SuiteReport,
     TypeMismatch,
     all_conflations,
-    complete_pullback,
     compose,
     direct_sum,
     dualize,
@@ -90,8 +94,9 @@ class QSpan:
             raise ValueError("sub must be an ascending subset of 1..dst")
         if len(pmap) != len(sub) + 1:
             raise ValueError("pmap must be defined on the relabelled middle")
-        mid = F1Morphism(len(sub), src, pmap)
-        if not is_deflation(mid):
+        if not kernel.is_valid_map(pmap, src):
+            raise ValueError("invalid map %r for %d -> %d" % (pmap, len(sub), src))
+        if not kernel.is_surjective(pmap, src):
             raise ValueError("the outgoing leg must be a deflation")
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
@@ -119,10 +124,15 @@ class QSpan:
             raise ValueError("the incoming leg must be an inflation")
         if not is_deflation(p):
             raise ValueError("the outgoing leg must be a deflation")
-        order = sorted(range(1, j.src + 1), key=lambda e: j.map[e])
-        sub = tuple(j.map[e] for e in order)
-        pmap = (0,) + tuple(p.map[e] for e in order)
-        return cls(p.dst, j.dst, sub, pmap)
+        return cls._by_image(p.dst, j.dst, p.map, j.map)
+
+    @classmethod
+    def _by_image(cls, src, dst, pmap, jmap):
+        """The span of the map tuples pmap: E ->> src and jmap: E >-> dst,
+        its middle relabelled in the order of the image of jmap."""
+        order = sorted(range(1, len(jmap)), key=jmap.__getitem__)
+        sub = tuple(jmap[e] for e in order)
+        return cls(src, dst, sub, (0,) + tuple(pmap[e] for e in order))
 
     @classmethod
     def identity(cls, n):
@@ -166,14 +176,17 @@ class QSpan:
 
 
 def q_compose(g, f):
-    """Composite of spans by pullback: f: u -> v, then g: v -> w."""
+    """Composite of spans by pullback: f: u -> v, then g: v -> w.
+
+    The pullback of f's inflation leg against g's deflation leg is taken
+    on the canonical map tuples, and the composite legs are relabelled by
+    their image."""
     if f.dst != g.src:
         raise TypeMismatch("spans are not composable")
-    p_f, j_f = f.to_morphisms()
-    p_g, j_g = g.to_morphisms()
-    square = complete_pullback(j_f, p_g)
-    return QSpan.from_morphisms(
-        compose(p_f, square.left), compose(j_g, square.top)
+    j_f, j_g = (0,) + f.sub, (0,) + g.sub
+    l, t = kernel.pullback_legs(j_f, g.pmap, len(f.sub), len(g.sub))
+    return QSpan._by_image(
+        f.src, g.dst, kernel.compose(f.pmap, l), kernel.compose(j_g, t)
     )
 
 
@@ -263,8 +276,9 @@ def qh_category(max_size):
     """The hermitian span category on forms of size <= max_size.
 
     Objects are SymmetricForms; morphism data is the underlying QSpan.
-    Composition is span composition, and every composite is checked
-    against the reduction census before being admitted.
+    Composition is span composition; a composite that is not among the
+    reductive spans of its hom set, which ``reductive_spans`` has
+    checked, is refused by ``compose_by_data``.
     """
     objects = []
     for n in range(max_size + 1):
@@ -272,16 +286,8 @@ def qh_category(max_size):
     morphisms = [
         (M, N, s) for M in objects for N in objects for s in reductive_spans(M, N)
     ]
-
-    def compose_data(g, f):
-        s = q_compose(g[2], f[2])
-        if not is_reductive_span(f[0], g[1], s):
-            raise AssertionError(
-                "span composition left the hermitian category: %s" % s
-            )
-        return s
-
-    return build_category(objects, morphisms, compose_by_data(morphisms, compose_data))
+    comp_rule = compose_by_data(morphisms, lambda g, f: q_compose(g[2], f[2]))
+    return build_category(objects, morphisms, comp_rule)
 
 
 def qh_forgetful(qh, q):

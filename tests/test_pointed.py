@@ -5,6 +5,7 @@ import pytest
 
 from f1kgw.pointed import (
     BicartesianSquare,
+    CheckResult,
     Conflation,
     F1Morphism,
     NotAConflation,
@@ -35,8 +36,10 @@ from f1kgw.pointed import (
     retraction_of_splitting,
     section_of_splitting,
     split_conflation,
+    _exact_bifunctor,
 )
 from f1kgw._backend import kernel
+from f1kgw.qcat import q_category
 
 
 def test_morphism_literal_round_trip():
@@ -253,3 +256,129 @@ def test_enumeration_class_filters():
 def test_type_mismatch_raises():
     with pytest.raises(TypeMismatch):
         compose(F1Morphism.identity(2), F1Morphism.identity(3))
+
+
+# Full reports of the three corrupted-class runs above at size 2, taken
+# from the suite before it computed on map tuples: every check's name,
+# verdict, checked count and witness.
+CORRUPTED_REPORTS = {
+    "every map a deflation": [
+        ("axiom i: zero maps", True, 6, ""),
+        ("axiom ii: class closure", True, 189, ""),
+        (
+            "axiom iii: cartesian iff cocartesian",
+            False,
+            2,
+            'cartesian=True cocartesian=False for (F1Morphism("[0]:0->0")'
+            ', F1Morphism("[0]:0->0")'
+            ', F1Morphism("[0]:0->1")'
+            ', F1Morphism("[0]:0->1"))',
+        ),
+        ("axiom iv: pullback completion", False, 18, "cospan b=[0]:0->1 r=[0]:0->1"),
+        ("axiom v: pushout completion", False, 20, "span l=[0]:0->1 t=[0]:0->0"),
+        ("calibration: intrinsic vs universal", True, 34, ""),
+        ("DS1: monoidal unit", True, 23, ""),
+        ("DS2: exact bifunctor", True, 28250, ""),
+        ("DS3: restriction injective", True, 222, ""),
+        ("DS4: unique splitting extension", True, 18, ""),
+        ("direct sums: inclusion squares, isos", True, 400, ""),
+        ("block pullback squares", True, 24, ""),
+    ],
+    "every map an inflation": [
+        ("axiom i: zero maps", True, 6, ""),
+        ("axiom ii: class closure", True, 189, ""),
+        (
+            "axiom iii: cartesian iff cocartesian",
+            False,
+            10,
+            'cartesian=False cocartesian=True for (F1Morphism("[0,0]:1->0")'
+            ', F1Morphism("[0,0]:1->1")'
+            ', F1Morphism("[0]:0->1")'
+            ', F1Morphism("[0,1]:1->1"))',
+        ),
+        (
+            "axiom iv: pullback completion",
+            False,
+            20,
+            "cospan b=[0,0]:1->0 r=[0]:0->0: cospan inflation leg is deflation",
+        ),
+        (
+            "axiom v: pushout completion",
+            False,
+            18,
+            "span l=[0,0]:1->0 t=[0,0]:1->0: span inflation leg is deflation",
+        ),
+        ("calibration: intrinsic vs universal", True, 34, ""),
+        ("DS1: monoidal unit", True, 23, ""),
+        ("DS2: exact bifunctor", True, 28250, ""),
+        ("DS3: restriction injective", True, 222, ""),
+        ("DS4: unique splitting extension", True, 18, ""),
+        ("direct sums: inclusion squares, isos", True, 400, ""),
+        ("block pullback squares", True, 24, ""),
+    ],
+    "no isos among inflations": [
+        ("axiom i: zero maps", False, 1, "0 -> 0 not an inflation"),
+        ("axiom ii: class closure", False, 22, "iso (0,) missing from a class"),
+        ("axiom iii: cartesian iff cocartesian", True, 17, ""),
+        ("axiom iv: pullback completion", True, 9, ""),
+        ("axiom v: pushout completion", True, 6, ""),
+        ("calibration: intrinsic vs universal", True, 34, ""),
+        ("DS1: monoidal unit", True, 23, ""),
+        ("DS2: exact bifunctor", True, 28250, ""),
+        ("DS3: restriction injective", True, 222, ""),
+        ("DS4: unique splitting extension", True, 18, ""),
+        ("direct sums: inclusion squares, isos", True, 400, ""),
+        ("block pullback squares", True, 24, ""),
+    ],
+}
+CORRUPTIONS = {
+    "every map a deflation": dict(deflation_maps_of=lambda u, v: kernel.hom_maps(u, v)),
+    "every map an inflation": dict(inflation_maps_of=kernel.hom_maps),
+    "no isos among inflations": dict(
+        inflation_maps_of=lambda u, v: () if u == v else kernel.inflation_maps(u, v)
+    ),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTED_REPORTS))
+def test_corrupted_class_reports_are_pinned(corruption):
+    # Newly covers: the whole report of each corrupted run, not only the
+    # fragments asserted above, so moving a check onto map tuples cannot
+    # change a count or a witness unseen.
+    report = axiom_suite(2, **CORRUPTIONS[corruption])
+    rows = [(c.name, c.passed, c.checked, c.witness) for c in report.checks]
+    assert rows == CORRUPTED_REPORTS[corruption]
+    assert report.notes == [
+        "universal property checked against all test objects of size <= 2"
+    ]
+
+
+def test_suite_and_span_category_build_morphisms_only_at_the_boundary(monkeypatch):
+    # Newly covers: the checks compute on map tuples.  axiom_suite(3)
+    # built 177,506 F1Morphisms and q_category(3) 3,958 before; what is
+    # left are witnesses and the square constructions axioms iv/v and
+    # the block squares certify.
+    calls = [0]
+    init = F1Morphism.__init__
+
+    def counting(self, *args):
+        calls[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(F1Morphism, "__init__", counting)
+    assert axiom_suite(3).ok
+    assert 0 < calls[0] <= 17750
+    calls[0] = 0
+    q_category(3)
+    assert calls[0] == 0
+
+
+def test_ds2_reports_a_summed_square_outside_the_classes(monkeypatch):
+    # Newly covers: DS2 checks the classes of each summed square itself,
+    # so a block sum that drops its second block fails with a witness
+    # instead of raising.  Such a sum is still functorial, so the first
+    # failure is a summed square.
+    monkeypatch.setattr(kernel, "block_sum", lambda f, g, f_dst: f + (0,) * (len(g) - 1))
+    result = CheckResult.first_failure("DS2", _exact_bifunctor(2))
+    assert not result.passed
+    assert result.witness == "⊕ of bicartesian squares not bicartesian"

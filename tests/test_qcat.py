@@ -8,7 +8,7 @@ import pytest
 
 from f1kgw.fincat import abelianize, check_functor, full_subcategory, pi0, pi1_presentation
 from f1kgw.forms import enumerate_forms, hyperbolic, identity_form
-from f1kgw.pointed import F1Morphism, all_conflations
+from f1kgw.pointed import F1Morphism, all_conflations, complete_pullback, compose
 from f1kgw.qcat import (
     QSpan,
     comma_tau_suite,
@@ -44,9 +44,9 @@ def test_span_validation_and_round_trip():
     assert QSpan.from_morphisms(p, j) == s
     with pytest.raises(ValueError):
         QSpan(1, 2, (2, 1), (0, 1, 0))  # sub not ascending
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^invalid map \(0, 1, 3\) for 2 -> 1$"):
         QSpan(1, 2, (1, 2), (0, 1, 3))  # pmap leaves the target
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^the outgoing leg must be a deflation$"):
         QSpan(2, 2, (1, 2), (0, 0, 0))  # pmap not a deflation
 
 
@@ -72,6 +72,26 @@ def test_span_identity_composition():
     assert (gf.src, gf.dst, gf.sub) == (0, 2, (1, 2))
     assert q_compose(QSpan.identity(2), g) == g
     assert q_compose(g, QSpan.identity(1)) == g
+
+
+def test_q_compose_matches_the_pullback_of_legs():
+    # Newly covers: q_compose against an independent route, on every
+    # composable pair of q_category(3).  The oracle turns both spans
+    # into F1Morphism legs, completes the cospan by complete_pullback
+    # and canonicalizes the composite legs with from_morphisms.
+    def by_legs(g, f):
+        p_f, j_f = f.to_morphisms()
+        p_g, j_g = g.to_morphisms()
+        square = complete_pullback(j_f, p_g)
+        return QSpan.from_morphisms(
+            compose(p_f, square.left), compose(j_g, square.top)
+        )
+
+    spans = q_category(3).mor_data
+    pairs = [(g, f) for f in spans for g in spans if f.dst == g.src]
+    assert len(pairs) == 434
+    for g, f in pairs:
+        assert q_compose(g, f) == by_legs(g, f)
 
 
 def test_span_category_hom_counts():
