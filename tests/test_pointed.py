@@ -356,8 +356,8 @@ def test_corrupted_class_reports_are_pinned(corruption):
 def test_suite_and_span_category_build_morphisms_only_at_the_boundary(monkeypatch):
     # Newly covers: the checks compute on map tuples.  axiom_suite(3)
     # built 177,506 F1Morphisms and q_category(3) 3,958 before; what is
-    # left are witnesses and the square constructions axioms iv/v and
-    # the block squares certify.
+    # left certifies the public constructions (axioms iv/v, the block
+    # squares and the direct-sum checks) and prints witnesses.
     calls = [0]
     init = F1Morphism.__init__
 
