@@ -4,6 +4,7 @@ A map n -> m is a tuple t of length n+1 with t[0] = 0, values in 0..m,
 and distinct nonzero values (injective outside the fibre over 0).
 """
 
+from collections import Counter
 from functools import lru_cache
 
 BACKEND = "py"
@@ -138,45 +139,56 @@ def deflation_maps(src, dst):
     return tuple(f for f in hom_maps(src, dst) if is_surjective(f, dst))
 
 
+@lru_cache(maxsize=None)
+def post_table(g, n, src):
+    """g∘c for every c in hom_maps(n, src), in that order."""
+    return tuple(compose(g, c) for c in hom_maps(n, src))
+
+
+@lru_cache(maxsize=None)
+def pre_table(f, n, dst):
+    """c∘f for every c in hom_maps(dst, n), in that order."""
+    return tuple(compose(c, f) for c in hom_maps(dst, n))
+
+
+def _bijective(first, second, domain, left, right):
+    """Is m ↦ (first[m], second[m]), over a hom set of size domain, a
+    bijection onto the index pairs (i, j) with left[i] == right[j]?"""
+    if len(set(zip(first, second))) != domain:
+        return False
+    tally = Counter(left)
+    return sum(tally[k] for k in right) == domain
+
+
 def universal_square_ok(l, t, b, r, u_size, v_size, w_size, x_size, bound):
     """Check the square is a pullback and a pushout against every test
     object of size <= bound.  Square shape: l: U->W, t: U->V, b: W->X,
-    r: V->X with b∘l = r∘t (inflations t,b; deflations l,r)."""
+    r: V->X with b∘l = r∘t (inflations t,b; deflations l,r).
+
+    Every test object T = n <= bound is still enumerated and every map
+    compared.  The composites come from the cached tables: post_table
+    holds g∘c for every c: T -> src(g), pre_table holds c∘f for every
+    c: dst(f) -> T, so each leg's composites are computed once per
+    process and shared by every square that has that leg.  The
+    pullback comparison hom(T,U) -> {(c,d): b∘c = r∘d} is a bijection
+    exactly when the (l∘m, t∘m) are pairwise distinct and as many as
+    the matched pairs; dually for the pushout.
+    """
     for n in range(bound + 1):
-        # pullback: hom(T,U) -> {(c,d): b∘c = r∘d} must be bijective
-        tally = {}
-        for c in hom_maps(n, w_size):
-            k = compose(b, c)
-            tally[k] = tally.get(k, 0) + 1
-        pairs = 0
-        for d in hom_maps(n, v_size):
-            m = tally.get(compose(r, d))
-            if m:
-                pairs += m
-        seen = set()
-        for m in hom_maps(n, u_size):
-            key = (compose(l, m), compose(t, m))
-            if key in seen:
-                return False
-            seen.add(key)
-        if len(seen) != pairs:
+        if not _bijective(
+            post_table(l, n, u_size),
+            post_table(t, n, u_size),
+            len(hom_maps(n, u_size)),
+            post_table(b, n, w_size),
+            post_table(r, n, v_size),
+        ):
             return False
-        # pushout: hom(X,T) -> {(c,d): c∘l = d∘t} must be bijective
-        tally = {}
-        for c in hom_maps(w_size, n):
-            k = compose(c, l)
-            tally[k] = tally.get(k, 0) + 1
-        pairs = 0
-        for d in hom_maps(v_size, n):
-            m = tally.get(compose(d, t))
-            if m:
-                pairs += m
-        seen = set()
-        for m in hom_maps(x_size, n):
-            key = (compose(m, b), compose(m, r))
-            if key in seen:
-                return False
-            seen.add(key)
-        if len(seen) != pairs:
+        if not _bijective(
+            pre_table(b, n, x_size),
+            pre_table(r, n, x_size),
+            len(hom_maps(x_size, n)),
+            pre_table(l, n, w_size),
+            pre_table(t, n, v_size),
+        ):
             return False
     return True

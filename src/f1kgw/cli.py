@@ -136,14 +136,14 @@ def cmd_k0(args):
 
 def cmd_gw0(args):
     result = gw0(args.max_size)
-    components = hermitian_component_count(min(args.max_size, 4))
     if args.output == "json":
         _emit_json(args, result.to_json())
     else:
+        size = min(args.max_size, 4)
         lines = [result.render()]
         lines.append(
             "hermitian span components at size %d: %d"
-            % (min(args.max_size, 4), components)
+            % (size, hermitian_component_count(size))
         )
         _emit(args, "\n".join(lines) + "\n")
     return 0

@@ -71,7 +71,6 @@ from .pointed import (
     is_inflation,
     isos,
     proj_left,
-    proj_right,
 )
 
 
@@ -377,29 +376,37 @@ def conflation_morphism(src, dst, b):
     """
     if b.src != src.total or b.dst != dst.total:
         return None
-    if not is_inflation(b):
+    parts = _quotient_parts(src, dst, b.map)
+    if parts is None:
         return None
-    pi_b = compose(dst.p, b)
-    c1 = tuple(sorted(set(pi_b.map[1:]) - {0}))
+    c1, qmap = parts
+    return ConflationMorphism(src, dst, b, c1, F1Morphism(len(c1), src.quotient, qmap))
+
+
+def _quotient_parts(src, dst, bmap):
+    """``conflation_morphism``'s checks on the map tuple bmap: the hit
+    quotient subset c1 and the map tuple of q, or None."""
+    if not kernel.is_injective(bmap):
+        return None
+    pi_b = kernel.compose(dst.p.map, bmap)
+    c1 = tuple(sorted(set(pi_b[1:]) - {0}))
     pos = {c: k + 1 for k, c in enumerate(c1)}
-    pi1 = F1Morphism(
-        src.total, len(c1), tuple(0 if m == 0 else pos[m] for m in pi_b.map)
-    )
-    if not is_deflation(pi1):
+    pi1 = tuple(0 if m == 0 else pos[m] for m in pi_b)
+    if not kernel.is_surjective(pi1, len(c1)):
         return None
-    k = compose(dualize(b), dst.i)
-    if not is_inflation(k):
+    k = kernel.compose(kernel.adjoint(bmap, dst.total), dst.i.map)
+    if not kernel.is_injective(k):
         return None
-    if set(pi1.kernel_elements) != set(k.image):
+    if {x for x in range(1, src.total + 1) if pi1[x] == 0} != set(k[1:]):
         return None
-    a = compose(dualize(src.i), k)
-    if not is_inflation(a):
+    a = kernel.compose(kernel.adjoint(src.i.map, src.total), k)
+    if not kernel.is_injective(a):
         return None
-    if compose(src.i, a).map != k.map:
+    if kernel.compose(src.i.map, a) != k:
         return None
     qmap = [0] * (len(c1) + 1)
     for x in range(1, src.total + 1):
-        c = pi1.map[x]
+        c = pi1[x]
         want = src.p.map[x]
         if c == 0:
             if want != 0:
@@ -408,13 +415,12 @@ def conflation_morphism(src, dst, b):
             qmap[c] = want
         elif qmap[c] != want:
             return None
-    try:
-        q = F1Morphism(len(c1), src.quotient, tuple(qmap))
-    except ValueError:
+    qmap = tuple(qmap)
+    if not kernel.is_valid_map(qmap, src.quotient):
         return None
-    if not is_deflation(q):
+    if not kernel.is_surjective(qmap, src.quotient):
         return None
-    return ConflationMorphism(src, dst, b, c1, q)
+    return c1, qmap
 
 
 def conflation_category(max_size):
@@ -425,16 +431,10 @@ def conflation_category(max_size):
     for src in objects:
         for dst in objects:
             for bmap in kernel.inflation_maps(src.total, dst.total):
-                b = F1Morphism(src.total, dst.total, bmap)
-                if conflation_morphism(src, dst, b) is not None:
+                if _quotient_parts(src, dst, bmap) is not None:
                     morphisms.append((src, dst, bmap))
     comp_rule = compose_by_data(morphisms, lambda g, f: kernel.compose(g[2], f[2]))
     return build_category(objects, morphisms, comp_rule)
-
-
-def middle_inflation(E, m):
-    """The middle inflation of morphism m of the conflation category."""
-    return F1Morphism(E.mor_src[m].total, E.mor_dst[m].total, E.data(m))
 
 
 def quotient_fibration(E, q):
@@ -443,7 +443,7 @@ def quotient_fibration(E, q):
     mor_map = {}
     for m in range(E.n_morphisms):
         src, dst = E.mor_src[m], E.mor_dst[m]
-        span = conflation_morphism(src, dst, middle_inflation(E, m)).quotient_span()
+        span = QSpan(src.quotient, dst.quotient, *_quotient_parts(src, dst, E.data(m)))
         mor_map[m] = q.find(src.quotient, dst.quotient, span)
     return Functor(E, q, obj_map, mor_map)
 
@@ -471,15 +471,23 @@ def fiber_embedding(S, fiber, c):
     for m in range(S.n_morphisms):
         phi = S.data(m)
         X = obj_map[phi.src]
-        mor_map[m] = fiber.find(X, X, direct_sum(F1Morphism.identity(c), phi).map)
+        mor_map[m] = fiber.find(X, X, _id_sum(c, phi.map))
     return Functor(S, fiber, obj_map, mor_map)
 
 
+def _id_sum(c, fmap):
+    """The map tuple of id_C ⊕ f."""
+    return kernel.block_sum(kernel.identity(c), fmap, c)
+
+
 def scalar_action_object(c, X):
-    """C·X: the conflation C⊕A >-> C⊕B ->> C' (quotient unchanged)."""
+    """C·X: the conflation C⊕A >-> C⊕B ->> C' (quotient unchanged),
+    with inflation id_C ⊕ i and deflation 0 ⊕ p = p∘proj_right."""
     return Conflation(
-        direct_sum(F1Morphism.identity(c), X.i),
-        compose(X.p, proj_right(c, X.total)),
+        F1Morphism(c + X.sub, c + X.total, _id_sum(c, X.i.map)),
+        F1Morphism(
+            c + X.total, X.quotient, kernel.block_sum(kernel.zero_map(c, 0), X.p.map, 0)
+        ),
     )
 
 
@@ -488,7 +496,7 @@ def scalar_action(E, c, m):
     return E.find(
         scalar_action_object(c, E.mor_src[m]),
         scalar_action_object(c, E.mor_dst[m]),
-        direct_sum(F1Morphism.identity(c), middle_inflation(E, m)).map,
+        _id_sum(c, E.data(m)),
     )
 
 
@@ -501,8 +509,10 @@ def restriction_to_zero(E, m):
     """z*: the fiber morphism restricted to the subs: (A,B,C) becomes
     (A,A,0) and b becomes the induced map on subs."""
     src, dst = E.mor_src[m], E.mor_dst[m]
-    b0 = compose(dualize(dst.i), compose(middle_inflation(E, m), src.i))
-    return E.find(_zero_quotient(src.sub), _zero_quotient(dst.sub), b0.map)
+    b0 = kernel.compose(
+        kernel.adjoint(dst.i.map, dst.total), kernel.compose(E.data(m), src.i.map)
+    )
+    return E.find(_zero_quotient(src.sub), _zero_quotient(dst.sub), b0)
 
 
 def total_to_zero(E, m):
@@ -520,8 +530,8 @@ def zero_to_fiber(E, c, m):
     def extend(X):
         return Conflation(compose(inc_right(c, X.total), X.i), proj_left(c, X.total))
 
-    b = direct_sum(F1Morphism.identity(c), middle_inflation(E, m))
-    return E.find(extend(E.mor_src[m]), extend(E.mor_dst[m]), b.map)
+    b = _id_sum(c, E.data(m))
+    return E.find(extend(E.mor_src[m]), extend(E.mor_dst[m]), b)
 
 
 def conflation_suite(max_size, fiber_sizes=None):

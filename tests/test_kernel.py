@@ -1,6 +1,7 @@
 """Oracle tests for the map kernel: its hom-set and class enumerations
-against an independent brute-force enumeration, and the kernel that the
-package reports using."""
+against an independent brute-force enumeration, its composition tables
+and universal-property check against plain composition, and the kernel
+that the package reports using."""
 
 import itertools
 
@@ -8,6 +9,7 @@ import pytest
 
 import f1kgw
 from f1kgw import _corepy
+from f1kgw.pointed import _commuting_squares
 
 
 def all_maps(src, dst):
@@ -42,3 +44,91 @@ def test_class_enumerations_match_definitions():
 def test_package_computes_with_the_pure_kernel():
     assert f1kgw.BACKEND == "py"
     assert f1kgw._backend.kernel is _corepy
+
+
+def test_composition_tables_match_compose():
+    for src, dst, n in itertools.product(range(4), repeat=3):
+        for g in _corepy.hom_maps(src, dst):
+            post = [_corepy.compose(g, c) for c in _corepy.hom_maps(n, src)]
+            pre = [_corepy.compose(c, g) for c in _corepy.hom_maps(dst, n)]
+            assert list(_corepy.post_table(g, n, src)) == post
+            assert list(_corepy.pre_table(g, n, dst)) == pre
+
+
+def enumerated_universal_failure(l, t, b, r, u_size, v_size, w_size, x_size, bound):
+    """The compose-per-map check that the tables replaced, kept as the
+    oracle: "" when the square passes, else which test failed first
+    ("duplicate": the comparison is not injective; "count": it misses
+    some matched pair)."""
+    compose, hom_maps = _corepy.compose, _corepy.hom_maps
+    for n in range(bound + 1):
+        tally = {}
+        for c in hom_maps(n, w_size):
+            k = compose(b, c)
+            tally[k] = tally.get(k, 0) + 1
+        pairs = 0
+        for d in hom_maps(n, v_size):
+            m = tally.get(compose(r, d))
+            if m:
+                pairs += m
+        seen = set()
+        for m in hom_maps(n, u_size):
+            key = (compose(l, m), compose(t, m))
+            if key in seen:
+                return "duplicate"
+            seen.add(key)
+        if len(seen) != pairs:
+            return "count"
+        tally = {}
+        for c in hom_maps(w_size, n):
+            k = compose(c, l)
+            tally[k] = tally.get(k, 0) + 1
+        pairs = 0
+        for d in hom_maps(v_size, n):
+            m = tally.get(compose(d, t))
+            if m:
+                pairs += m
+        seen = set()
+        for m in hom_maps(x_size, n):
+            key = (compose(m, b), compose(m, r))
+            if key in seen:
+                return "duplicate"
+            seen.add(key)
+        if len(seen) != pairs:
+            return "count"
+    return ""
+
+
+def summed_square(s1, s2):
+    l1, t1, b1, r1, u1, v1, w1, x1 = s1
+    l2, t2, b2, r2, u2, v2, w2, x2 = s2
+    return (
+        _corepy.block_sum(l1, l2, w1),
+        _corepy.block_sum(t1, t2, v1),
+        _corepy.block_sum(b1, b2, x1),
+        _corepy.block_sum(r1, r2, x1),
+        u1 + u2,
+        v1 + v2,
+        w1 + w2,
+        x1 + x2,
+    )
+
+
+def test_universal_square_ok_matches_the_enumeration():
+    honest = list(_commuting_squares(2, _corepy.inflation_maps, _corepy.deflation_maps))
+    widened = list(_commuting_squares(2, _corepy.hom_maps, _corepy.hom_maps))
+    bicartesian = [
+        sq for sq in honest if _corepy.is_pullback(*sq) and _corepy.is_pushout(*sq)
+    ]
+    summed = [
+        summed_square(s1, s2) for s1, s2 in itertools.product(bicartesian, repeat=2)
+    ]
+    assert len(summed) == 676
+    reasons = {}
+    for squares, bound in ((honest, 3), (widened, 3), (summed, 2)):
+        for sq in squares:
+            reason = enumerated_universal_failure(*sq, bound)
+            assert _corepy.universal_square_ok(*sq, bound) == (reason == ""), sq
+            reasons[reason] = reasons.get(reason, 0) + 1
+    # both ways of failing occur, so neither branch goes unchecked
+    assert reasons["duplicate"] > 0 and reasons["count"] > 0 and reasons[""] > 0
