@@ -262,20 +262,62 @@ def _data_index(morphisms):
 def compose_by_data(morphisms, compose_data):
     """A comp_rule for build_category over (src, dst, data) morphisms.
 
-    compose_data(g, f) receives the entries of g and f and returns the
-    data of g∘f; the composite is the morphism f.src -> g.dst carrying
-    it.  A composite outside its hom set raises ValueError.
+    compose_data(g_data, f_data) receives the data of g and f and returns
+    the data of g∘f.  It must depend on the two data values alone, never
+    on the endpoints, so that equal pairs of data compose alike wherever
+    they occur.  The composite is the morphism f.src -> g.dst carrying
+    the result; a composite outside its hom set raises ValueError, and so
+    does data repeated within a hom set.
+
+    Endpoints and data values get dense integer ids, and the composite
+    is found through one (src id, dst id, data id) index.  When some
+    data value is carried by more than one morphism, each distinct pair
+    of data values is composed once and its result reused; when every
+    value is distinct, so is every pair, and nothing is memoised.
     """
-    index = _data_index(morphisms)
+    endpoint_id, data_id, values = {}, {}, []
+    srcs, dsts, dids = [], [], []
+    for src, dst, data in morphisms:
+        d = data_id.setdefault(data, len(values))
+        if d == len(values):
+            values.append(data)
+        srcs.append(endpoint_id.setdefault(src, len(endpoint_id)))
+        dsts.append(endpoint_id.setdefault(dst, len(endpoint_id)))
+        dids.append(d)
+    index = {key: m for m, key in enumerate(zip(srcs, dsts, dids))}
+    if len(index) != len(dids):
+        raise ValueError("morphism data repeats within a hom set")
+
+    def not_a_morphism(g, f, data):
+        return ValueError(
+            "composite of %d after %d is not a morphism: %r" % (g, f, data)
+        )
+
+    if len(values) == len(dids):
+
+        def comp_rule(g, f):
+            data = compose_data(values[dids[g]], values[dids[f]])
+            mid = index.get((srcs[f], dsts[g], data_id.get(data)))
+            if mid is None:
+                raise not_a_morphism(g, f, data)
+            return mid
+
+        return comp_rule
+
+    memo = {}  # (data id of g, data id of f) -> data id of g∘f
 
     def comp_rule(g, f):
-        eg, ef = morphisms[g], morphisms[f]
-        data = compose_data(eg, ef)
-        mid = index.get((ef[0], eg[1], data))
+        pair = (dids[g], dids[f])
+        d = memo.get(pair)
+        if d is None:
+            data = compose_data(values[pair[0]], values[pair[1]])
+            d = data_id.get(data)
+            if d is None:
+                raise not_a_morphism(g, f, data)
+            memo[pair] = d
+        mid = index.get((srcs[f], dsts[g], d))
         if mid is None:
-            raise ValueError(
-                "composite of %d after %d is not a morphism: %r" % (g, f, data)
-            )
+            raise not_a_morphism(g, f, values[d])
         return mid
 
     return comp_rule
@@ -400,8 +442,7 @@ def comma_category(F, d):
             if S.mor_src[g] == c:
                 dst = (S.mor_dst[g], T.comp[(F.mor_map[g], m)])
                 morphisms.append(((c, m), dst, g))
-    comp_rule = compose_by_data(morphisms, lambda gg, ff: S.comp[(gg[2], ff[2])])
-    return build_category(objs, morphisms, comp_rule)
+    return build_category(objs, morphisms, compose_by_data(morphisms, S.compose))
 
 
 def product_category(C, D):
@@ -414,7 +455,7 @@ def product_category(C, D):
     ]
 
     def compose_data(g, f):
-        (gc, gd), (fc, fd) = g[2], f[2]
+        (gc, gd), (fc, fd) = g, f
         return C.comp[(gc, fc)], D.comp[(gd, fd)]
 
     return build_category(objs, morphisms, compose_by_data(morphisms, compose_data))
@@ -426,8 +467,7 @@ def one_object_groupoid(elements, compose_fn, identity_element, label="*"):
     if identity_element not in elements:
         raise ValueError("identity element missing")
     morphisms = [(label, label, e) for e in elements]
-    comp_rule = compose_by_data(morphisms, lambda g, f: compose_fn(g[2], f[2]))
-    return build_category([label], morphisms, comp_rule)
+    return build_category([label], morphisms, compose_by_data(morphisms, compose_fn))
 
 
 def subcategory(cat, objects, mids):
@@ -437,23 +477,25 @@ def subcategory(cat, objects, mids):
     set must be closed under composition (ValueError otherwise).
     Morphism data and the object order of the parent are preserved.
     """
-    objects = [o for o in cat.objects if o in set(objects)]
+    obj_set = set(objects)
+    objects = [o for o in cat.objects if o in obj_set]
     keep = set(mids)
     for o in objects:
         keep.add(cat.identities[o])
     keep = sorted(keep)
-    obj_set = set(objects)
+    into = {o: [] for o in objects}  # kept morphisms by target, ascending
     for m in keep:
         if cat.mor_src[m] not in obj_set or cat.mor_dst[m] not in obj_set:
             raise ValueError("morphism %d leaves the chosen objects" % m)
+        into[cat.mor_dst[m]].append(m)
     reindex = {m: k for k, m in enumerate(keep)}
+    # only composable pairs, in (g, f) order, so the witness is the least
     for g in keep:
-        for f in keep:
-            if (g, f) in cat.comp:
-                if cat.comp[(g, f)] not in reindex:
-                    raise ValueError(
-                        "not closed under composition at (g=%d, f=%d)" % (g, f)
-                    )
+        for f in into[cat.mor_src[g]]:
+            if cat.comp[(g, f)] not in reindex:
+                raise ValueError(
+                    "not closed under composition at (g=%d, f=%d)" % (g, f)
+                )
     morphisms = [
         (
             cat.mor_src[m],

@@ -32,6 +32,7 @@ through the kernel, and F1Morphism is the boundary type of
 """
 
 import math
+from functools import lru_cache
 
 from .fincat import (
     Functor,
@@ -211,8 +212,7 @@ def q_category(max_size):
     QSpan."""
     objects = list(range(max_size + 1))
     morphisms = [(u, v, s) for u in objects for v in objects for s in q_span_morphisms(u, v)]
-    comp_rule = compose_by_data(morphisms, lambda g, f: q_compose(g[2], f[2]))
-    return build_category(objects, morphisms, comp_rule)
+    return build_category(objects, morphisms, compose_by_data(morphisms, q_compose))
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +285,7 @@ def qh_category(max_size):
     morphisms = [
         (M, N, s) for M in objects for N in objects for s in reductive_spans(M, N)
     ]
-    comp_rule = compose_by_data(morphisms, lambda g, f: q_compose(g[2], f[2]))
-    return build_category(objects, morphisms, comp_rule)
+    return build_category(objects, morphisms, compose_by_data(morphisms, q_compose))
 
 
 def qh_forgetful(qh, q):
@@ -433,8 +432,7 @@ def conflation_category(max_size):
             for bmap in kernel.inflation_maps(src.total, dst.total):
                 if _quotient_parts(src, dst, bmap) is not None:
                     morphisms.append((src, dst, bmap))
-    comp_rule = compose_by_data(morphisms, lambda g, f: kernel.compose(g[2], f[2]))
-    return build_category(objects, morphisms, comp_rule)
+    return build_category(objects, morphisms, compose_by_data(morphisms, kernel.compose))
 
 
 def quotient_fibration(E, q):
@@ -453,8 +451,7 @@ def iso_groupoid(max_size):
     isomorphism."""
     objects = list(range(max_size + 1))
     morphisms = [(n, n, phi) for n in objects for phi in isos(n)]
-    comp_rule = compose_by_data(morphisms, lambda g, f: compose(g[2], f[2]))
-    return build_category(objects, morphisms, comp_rule)
+    return build_category(objects, morphisms, compose_by_data(morphisms, compose))
 
 
 def canonical_extension(c, a):
@@ -480,9 +477,11 @@ def _id_sum(c, fmap):
     return kernel.block_sum(kernel.identity(c), fmap, c)
 
 
+@lru_cache(maxsize=None)
 def scalar_action_object(c, X):
     """C·X: the conflation C⊕A >-> C⊕B ->> C' (quotient unchanged),
-    with inflation id_C ⊕ i and deflation 0 ⊕ p = p∘proj_right."""
+    with inflation id_C ⊕ i and deflation 0 ⊕ p = p∘proj_right.  Built
+    once per (c, X): every morphism at X reads it."""
     return Conflation(
         F1Morphism(c + X.sub, c + X.total, _id_sum(c, X.i.map)),
         F1Morphism(
@@ -500,6 +499,7 @@ def scalar_action(E, c, m):
     )
 
 
+@lru_cache(maxsize=None)
 def _zero_quotient(n):
     """The conflation N >-> N ->> 0."""
     return Conflation(F1Morphism.identity(n), F1Morphism.zero(n, 0))
@@ -523,15 +523,17 @@ def total_to_zero(E, m):
     )
 
 
+@lru_cache(maxsize=None)
+def _extension(c, X):
+    """A >-> C⊕B ->> C for the conflation X = (A >-> B ->> 0)."""
+    return Conflation(compose(inc_right(c, X.total), X.i), proj_left(c, X.total))
+
+
 def zero_to_fiber(E, c, m):
     """The extension functor from the fiber over 0: (A,B,0) becomes
     A >-> C⊕B ->> C and b becomes id_C ⊕ b."""
-
-    def extend(X):
-        return Conflation(compose(inc_right(c, X.total), X.i), proj_left(c, X.total))
-
     b = _id_sum(c, E.data(m))
-    return E.find(extend(E.mor_src[m]), extend(E.mor_dst[m]), b)
+    return E.find(_extension(c, E.mor_src[m]), _extension(c, E.mor_dst[m]), b)
 
 
 def conflation_suite(max_size, fiber_sizes=None):
@@ -753,8 +755,7 @@ def hyperbolic_groupoid(max_size):
         if not M.fixed_points()
     ]
     morphisms = [(M, N, phi) for M in objects for N in objects for phi in isometries(M, N)]
-    comp_rule = compose_by_data(morphisms, lambda g, f: compose(g[2], f[2]))
-    return build_category(objects, morphisms, comp_rule)
+    return build_category(objects, morphisms, compose_by_data(morphisms, compose))
 
 
 def graph_of_isometries(SH, QH):
@@ -986,8 +987,8 @@ def completion_category(window):
     ]
 
     def compose_data(g, f):
-        (a, b), _, (v, amap, bmap) = f
-        v2, amap2, bmap2 = g[2]
+        (v, amap, bmap), (v2, amap2, bmap2) = f, g
+        a, b = len(amap) - 1 - v, len(bmap) - 1 - v
         ja = tuple(range(v2 + 1)) + tuple(v2 + k for k in amap[1:])
         jb = tuple(range(v2 + 1)) + tuple(v2 + k for k in bmap[1:])
         na = kernel.compose(amap2, ja)

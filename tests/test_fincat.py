@@ -1,12 +1,15 @@
 """Finite-category toolkit: certified builds, functor reports,
 fundamental-group presentations, and exact Smith reduction."""
 
+import collections
 import itertools
 import math
 import random
 
 import pytest
 
+from f1kgw import fincat, qcat
+from f1kgw._backend import kernel
 from f1kgw.fincat import (
     AbelianGroupSNF,
     AssociativityViolation,
@@ -30,7 +33,17 @@ from f1kgw.fincat import (
     smith_invariants,
     subcategory,
 )
-from f1kgw.qcat import completion_category, conflation_category, q_category, qh_category
+from f1kgw.forms import hyperbolic, identity_form
+from f1kgw.qcat import (
+    completion_category,
+    conflation_category,
+    graph_of_isometries,
+    hyperbolic_groupoid,
+    iso_groupoid,
+    q_category,
+    q_compose,
+    qh_category,
+)
 
 
 def walking_arrow():
@@ -157,13 +170,104 @@ def test_find_needs_morphism_data():
 
 
 def test_compose_by_data_rejects_a_missing_composite():
-    # Z/3 given only 0 and 1: 1 + 1 = 2 has no morphism
-    morphisms = [("*", "*", 0), ("*", "*", 1)]
-    comp_rule = compose_by_data(morphisms, lambda g, f: (g[2] + f[2]) % 3)
-    with pytest.raises(ValueError, match="not a morphism"):
-        build_category(["*"], morphisms, comp_rule)
-    with pytest.raises(ValueError, match="repeats within a hom set"):
-        compose_by_data(morphisms + [("*", "*", 1)], lambda g, f: 0)
+    cases = [
+        # Z/3 given only 0 and 1: 1 + 1 = 2 has no morphism; no datum
+        # repeats, so every pair is composed
+        (["*"], [("*", "*", 0), ("*", "*", 1)]),
+        # the same on two objects: the data repeat, so pairs are memoised
+        (["a", "b"], [("a", "a", 0), ("a", "a", 1), ("b", "b", 0), ("b", "b", 1)]),
+        # 2 is a datum, but only at b: the hom set of a still misses it
+        (
+            ["a", "b"],
+            [("a", "a", 0), ("a", "a", 1), ("b", "b", 0), ("b", "b", 1), ("b", "b", 2)],
+        ),
+    ]
+    for objects, morphisms in cases:
+        comp_rule = compose_by_data(morphisms, lambda g, f: (g + f) % 3)
+        with pytest.raises(ValueError, match="composite of 1 after 1 is not a morphism: 2"):
+            build_category(objects, morphisms, comp_rule)
+        with pytest.raises(ValueError, match="repeats within a hom set"):
+            compose_by_data(morphisms + [morphisms[1]], lambda g, f: 0)
+
+
+def _per_pair_compose_by_data(morphisms, compose_data):
+    """Reference comp_rule: composes every pair and looks the composite
+    up by its (src, dst, data) entry."""
+    index = {entry: m for m, entry in enumerate(morphisms)}
+    if len(index) != len(morphisms):
+        raise ValueError("morphism data repeats within a hom set")
+
+    def comp_rule(g, f):
+        data = compose_data(morphisms[g][2], morphisms[f][2])
+        mid = index.get((morphisms[f][0], morphisms[g][1], data))
+        if mid is None:
+            raise ValueError(
+                "composite of %d after %d is not a morphism: %r" % (g, f, data)
+            )
+        return mid
+
+    return comp_rule
+
+
+def _comma_categories(max_size):
+    """The comma categories that comma_tau_suite(max_size) builds."""
+    SH = hyperbolic_groupoid(max_size)
+    tau = graph_of_isometries(SH, qh_category(max_size))
+    bases = [M for M in (identity_form(0), hyperbolic(1)) if M.size <= max_size]
+    return [comma_category(tau, M) for M in bases]
+
+
+def _contents(cats):
+    return [(c.comp, c.identities, c.homs, c.mor_data) for c in cats]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: [q_category(n) for n in range(5)],
+        lambda: [qh_category(n) for n in range(5)],
+        lambda: [completion_category(n) for n in range(4)],
+        lambda: [conflation_category(n) for n in range(4)],
+        lambda: [iso_groupoid(3), hyperbolic_groupoid(4)],
+        lambda: _comma_categories(3),
+    ],
+    ids=["q", "qh", "completion", "conflation", "groupoids", "comma"],
+)
+def test_compose_by_data_builds_what_per_pair_composition_builds(build, monkeypatch):
+    got = _contents(build())
+    monkeypatch.setattr(fincat, "compose_by_data", _per_pair_compose_by_data)
+    monkeypatch.setattr(qcat, "compose_by_data", _per_pair_compose_by_data)
+    assert got == _contents(build())
+
+
+def _counting(compose_data):
+    calls = collections.Counter()
+
+    def counted(g, f):
+        calls[(g, f)] += 1
+        return compose_data(g, f)
+
+    return counted, calls
+
+
+def test_compose_by_data_composes_each_distinct_data_pair_once():
+    cat = conflation_category(2)
+    morphisms = list(zip(cat.mor_src, cat.mor_dst, cat.mor_data))
+    compose, calls = _counting(kernel.compose)
+    again = build_category(cat.objects, morphisms, compose_by_data(morphisms, compose))
+    assert again.comp == cat.comp
+    pairs = {(cat.data(g), cat.data(f)) for (g, f) in cat.comp}
+    assert set(calls) == pairs and set(calls.values()) == {1}
+    assert len(pairs) < len(cat.comp)
+
+
+def test_compose_by_data_composes_every_pair_when_no_datum_repeats():
+    cat = q_category(3)
+    assert len(set(cat.mor_data)) == cat.n_morphisms
+    morphisms = list(zip(cat.mor_src, cat.mor_dst, cat.mor_data))
+    compose, calls = _counting(q_compose)
+    build_category(cat.objects, morphisms, compose_by_data(morphisms, compose))
+    assert sum(calls.values()) == len(cat.comp)
 
 
 def test_groupoid_inverses():
@@ -334,8 +438,19 @@ def test_full_subcategory_and_closure_check():
     # a generator of Z/4 without its square is not closed
     bz4 = one_object_groupoid(list(range(4)), lambda a, b: (a + b) % 4, 0)
     gen = next(m for m in bz4.hom("*", "*") if bz4.data(m) == 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"not closed under composition at \(g=%d, f=%d\)" % (gen, gen)):
         subcategory(bz4, ["*"], [gen])
+    # two transpositions of S_3: both (s, t) and (t, s) leave, and the
+    # least pair, with g = min(s, t), is the witness
+    s3 = one_object_groupoid(
+        list(itertools.permutations(range(3))),
+        lambda a, b: tuple(a[b[i]] for i in range(3)),
+        (0, 1, 2),
+    )
+    s, t = (s3.find("*", "*", p) for p in ((1, 0, 2), (0, 2, 1)))
+    g, f = min(s, t), max(s, t)
+    with pytest.raises(ValueError, match=r"at \(g=%d, f=%d\)" % (g, f)):
+        subcategory(s3, ["*"], [t, s])
 
 
 def test_pi0_components():
