@@ -13,7 +13,7 @@ deterministic.
 """
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 
@@ -336,62 +336,59 @@ class Functor:
         return self.mor_map[mid]
 
 
-@dataclass
-class FunctorReport:
-    mode: str
-    ok: bool
-    failures: list = field(default_factory=list)
-
-    def line(self):
-        status = "pass" if self.ok else "FAIL"
-        text = "functor %-16s %s" % (self.mode, status)
-        if self.failures:
-            text += "  e.g. %s" % self.failures[0]
-        return text
+def functor_by_data(S, T, obj_map, image_data):
+    """The functor S -> T with the given object map that sends each
+    morphism m to the morphism obj_map[src m] -> obj_map[dst m] of T
+    carrying image_data(m).  A morphism with no such image is left
+    unmapped, and ``check_functor`` reports it."""
+    mor_map = {}
+    for m in range(S.n_morphisms):
+        image = T.find(obj_map[S.mor_src[m]], obj_map[S.mor_dst[m]], image_data(m))
+        if image is not None:
+            mor_map[m] = image
+    return Functor(S, T, obj_map, mor_map)
 
 
 def check_functor(F, mode="functoriality"):
-    """Certify a functor property; reports rather than raises.
+    """Certify a functor property: "" when F has it, otherwise the first
+    witness against it.
 
-    mode: functoriality | full | faithful | ess_surjective | equivalence.
+    mode: functoriality | full | faithful | ess_surjective | equivalence;
+    equivalence checks the other four in that order, so its witness is
+    the first failure of the first property that fails.  Functoriality,
+    and so equivalence, reports an unmapped object or morphism; the
+    other modes alone assume that F maps everything.
     """
     if mode == "equivalence":
-        reports = [
-            check_functor(F, m)
-            for m in ("functoriality", "full", "faithful", "ess_surjective")
-        ]
-        merged = FunctorReport(
-            mode="equivalence",
-            ok=all(r.ok for r in reports),
-            failures=[f for r in reports for f in r.failures],
-        )
-        return merged
+        modes = ("functoriality", "full", "faithful", "ess_surjective")
+    else:
+        modes = (mode,)
+    return next((w for m in modes for w in _functor_witnesses(F, m)), "")
+
+
+def _functor_witnesses(F, mode):
+    """Witnesses that F lacks the property mode, in a fixed order."""
     S, T = F.source, F.target
-    failures = []
     if mode == "functoriality":
         for o in S.objects:
             if o not in F.obj_map:
-                failures.append("object %r unmapped" % (o,))
-                continue
-            if F.obj_map[o] not in T.obj_index:
-                failures.append("object %r maps outside the target" % (o,))
+                yield "object %r unmapped" % (o,)
+            elif F.obj_map[o] not in T.obj_index:
+                yield "object %r maps outside the target" % (o,)
         for m in range(S.n_morphisms):
             fm = F.mor_map.get(m)
             if fm is None:
-                failures.append("morphism %d unmapped" % m)
-                continue
-            if T.mor_src[fm] != F.obj_map[S.mor_src[m]] or T.mor_dst[fm] != F.obj_map[
+                yield "morphism %d unmapped" % m
+            elif T.mor_src[fm] != F.obj_map[S.mor_src[m]] or T.mor_dst[fm] != F.obj_map[
                 S.mor_dst[m]
             ]:
-                failures.append("morphism %d endpoints broken" % m)
-        if not failures:
-            for o in S.objects:
-                if F.mor_map[S.identities[o]] != T.identities[F.obj_map[o]]:
-                    failures.append("identity of %r not preserved" % (o,))
-            for (g, f), gf in S.comp.items():
-                if T.comp[(F.mor_map[g], F.mor_map[f])] != F.mor_map[gf]:
-                    failures.append("composition broken at (g=%d, f=%d)" % (g, f))
-                    break
+                yield "morphism %d endpoints broken" % m
+        for o in S.objects:
+            if F.mor_map[S.identities[o]] != T.identities[F.obj_map[o]]:
+                yield "identity of %r not preserved" % (o,)
+        for (g, f), gf in S.comp.items():
+            if T.comp[(F.mor_map[g], F.mor_map[f])] != F.mor_map[gf]:
+                yield "composition broken at (g=%d, f=%d)" % (g, f)
     elif mode in ("full", "faithful"):
         for a in S.objects:
             for b in S.objects:
@@ -399,27 +396,23 @@ def check_functor(F, mode="functoriality"):
                 for m in S.hom(a, b):
                     images.setdefault(F.mor_map[m], []).append(m)
                 if mode == "faithful":
-                    for fm, pre in images.items():
+                    for pre in images.values():
                         if len(pre) > 1:
-                            failures.append(
-                                "hom(%r,%r): ids %s collapse" % (a, b, pre)
-                            )
+                            yield "hom(%r,%r): ids %s collapse" % (a, b, pre)
                 else:
                     want = set(T.hom(F.obj_map[a], F.obj_map[b]))
                     missing = want - set(images)
                     if missing:
-                        failures.append(
-                            "hom(%r,%r): %d target morphisms unhit"
-                            % (a, b, len(missing))
+                        yield "hom(%r,%r): %d target morphisms unhit" % (
+                            a, b, len(missing)
                         )
     elif mode == "ess_surjective":
         hit = set(F.obj_map[o] for o in S.objects)
         for t in T.objects:
             if not any(T.objects_isomorphic(h, t) for h in hit):
-                failures.append("target object %r not reached up to iso" % (t,))
+                yield "target object %r not reached up to iso" % (t,)
     else:
         raise ValueError("unknown mode %r" % mode)
-    return FunctorReport(mode=mode, ok=not failures, failures=failures)
 
 
 def comma_category(F, d):

@@ -134,13 +134,6 @@ class SymmetricForm:
     def __repr__(self):
         return "SymmetricForm(%d, %r)" % (self.size, self.psi)
 
-    def to_json(self):
-        return {"size": self.size, "psi": list(self.psi)}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(data["size"], tuple(data["psi"]))
-
 
 def identity_form(n):
     """The split form: ψ = id, n fixed points."""

@@ -113,13 +113,6 @@ class F1Morphism:
         except ValueError as exc:
             raise ValueError("bad morphism literal %r" % text) from exc
 
-    def to_json(self):
-        return {"src": self.src, "dst": self.dst, "map": list(self.map)}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(data["src"], data["dst"], data["map"])
-
     @property
     def image(self):
         """Nonzero image as a sorted tuple."""

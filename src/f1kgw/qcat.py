@@ -25,6 +25,12 @@ Morphism data tells the morphisms of a hom set apart, and
 * isomorphism and hyperbolic groupoids: the map, as an F1Morphism;
 * group-completion category: (v, alpha, beta) in canonical form.
 
+The functors between them (the forgetful functor, the quotient
+fibration, the fiber embeddings, the graph of isometries and the
+stabilizations) are built by ``fincat.functor_by_data`` from an object
+map and the data of each morphism's image, and certified by
+``fincat.check_functor``, which returns its first witness.
+
 Spans compose on their canonical map tuples (``sub`` and ``pmap``)
 through the kernel's pullback legs; ``QSpan`` validates its data
 through the kernel, and F1Morphism is the boundary type of
@@ -35,12 +41,12 @@ import math
 from functools import lru_cache
 
 from .fincat import (
-    Functor,
     build_category,
     check_functor,
     comma_category,
     compose_by_data,
     full_subcategory,
+    functor_by_data,
     one_object_groupoid,
     pi0,
     product_category,
@@ -162,18 +168,6 @@ class QSpan:
     def __repr__(self):
         return "QSpan(%d, %d, %r, %r)" % (self.src, self.dst, self.sub, self.pmap)
 
-    def to_json(self):
-        return {
-            "src": self.src,
-            "dst": self.dst,
-            "sub": list(self.sub),
-            "pmap": list(self.pmap),
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(data["src"], data["dst"], tuple(data["sub"]), tuple(data["pmap"]))
-
 
 def q_compose(g, f):
     """Composite of spans by pullback: f: u -> v, then g: v -> w.
@@ -290,12 +284,7 @@ def qh_category(max_size):
 
 def qh_forgetful(qh, q):
     """The functor to the span category: a form goes to its size."""
-    obj_map = {M: M.size for M in qh.objects}
-    mor_map = {}
-    for m in range(qh.n_morphisms):
-        span = qh.data(m)
-        mor_map[m] = q.find(span.src, span.dst, span)
-    return Functor(qh, q, obj_map, mor_map)
+    return functor_by_data(qh, q, {M: M.size for M in qh.objects}, qh.data)
 
 
 def qh_component_fixed_points(qh):
@@ -340,51 +329,18 @@ def qh_census_counts(max_size):
 # the category of conflations
 
 
-class ConflationMorphism:
-    """A morphism of conflations X' -> X, determined by the middle
-    inflation b: B' >-> B, with the parts forced by b that give its
-    quotient span: the hit quotient subset c1 of C and the quotient
-    comparison q: C1 ->> C'.
-    """
+def _quotient_parts(src, dst, bmap):
+    """The quotient span of the conflation morphism src -> dst with
+    middle inflation bmap, as the hit quotient subset c1 of C and the
+    map tuple of the quotient comparison q: C1 ->> C', or None when
+    bmap gives no morphism.
 
-    __slots__ = ("src", "dst", "b", "c1", "q")
-
-    def __init__(self, src, dst, b, c1, q):
-        for name, value in (("src", src), ("dst", dst), ("b", b), ("c1", c1), ("q", q)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ConflationMorphism is immutable")
-
-    def quotient_span(self):
-        """The induced span quotient(src) -> quotient(dst)."""
-        return QSpan(self.src.quotient, self.dst.quotient, self.c1, self.q.map)
-
-    def __str__(self):
-        return "conf-mor b=%s" % (self.b,)
-
-
-def conflation_morphism(src, dst, b):
-    """Build the morphism src -> dst with middle leg b, or None.
-
-    Every condition is checked: b an inflation, the quotient
+    Every condition is checked: bmap an inflation, the quotient
     corestriction pi1: B' ->> C1 a deflation, the pulled-back sub
     k: A >-> B' an inflation forming a conflation row with it, the sub
     comparison a: A >-> A' an inflation through which k factors, and
     the forced quotient comparison q a deflation with q∘pi1 = pi'.
     """
-    if b.src != src.total or b.dst != dst.total:
-        return None
-    parts = _quotient_parts(src, dst, b.map)
-    if parts is None:
-        return None
-    c1, qmap = parts
-    return ConflationMorphism(src, dst, b, c1, F1Morphism(len(c1), src.quotient, qmap))
-
-
-def _quotient_parts(src, dst, bmap):
-    """``conflation_morphism``'s checks on the map tuple bmap: the hit
-    quotient subset c1 and the map tuple of q, or None."""
     if not kernel.is_injective(bmap):
         return None
     pi_b = kernel.compose(dst.p.map, bmap)
@@ -437,13 +393,12 @@ def conflation_category(max_size):
 
 def quotient_fibration(E, q):
     """The functor from conflations to spans taking quotients."""
-    obj_map = {X: X.quotient for X in E.objects}
-    mor_map = {}
-    for m in range(E.n_morphisms):
+
+    def quotient_span(m):
         src, dst = E.mor_src[m], E.mor_dst[m]
-        span = QSpan(src.quotient, dst.quotient, *_quotient_parts(src, dst, E.data(m)))
-        mor_map[m] = q.find(src.quotient, dst.quotient, span)
-    return Functor(E, q, obj_map, mor_map)
+        return QSpan(src.quotient, dst.quotient, *_quotient_parts(src, dst, E.data(m)))
+
+    return functor_by_data(E, q, {X: X.quotient for X in E.objects}, quotient_span)
 
 
 def iso_groupoid(max_size):
@@ -464,12 +419,7 @@ def fiber_embedding(S, fiber, c):
     """The functor from the isomorphism groupoid into the fiber over
     size c: A goes to the standard extension, phi to id_C ⊕ phi."""
     obj_map = {a: canonical_extension(c, a) for a in S.objects}
-    mor_map = {}
-    for m in range(S.n_morphisms):
-        phi = S.data(m)
-        X = obj_map[phi.src]
-        mor_map[m] = fiber.find(X, X, _id_sum(c, phi.map))
-    return Functor(S, fiber, obj_map, mor_map)
+    return functor_by_data(S, fiber, obj_map, lambda m: _id_sum(c, S.data(m).map))
 
 
 def _id_sum(c, fmap):
@@ -564,14 +514,9 @@ def conflation_suite(max_size, fiber_sizes=None):
     )
     q = q_category(max_size)
     quotient = quotient_fibration(E, q)
-    rep = check_functor(quotient, "functoriality")
+    w = check_functor(quotient, "functoriality")
     checks.append(
-        CheckResult(
-            "quotient functor to the span category",
-            rep.ok,
-            E.n_morphisms,
-            rep.failures[0] if rep.failures else "",
-        )
+        CheckResult("quotient functor to the span category", not w, E.n_morphisms, w)
     )
     fiber_mids = {}
     for c in fiber_sizes:
@@ -579,13 +524,13 @@ def conflation_suite(max_size, fiber_sizes=None):
         fiber_mids[c] = [m for m in range(E.n_morphisms) if quotient(m) == over_identity]
         fiber = subcategory(E, [X for X in E.objects if X.quotient == c], fiber_mids[c])
         S = iso_groupoid(max_size - c)
-        rep = check_functor(fiber_embedding(S, fiber, c), "equivalence")
+        w = check_functor(fiber_embedding(S, fiber, c), "equivalence")
         checks.append(
             CheckResult(
                 "fiber embedding at quotient size %d is an equivalence" % c,
-                rep.ok,
+                not w,
                 S.n_morphisms + fiber.n_morphisms,
-                rep.failures[0] if rep.failures else "",
+                w,
             )
         )
 
@@ -761,14 +706,12 @@ def hyperbolic_groupoid(max_size):
 def graph_of_isometries(SH, QH):
     """The functor sending an isometry phi: M -> N to the span whose
     middle is all of N and whose deflation is phi inverted."""
-    obj_map = {M: M for M in SH.objects}
-    mor_map = {}
-    for m in range(SH.n_morphisms):
-        phi = SH.data(m)
-        M, N = SH.mor_src[m], SH.mor_dst[m]
-        span = QSpan.from_morphisms(dualize(phi), F1Morphism.identity(N.size))
-        mor_map[m] = QH.find(M, N, span)
-    return Functor(SH, QH, obj_map, mor_map)
+
+    def graph(m):
+        identity = F1Morphism.identity(SH.mor_dst[m].size)
+        return QSpan.from_morphisms(dualize(SH.data(m)), identity)
+
+    return functor_by_data(SH, QH, {M: M for M in SH.objects}, graph)
 
 
 def standard_stabilization(base, V):
@@ -791,14 +734,9 @@ def comma_tau_suite(max_size):
     QH = qh_category(max_size)
     tau = graph_of_isometries(SH, QH)
     checks = []
-    rep = check_functor(tau, "functoriality")
+    w = check_functor(tau, "functoriality")
     checks.append(
-        CheckResult(
-            "isometries embed into hermitian spans",
-            rep.ok,
-            SH.n_morphisms,
-            rep.failures[0] if rep.failures else "",
-        )
+        CheckResult("isometries embed into hermitian spans", not w, SH.n_morphisms, w)
     )
     bases = [M for M in (identity_form(0), hyperbolic(1)) if M.size <= max_size]
     for M in bases:
@@ -810,36 +748,21 @@ def comma_tau_suite(max_size):
             N = direct_sum_form(M, hyperbolic(v))
             span = standard_stabilization(M, v)
             obj_map[v] = (N, QH.find(M, N, span))
-        mor_map = {}
-        ok = True
-        witness = ""
-        for m in range(S.n_morphisms):
+
+        def stabilized(m):
+            """The id in SH of id_M ⊕ H(phi): the data of phi's image."""
             phi = S.data(m)
-            v = phi.src
-            N = obj_map[v][0]
             g = direct_sum(M.morphism.identity(M.size), hyperbolic_on_morphism(phi))
-            g_mid = SH.find(N, N, g)
-            if g_mid is None:
-                ok, witness = False, "image of %s is not an isometry" % (phi,)
-                break
-            cm = comma.find(obj_map[v], obj_map[v], g_mid)
-            if cm is None:
-                ok, witness = False, (
-                    "image of %s is not a comma morphism fixing the stabilized span" % (phi,)
-                )
-                break
-            mor_map[m] = cm
-        if ok:
-            F = Functor(S, comma, obj_map, mor_map)
-            rep = check_functor(F, "equivalence")
-            ok = rep.ok
-            witness = rep.failures[0] if rep.failures else ""
+            N = obj_map[phi.src][0]
+            return SH.find(N, N, g)
+
+        w = check_functor(functor_by_data(S, comma, obj_map, stabilized), "equivalence")
         checks.append(
             CheckResult(
                 "stabilization under %s is an equivalence" % M,
-                ok,
+                not w,
                 len(comma.objects) + comma.n_morphisms,
-                witness,
+                w,
             )
         )
     return SuiteReport(
@@ -884,35 +807,23 @@ def stabilization_equivalence_suite(target_size=3, domain_size=2):
     obj_map = {}
     for (star, N) in dom.objects:
         obj_map[(star, N)] = direct_sum_form(S_form, N)
-    mor_map = {}
-    ok = True
-    witness = ""
-    for m in range(dom.n_morphisms):
+
+    def split_sum(m):
+        """The image of the morphism (phi, span) of dom: the span with
+        deflation id ⊕ p and inflation phi ⊕ j."""
         mc, md = dom.data(m)
-        phi = BG.data(mc)
-        span = dom_f0.data(md)
-        p, j = span.to_morphisms()
-        new_span = QSpan.from_morphisms(
-            direct_sum(F1Morphism.identity(1), p), direct_sum(phi, j)
+        p, j = dom_f0.data(md).to_morphisms()
+        return QSpan.from_morphisms(
+            direct_sum(F1Morphism.identity(1), p), direct_sum(BG.data(mc), j)
         )
-        src = obj_map[dom.mor_src[m]]
-        dst = obj_map[dom.mor_dst[m]]
-        tm = target.find(src, dst, new_span)
-        if tm is None:
-            ok, witness = False, "image span invalid at morphism %d" % m
-            break
-        mor_map[m] = tm
-    if ok:
-        F = Functor(dom, target, obj_map, mor_map)
-        rep = check_functor(F, "equivalence")
-        ok = rep.ok
-        witness = rep.failures[0] if rep.failures else ""
+
+    w = check_functor(functor_by_data(dom, target, obj_map, split_sum), "equivalence")
     checks.append(
         CheckResult(
             "adding a split point is an equivalence onto its component",
-            ok,
+            not w,
             dom.n_morphisms + target.n_morphisms,
-            witness,
+            w,
         )
     )
 
@@ -940,34 +851,33 @@ def stabilization_equivalence_suite(target_size=3, domain_size=2):
 # group completion
 
 
-def _stab_canonical(v, a, b, amap, bmap):
-    """Lex-least representative of (alpha, beta) under the stabilizer
-    relabelling gamma ⊕ id."""
-    best = None
-    for gmap in kernel.inflation_maps(v, v):
-        ga = gmap + tuple(v + k for k in range(1, a + 1))
-        gb = gmap + tuple(v + k for k in range(1, b + 1))
-        cand = (kernel.compose(amap, ga), kernel.compose(bmap, gb))
-        if best is None or cand < best:
-            best = cand
-    return best
+def _stab_canonical(v, amap, bmap):
+    """Lex-least representative of the bijections (alpha, beta) under
+    the stabilizer relabelling gamma ⊕ id.
+
+    gamma permutes the first v entries of both maps alike.  Those of
+    alpha are distinct, so the least alpha has them ascending, and
+    sorting them fixes gamma."""
+    order = sorted(range(1, v + 1), key=amap.__getitem__)
+    return (
+        (0,) + tuple(amap[k] for k in order) + amap[v + 1:],
+        (0,) + tuple(bmap[k] for k in order) + bmap[v + 1:],
+    )
 
 
 def completion_morphisms(a, b, a2, b2):
     """Canonical classes of stabilizations (V, alpha, beta) from (a,b)
-    to (a2,b2)."""
+    to (a2,b2), in lex order: each alpha whose first v entries ascend,
+    paired with every beta."""
     v = a2 - a
     if v != b2 - b or v < 0:
         return []
-    seen = set()
-    out = []
-    for amap in kernel.inflation_maps(a2, a2):
-        for bmap in kernel.inflation_maps(b2, b2):
-            canon = _stab_canonical(v, a, b, amap, bmap)
-            if canon not in seen:
-                seen.add(canon)
-                out.append((v, canon[0], canon[1]))
-    return out
+    return [
+        (v, amap, bmap)
+        for amap in kernel.inflation_maps(a2, a2)
+        if all(amap[k] < amap[k + 1] for k in range(1, v))
+        for bmap in kernel.inflation_maps(b2, b2)
+    ]
 
 
 def completion_category(window):
@@ -988,12 +898,11 @@ def completion_category(window):
 
     def compose_data(g, f):
         (v, amap, bmap), (v2, amap2, bmap2) = f, g
-        a, b = len(amap) - 1 - v, len(bmap) - 1 - v
         ja = tuple(range(v2 + 1)) + tuple(v2 + k for k in amap[1:])
         jb = tuple(range(v2 + 1)) + tuple(v2 + k for k in bmap[1:])
         na = kernel.compose(amap2, ja)
         nb = kernel.compose(bmap2, jb)
-        return (v2 + v,) + _stab_canonical(v2 + v, a, b, na, nb)
+        return (v2 + v,) + _stab_canonical(v2 + v, na, nb)
 
     return build_category(objects, morphisms, compose_by_data(morphisms, compose_data))
 

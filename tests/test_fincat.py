@@ -1,4 +1,4 @@
-"""Finite-category toolkit: certified builds, functor reports,
+"""Finite-category toolkit: certified builds, functor checks,
 fundamental-group presentations, and exact Smith reduction."""
 
 import collections
@@ -26,6 +26,7 @@ from f1kgw.fincat import (
     comma_category,
     compose_by_data,
     full_subcategory,
+    functor_by_data,
     one_object_groupoid,
     pi0,
     pi1_presentation,
@@ -408,17 +409,37 @@ def test_product_category_counts():
 def test_identity_functor_is_an_equivalence():
     two = walking_arrow()
     F = Functor(two, two, {0: 0, 1: 1}, {0: 0, 1: 1, 2: 2})
-    rep = check_functor(F, "equivalence")
-    assert rep.ok
-    assert "pass" in rep.line()
+    assert check_functor(F, "equivalence") == ""
 
 
 def test_constant_functor_fails_fullness():
     two = walking_arrow()
     F = Functor(two, two, {0: 0, 1: 0}, {0: 0, 1: 0, 2: 0})
-    assert check_functor(F, "functoriality").ok
-    rep = check_functor(F, "full")
-    assert not rep.ok
+    assert check_functor(F, "functoriality") == ""
+    assert check_functor(F, "full") == "hom(1,0): 1 target morphisms unhit"
+
+
+def test_functor_with_an_unmapped_object_is_reported_not_raised():
+    two = walking_arrow()
+    F = Functor(two, two, {0: 0}, {0: 0, 1: 1, 2: 2})
+    assert check_functor(F, "functoriality") == "object 1 unmapped"
+    assert check_functor(F, "equivalence") == "object 1 unmapped"
+
+
+def test_functor_witness_order_and_unmapped_morphisms():
+    two = walking_arrow()
+    # the arrow goes to an identity: neither functorial nor full
+    F = Functor(two, two, {0: 0, 1: 1}, {0: 0, 1: 1, 2: 0})
+    assert check_functor(F, "full") == "hom(0,1): 1 target morphisms unhit"
+    assert check_functor(F, "equivalence") == "morphism 2 endpoints broken"
+    with pytest.raises(ValueError):
+        check_functor(F, "surjective")
+    # Z/2 into itself by data: the generator's image carries no data of Z/2
+    G = one_object_groupoid((0, 1), lambda g, f: (g + f) % 2, 0)
+    assert check_functor(functor_by_data(G, G, {"*": "*"}, G.data), "equivalence") == ""
+    F = functor_by_data(G, G, {"*": "*"}, lambda m: 2 * G.data(m))
+    assert F.mor_map == {0: 0}
+    assert check_functor(F, "equivalence") == "morphism 1 unmapped"
 
 
 def test_comma_category_of_walking_arrow():
