@@ -355,9 +355,8 @@ def check_functor(F, mode="functoriality"):
 
     mode: functoriality | full | faithful | ess_surjective | equivalence;
     equivalence checks the other four in that order, so its witness is
-    the first failure of the first property that fails.  Functoriality,
-    and so equivalence, reports an unmapped object or morphism; the
-    other modes alone assume that F maps everything.
+    the first failure of the first property that fails.  Every mode
+    reports an unmapped object or morphism that it reads as a witness.
     """
     if mode == "equivalence":
         modes = ("functoriality", "full", "faithful", "ess_surjective")
@@ -394,11 +393,16 @@ def _functor_witnesses(F, mode):
             for b in S.objects:
                 images = {}
                 for m in S.hom(a, b):
-                    images.setdefault(F.mor_map[m], []).append(m)
+                    if m in F.mor_map:
+                        images.setdefault(F.mor_map[m], []).append(m)
+                    else:
+                        yield "morphism %d unmapped" % m
                 if mode == "faithful":
                     for pre in images.values():
                         if len(pre) > 1:
                             yield "hom(%r,%r): ids %s collapse" % (a, b, pre)
+                elif a not in F.obj_map or b not in F.obj_map:
+                    yield "object %r unmapped" % (b if a in F.obj_map else a,)
                 else:
                     want = set(T.hom(F.obj_map[a], F.obj_map[b]))
                     missing = want - set(images)
@@ -407,7 +411,12 @@ def _functor_witnesses(F, mode):
                             a, b, len(missing)
                         )
     elif mode == "ess_surjective":
-        hit = set(F.obj_map[o] for o in S.objects)
+        hit = set()
+        for o in S.objects:
+            if o in F.obj_map:
+                hit.add(F.obj_map[o])
+            else:
+                yield "object %r unmapped" % (o,)
         for t in T.objects:
             if not any(T.objects_isomorphic(h, t) for h in hit):
                 yield "target object %r not reached up to iso" % (t,)
@@ -549,7 +558,8 @@ def pi0(cat):
 @dataclass(frozen=True)
 class GroupPresentation:
     """Generators with relator words; words are tuples of nonzero ints,
-    ±(i+1) meaning generator i or its inverse."""
+    ±(i+1) meaning generator i or its inverse, which is what
+    ``abelian_group`` takes."""
 
     generators: tuple
     relations: tuple
@@ -653,79 +663,70 @@ class AbelianGroupSNF:
         return {"rank": self.rank, "torsion": list(self.torsion)}
 
 
-def smith_invariants(rows, ncols):
-    """Invariant factors of the integer matrix (list of rows).
+def smith_invariants(rows):
+    """Invariant factors of the integer matrix with the given sparse rows.
 
-    Classical Smith reduction with exact integer arithmetic; returns the
-    nonzero diagonal entries d1 | d2 | ..., all positive.
+    rows: iterable of {column: coefficient} mappings; a column is any
+    hashable label and a missing entry is zero.  Returns the nonzero
+    diagonal entries d1 | d2 | ... of the Smith normal form, all
+    positive, in exact integer arithmetic.
+
+    Each pivot p is an entry ±1 if one is left, otherwise one of least
+    absolute value.  Row operations clear p's column and column
+    operations its row; a nonzero remainder is smaller than p and becomes
+    the pivot.  A row that p does not divide is added to p's row, and the
+    clearing goes on; otherwise |p| is the next invariant, and p's row
+    and column are dropped.
     """
-    A = [list(r) for r in rows]
-    nrows = len(A)
+    rows = [r for r in ({c: v for c, v in r.items() if v} for r in rows) if r]
     invariants = []
-    t = 0
-    while t < nrows and t < ncols:
-        # find a pivot
-        pr = pc = -1
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                v = abs(A[i][j])
-                if v and (best is None or v < best):
-                    best, pr, pc = v, i, j
-        if best is None:
-            break
-        A[t], A[pr] = A[pr], A[t]
-        for row in A:
-            row[t], row[pc] = row[pc], row[t]
+    while rows:
+        units = ((i, c) for i, r in enumerate(rows) for c in r if r[c] in (1, -1))
+        i, c = next(units, None) or min(
+            ((i, c) for i, r in enumerate(rows) for c in r),
+            key=lambda ic: abs(rows[ic[0]][ic[1]]),
+        )
+        prow = rows.pop(i)
         while True:
-            pivot = A[t][t]
-            done = True
-            for i in range(t + 1, nrows):
-                if A[i][t]:
-                    q = A[i][t] // pivot
-                    for j in range(t, ncols):
-                        A[i][j] -= q * A[t][j]
-                    if A[i][t]:
-                        A[t], A[i] = A[i], A[t]
-                        done = False
-                        break
-            if not done:
-                continue
-            for j in range(t + 1, ncols):
-                if A[t][j]:
-                    q = A[t][j] // pivot
-                    for row in A:
-                        row[j] -= q * row[t]
-                    if A[t][j]:
-                        for row in A:
-                            row[t], row[j] = row[j], row[t]
-                        done = False
-                        break
-            if done:
-                break
-        # enforce divisibility of the remaining block
-        pivot = abs(A[t][t])
-        fixed = True
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if A[i][j] % pivot:
-                    for jj in range(t, ncols):
-                        A[t][jj] += A[i][jj]
-                    fixed = False
+            p = prow[c]
+            for k in [k for k, r in enumerate(rows) if c in r]:
+                r, q = rows[k], rows[k][c] // p
+                for j, x in prow.items():
+                    r[j] = r.get(j, 0) - q * x
+                    if not r[j]:
+                        del r[j]
+                if c in r:  # a remainder smaller than p: the new pivot
+                    rows[k], prow = prow, r
                     break
-            if not fixed:
-                break
-        if not fixed:
-            continue
-        invariants.append(pivot)
-        t += 1
+            else:  # column c is clear, so column operations touch prow only
+                bad = abs(p) > 1 and next(
+                    (r for r in [prow, *rows] if any(v % p for v in r.values())), None
+                )
+                if not bad:
+                    invariants.append(abs(p))
+                    break
+                rest = {j: v % p for j, v in bad.items() if v % p}
+                prow = {c: p, **rest}
+                c = min(rest, key=lambda j: abs(rest[j]))
+        rows = [r for r in rows if r]
     return invariants
 
 
-def abelian_group(rows, ngens):
-    """The abelian group on ngens generators subject to the integer
-    relation rows, as an AbelianGroupSNF."""
-    invariants = smith_invariants(rows, ngens)
+def abelian_group(relations, ngens):
+    """The abelian group on ngens generators subject to the relator
+    words, as an AbelianGroupSNF.
+
+    A word is a tuple of nonzero ints, ±(i+1) meaning generator i or its
+    inverse (GroupPresentation's convention), and says that its letters
+    sum to zero.  This is the one place where relations become rows.
+    """
+    rows = []
+    for w in relations:
+        row = {}
+        for s in w:
+            row[abs(s)] = row.get(abs(s), 0) + (1 if s > 0 else -1)
+        rows.append(row)
+    invariants = smith_invariants(rows)
     return AbelianGroupSNF(
         rank=ngens - len(invariants),
         torsion=tuple(d for d in invariants if d > 1),
@@ -734,14 +735,7 @@ def abelian_group(rows, ngens):
 
 def abelianize(pres):
     """Abelianization of a presentation as an AbelianGroupSNF."""
-    ngen = len(pres.generators)
-    rows = []
-    for w in pres.relations:
-        row = [0] * ngen
-        for s in w:
-            row[abs(s) - 1] += 1 if s > 0 else -1
-        rows.append(row)
-    return abelian_group(rows, ngen)
+    return abelian_group(pres.relations, len(pres.generators))
 
 
 # ---------------------------------------------------------------------------
@@ -749,17 +743,15 @@ def abelianize(pres):
 
 
 def category_to_json(cat):
-    """{objects, homs, comp} with object indices in the hom keys."""
+    """{objects, homs, comp} with object indices in the hom keys; the
+    keys come in table order, so dump with sort_keys for stable bytes."""
     return {
         "objects": [str(o) for o in cat.objects],
         "homs": {
             "%d,%d" % (cat.obj_index[a], cat.obj_index[b]): list(ms)
-            for (a, b), ms in sorted(
-                cat.homs.items(),
-                key=lambda kv: (cat.obj_index[kv[0][0]], cat.obj_index[kv[0][1]]),
-            )
+            for (a, b), ms in cat.homs.items()
         },
-        "comp": {"%d,%d" % (g, f): h for (g, f), h in sorted(cat.comp.items())},
+        "comp": {"%d,%d" % (g, f): h for (g, f), h in cat.comp.items()},
     }
 
 

@@ -11,6 +11,7 @@ inverse.  Everything here is exhaustively checkable at desk scale.
 from functools import lru_cache
 
 from ._backend import kernel
+from .fincat import abelian_group
 from .pointed import (
     F1Morphism,
     TypeMismatch,
@@ -484,17 +485,11 @@ class CommMonoidPresentation:
 
     def grothendieck_group(self):
         """Group completion as an AbelianGroupSNF."""
-        from .fincat import abelian_group
-
-        rows = []
-        for lhs, rhs in self.relations:
-            row = [0] * len(self.generators)
-            for k in lhs:
-                row[k] += 1
-            for k in rhs:
-                row[k] -= 1
-            rows.append(row)
-        return abelian_group(rows, len(self.generators))
+        words = [
+            tuple(k + 1 for k in lhs) + tuple(-(k + 1) for k in rhs)
+            for lhs, rhs in self.relations
+        ]
+        return abelian_group(words, len(self.generators))
 
 
 def witt_monoid(max_size):

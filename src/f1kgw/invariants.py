@@ -47,17 +47,11 @@ def k0(max_size):
     [quotient] per conflation shape."""
     conflations = all_conflations(max_size)
     shapes = sorted({(c.sub, c.total, c.quotient) for c in conflations})
-    rows = []
-    for a, x, v in shapes:
-        row = [0] * (max_size + 1)
-        row[x] += 1
-        row[a] -= 1
-        row[v] -= 1
-        rows.append(row)
+    words = [(x + 1, -(a + 1), -(v + 1)) for a, x, v in shapes]
     return InvariantResult(
         "K0",
         max_size,
-        abelian_group(rows, max_size + 1),
+        abelian_group(words, max_size + 1),
         details=(
             "%d conflation shapes among %d conflations" % (len(shapes), len(conflations)),
         ),
@@ -95,8 +89,7 @@ def gw0(max_size):
     generator per hyperbolic rank in the window, one relation per
     additivity instance, each verified by an actual isometry."""
     tmax = max_size // 2
-    rows = []
-    instances = 0
+    words = []
     for a in range(tmax + 1):
         for b in range(tmax + 1):
             if a + b > tmax:
@@ -107,19 +100,14 @@ def gw0(max_size):
                 raise AssertionError(
                     "hyperbolic additivity fails at (%d, %d)" % (a, b)
                 )
-            row = [0] * (tmax + 1)
-            row[a + b] += 1
-            row[a] -= 1
-            row[b] -= 1
-            rows.append(row)
-            instances += 1
+            words.append((a + b + 1, -(a + 1), -(b + 1)))
     return InvariantResult(
         "GW0",
         max_size,
-        abelian_group(rows, tmax + 1),
+        abelian_group(words, tmax + 1),
         details=(
             "hyperbolic ranks 0..%d, %d additivity instances verified"
-            % (tmax, instances),
+            % (tmax, len(words)),
         ),
     )
 

@@ -367,7 +367,7 @@ def _minor_gcd_invariants(matrix):
     ],
 )
 def test_smith_invariants_match_minor_gcd_oracle(matrix, ncols):
-    got = smith_invariants(matrix, ncols)
+    got = smith_invariants([dict(enumerate(r)) for r in matrix])
     want = _minor_gcd_invariants([row[:] for row in matrix]) if matrix else []
     assert got == want
     # divisibility chain
@@ -377,7 +377,110 @@ def test_smith_invariants_match_minor_gcd_oracle(matrix, ncols):
 
 def test_smith_invariants_pinned_example():
     # d1 = gcd(entries) = 2, d1*d2 = gcd(2x2 minors) = 4, d1*d2*d3 = |det| = 624
-    assert smith_invariants([[2, 4, 4], [-6, 6, 12], [10, 4, 16]], 3) == [2, 2, 156]
+    assert smith_invariants(
+        [dict(enumerate(r)) for r in [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]]
+    ) == [2, 2, 156]
+
+
+def _dense_smith_invariants(rows, ncols):
+    """Invariant factors of the integer matrix (list of rows).
+
+    Classical Smith reduction with exact integer arithmetic; returns the
+    nonzero diagonal entries d1 | d2 | ..., all positive.
+    """
+    A = [list(r) for r in rows]
+    nrows = len(A)
+    invariants = []
+    t = 0
+    while t < nrows and t < ncols:
+        # find a pivot
+        pr = pc = -1
+        best = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                v = abs(A[i][j])
+                if v and (best is None or v < best):
+                    best, pr, pc = v, i, j
+        if best is None:
+            break
+        A[t], A[pr] = A[pr], A[t]
+        for row in A:
+            row[t], row[pc] = row[pc], row[t]
+        while True:
+            pivot = A[t][t]
+            done = True
+            for i in range(t + 1, nrows):
+                if A[i][t]:
+                    q = A[i][t] // pivot
+                    for j in range(t, ncols):
+                        A[i][j] -= q * A[t][j]
+                    if A[i][t]:
+                        A[t], A[i] = A[i], A[t]
+                        done = False
+                        break
+            if not done:
+                continue
+            for j in range(t + 1, ncols):
+                if A[t][j]:
+                    q = A[t][j] // pivot
+                    for row in A:
+                        row[j] -= q * row[t]
+                    if A[t][j]:
+                        for row in A:
+                            row[t], row[j] = row[j], row[t]
+                        done = False
+                        break
+            if done:
+                break
+        # enforce divisibility of the remaining block
+        pivot = abs(A[t][t])
+        fixed = True
+        for i in range(t + 1, nrows):
+            for j in range(t + 1, ncols):
+                if A[i][j] % pivot:
+                    for jj in range(t, ncols):
+                        A[t][jj] += A[i][jj]
+                    fixed = False
+                    break
+            if not fixed:
+                break
+        if not fixed:
+            continue
+        invariants.append(pivot)
+        t += 1
+    return invariants
+
+
+def _random_matrices(rng):
+    """(kind, matrix, ncols) triples of three kinds: small dense ones with
+    non-unit entries, relation-shaped sparse ones with zero and repeated
+    rows, and ones with no unit entry at all."""
+    for _ in range(2000):
+        nrows, ncols = rng.randint(0, 8), rng.randint(1, 8)
+        yield "dense", [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)], ncols
+    for _ in range(2000):
+        ncols = rng.randint(1, 12)
+        rows = []
+        for _ in range(rng.randint(0, 40)):
+            row = [0] * ncols
+            for _ in range(rng.randint(0, 3)):
+                row[rng.randrange(ncols)] += rng.choice((1, -1, 1, -1, 2, -2, 3))
+            rows.append(row)
+            if rng.random() < 0.2:
+                rows.append(list(rows[rng.randrange(len(rows))]))
+        yield "sparse", rows, ncols
+    for _ in range(1200):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        yield "even", [[2 * rng.randint(-6, 6) for _ in range(ncols)] for _ in range(nrows)], ncols
+
+
+def test_sparse_smith_invariants_match_the_dense_reduction():
+    kinds = collections.Counter()
+    for kind, matrix, ncols in _random_matrices(random.Random(20201)):
+        want = _dense_smith_invariants(matrix, ncols)
+        assert smith_invariants([dict(enumerate(r)) for r in matrix]) == want, matrix
+        kinds[kind] += 1
+    assert sum(kinds.values()) >= 5000 and len(kinds) == 3
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -387,7 +490,7 @@ def test_cyclic_group_abelianization(n):
     assert ab == AbelianGroupSNF(0, (n,))
 
 
-@pytest.mark.parametrize("n,want", [(3, (2,)), (4, (2,))])
+@pytest.mark.parametrize("n,want", [(3, (2,)), (4, (2,)), (5, (2,))])
 def test_symmetric_group_abelianization(n, want):
     elems = list(itertools.permutations(range(n)))
     comp = lambda a, b: tuple(a[b[i]] for i in range(n))
@@ -440,6 +543,17 @@ def test_functor_witness_order_and_unmapped_morphisms():
     F = functor_by_data(G, G, {"*": "*"}, lambda m: 2 * G.data(m))
     assert F.mor_map == {0: 0}
     assert check_functor(F, "equivalence") == "morphism 1 unmapped"
+
+
+def test_partial_functor_is_reported_by_every_mode():
+    two = walking_arrow()
+    F = Functor(two, two, {0: 0, 1: 1}, {0: 0, 1: 1})
+    assert check_functor(F, "full") == "morphism 2 unmapped"
+    assert check_functor(F, "faithful") == "morphism 2 unmapped"
+    assert check_functor(F, "equivalence") == "morphism 2 unmapped"
+    G = Functor(two, two, {0: 0}, {0: 0, 1: 1, 2: 2})
+    assert check_functor(G, "full") == "object 1 unmapped"
+    assert check_functor(G, "ess_surjective") == "object 1 unmapped"
 
 
 def test_comma_category_of_walking_arrow():

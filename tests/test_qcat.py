@@ -112,13 +112,16 @@ def test_span_category_hom_counts():
 
 def test_span_category_fundamental_group_regression():
     # recorded regression values, not identities: the loop structure of
-    # the span category stays infinite cyclic at both window sizes
+    # the span category stays infinite cyclic at windows 2, 3 and 4
     p2 = pi1_presentation(q_category(2), 0)
     assert (len(p2.generators), len(p2.relations)) == (11, 19)
     assert str(abelianize(p2)) == "Z"
     p3 = pi1_presentation(q_category(3), 0)
     assert (len(p3.generators), len(p3.relations)) == (48, 337)
     assert str(abelianize(p3)) == "Z"
+    p4 = pi1_presentation(q_category(4), 0)
+    assert (len(p4.generators), len(p4.relations)) == (215, 6451)
+    assert str(abelianize(p4)) == "Z"
 
 
 # ------------------------------------------------------------ hermitian
@@ -168,6 +171,11 @@ def test_hermitian_fundamental_group_regression():
     sub = full_subcategory(QH3, comp)
     ab = abelianize(pi1_presentation(sub, identity_form(0)))
     assert str(ab) == "Z/2"
+    # at window 4 the component of forms with two fixed points has two
+    QH4 = qh_category(4)
+    comp = [M for M in QH4.objects if len(M.fixed_points()) == 2]
+    ab = abelianize(pi1_presentation(full_subcategory(QH4, comp), comp[0]))
+    assert str(ab) == "Z/2 x Z/2"
 
 
 # ----------------------------------------------------------- conflations
@@ -332,8 +340,9 @@ def test_completion_morphisms_match_the_search_over_relabellings():
 
 
 def test_completion_fundamental_group_regression():
-    # the loop group at the zero object, window 2
+    # the loop group at the zero object, windows 2 and 3
     C2 = completion_category(2)
     base = next(o for o in C2.objects if o == (0, 0))
     ab = abelianize(pi1_presentation(C2, base))
     assert str(ab) == "Z/2"
+    assert str(abelianize(pi1_presentation(completion_category(3), (0, 0)))) == "Z/2"
