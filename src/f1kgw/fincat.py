@@ -1,11 +1,14 @@
 """Explicit finite categories: exhaustive validation, functor checks,
 comma constructions, and low-dimensional invariants of the nerve.
 
-Morphisms are dense integer ids; every table is index-based.  All
-certification is by full enumeration over the composition table: a
-FiniteCategory built through ``build_category`` has had associativity
-and the unit laws checked on every composable triple and every
-morphism.  The check runs over one composition table per object (a row
+Morphisms are dense integer ids; every table is index-based.  Each
+morphism carries hashable data that tells it apart within its hom set,
+and a category is built from its (src, dst, data) triples and a rule
+that composes data.  All certification is by full enumeration over the
+composition table: every category is certified by ``build_category``,
+which checks associativity and the unit laws on every composable
+triple and every morphism, or restricted by ``subcategory`` from one
+that was.  The check runs over one composition table per object (a row
 per morphism out of it, a column per morphism into it), so each
 triple costs a list read, not a dict lookup, and no triple is skipped.
 Ties everywhere are broken by least id, so construction is
@@ -38,10 +41,16 @@ class FiniteCategory:
     homs: (src_id, dst_id) -> tuple of morphism ids.
     comp: (g, f) -> id of g∘f, defined exactly on composable pairs.
     identities: object id -> id of its identity morphism.
-    mor_data: optional payload per morphism id (spans, maps, ...).  Data
-    is hashable and tells the morphisms of one hom set apart, so
-    ``find(src, dst, data)`` recovers the id; ``find`` on a category
-    without data is an error.
+    mor_src, mor_dst, mor_data: endpoints and payload (spans, maps, ...)
+    per morphism id.  Data is hashable and tells the morphisms of one
+    hom set apart, so ``find(src, dst, data)`` recovers the id.
+
+    The constructor indexes the objects and the (src, dst, data)
+    morphisms and leaves ``comp`` and ``identities`` empty:
+    ``build_category`` fills and certifies them, and ``subcategory``
+    restricts them from its parent.  The data index (object index of
+    src, object index of dst, dense data id) -> morphism id serves both
+    composition and ``find``.
     """
 
     __slots__ = (
@@ -54,20 +63,37 @@ class FiniteCategory:
         "mor_data",
         "obj_index",
         "_inverses",
+        "_data_id",
         "_by_data",
     )
 
-    def __init__(self, objects, homs, comp, identities, mor_src, mor_dst, mor_data=None):
+    def __init__(self, objects, morphisms):
         self.objects = tuple(objects)
-        self.homs = homs
-        self.comp = comp
-        self.identities = identities
-        self.mor_src = tuple(mor_src)
-        self.mor_dst = tuple(mor_dst)
-        self.mor_data = tuple(mor_data) if mor_data is not None else None
-        self.obj_index = {o: k for k, o in enumerate(self.objects)}
+        self.obj_index = index = {}
+        for o in self.objects:
+            if o in index:
+                raise ValueError("duplicate object id %r" % (o,))
+            index[o] = len(index)
+        mor_src, mor_dst, mor_data, keys = [], [], [], []
+        self._data_id = data_id = {}  # datum -> dense id, by first appearance
+        for src, dst, data in morphisms:
+            if src not in index or dst not in index:
+                raise UnknownObject("morphism endpoint not among the objects: %r" % ((src, dst),))
+            mor_src.append(src)
+            mor_dst.append(dst)
+            mor_data.append(data)
+            keys.append((index[src], index[dst], data_id.setdefault(data, len(data_id))))
+        self._by_data = {key: m for m, key in enumerate(keys)}
+        if len(self._by_data) != len(keys):
+            raise ValueError("morphism data repeats within a hom set")
+        self.mor_src, self.mor_dst, self.mor_data = tuple(mor_src), tuple(mor_dst), tuple(mor_data)
+        homs = {}
+        for m, key in enumerate(zip(mor_src, mor_dst)):
+            homs.setdefault(key, []).append(m)
+        self.homs = {k: tuple(v) for k, v in homs.items()}
+        self.comp = {}
+        self.identities = {}
         self._inverses = None
-        self._by_data = None
 
     @property
     def n_morphisms(self):
@@ -80,17 +106,13 @@ class FiniteCategory:
         return self.comp[(g, f)]
 
     def data(self, mid):
-        return self.mor_data[mid] if self.mor_data is not None else None
+        return self.mor_data[mid]
 
     def find(self, src, dst, data):
         """Id of the morphism src -> dst carrying data, or None."""
-        if self._by_data is None:
-            if self.mor_data is None:
-                raise ValueError("the category carries no morphism data")
-            self._by_data = _data_index(
-                list(zip(self.mor_src, self.mor_dst, self.mor_data))
-            )
-        return self._by_data.get((src, dst, data))
+        return self._by_data.get(
+            (self.obj_index.get(src), self.obj_index.get(dst), self._data_id.get(data))
+        )
 
     def inverse(self, mid):
         """Id of the two-sided inverse, or None."""
@@ -123,102 +145,92 @@ class FiniteCategory:
         )
 
 
-def build_category(objects, morphisms, comp_rule):
+def build_category(objects, morphisms, compose_data):
     """Assemble and exhaustively certify a finite category.
 
     objects: iterable of hashable ids.
-    morphisms: iterable of (src_id, dst_id) or (src_id, dst_id, data).
-    comp_rule(g, f): morphism id of g∘f for every composable pair.
+    morphisms: iterable of (src_id, dst_id, data) triples; data repeated
+    within a hom set raises ValueError.
+    compose_data(g_data, f_data): the data of g∘f.  It must depend on
+    the two data values alone, never on the endpoints, so that equal
+    pairs of data compose alike wherever they occur.
 
-    Every composable pair is composed once, into the composition table
-    of the middle object: row g, column f holds g∘f.  Unit laws are
-    checked for every object (UnitViolation if no unique unit exists).
+    The composite of g and f is the morphism f.src -> g.dst carrying the
+    composed data, looked up in the category's data index; a composite
+    outside that hom set raises ValueError.  When some datum is carried
+    by more than one morphism, each distinct pair of data is composed
+    once and its result reused; when every datum is distinct, so is
+    every pair, and nothing is memoised.
+
+    Every composable pair is composed into the composition table of the
+    middle object: row g, column f holds g∘f.  Unit laws are checked for
+    every object (UnitViolation if no unique unit exists).
     Associativity is checked on every composable triple, a whole row of
     f at a time (AssociativityViolation with the least witnessing
     (f, g, h)).  The tables are dropped afterwards; the category keeps
     only the (g, f) -> g∘f dict ``comp``.
     """
-    objects = tuple(objects)
-    index = {}
-    for o in objects:
-        if o in index:
-            raise ValueError("duplicate object id %r" % (o,))
-        index[o] = len(index)
-    mor_src, mor_dst, mor_data = [], [], []
-    has_data = False
-    for m in morphisms:
-        if len(m) == 3:
-            src, dst, data = m
-            has_data = True
-        else:
-            src, dst = m
-            data = None
-        if src not in index or dst not in index:
-            raise UnknownObject("morphism endpoint not among the objects: %r" % ((src, dst),))
-        mor_src.append(src)
-        mor_dst.append(dst)
-        mor_data.append(data)
-    n = len(mor_src)
-    homs = {}
-    for mid in range(n):
-        homs.setdefault((mor_src[mid], mor_dst[mid]), []).append(mid)
-    homs = {k: tuple(v) for k, v in homs.items()}
-    # dense object indices; out_of[k] / into[k] list ids in ascending order
-    src_k = [index[o] for o in mor_src]
-    dst_k = [index[o] for o in mor_dst]
-    out_of = [[] for _ in objects]
-    into = [[] for _ in objects]
+    cat = FiniteCategory(objects, morphisms)
+    n, data, data_id, by_data = cat.n_morphisms, cat.mor_data, cat._data_id, cat._by_data
+    # dense object indices and data ids, in id order
+    src_k, dst_k, did = zip(*by_data) if n else ((), (), ())
+    # out_of[k] / into[k] list ids in ascending order
+    out_of = [[] for _ in cat.objects]
+    into = [[] for _ in cat.objects]
     col = [0] * n  # col[f]: position of f in into[dst_k[f]]
     for mid in range(n):
         out_of[src_k[mid]].append(mid)
         col[mid] = len(into[dst_k[mid]])
         into[dst_k[mid]].append(mid)
 
+    if len(data_id) == n:
+
+        def composite(g, f):
+            return data_id.get(compose_data(data[g], data[f]))
+
+    else:
+        memo = {}  # (data id of g, data id of f) -> data id of g∘f
+
+        def composite(g, f):
+            pair = (did[g], did[f])
+            d = memo.get(pair, -1)
+            if d == -1:
+                d = memo[pair] = data_id.get(compose_data(data[g], data[f]))
+            return d
+
     # row[g][col[f]] = g∘f: the table of object o has one row per
     # morphism out of o and one column per morphism into o
     row = [[None] * len(into[k]) for k in src_k]
-    comp = {}
+    comp = cat.comp
     for f in range(n):
         cf, sf = col[f], src_k[f]
         for g in out_of[dst_k[f]]:
-            h = comp_rule(g, f)
-            if not isinstance(h, int) or not 0 <= h < n:
-                raise ValueError("comp_rule returned a bad id %r" % (h,))
-            if src_k[h] != sf or dst_k[h] != dst_k[g]:
+            h = by_data.get((sf, dst_k[g], composite(g, f)))
+            if h is None:
                 raise ValueError(
-                    "composite of %d after %d has wrong endpoints" % (g, f)
+                    "composite of %d after %d is not a morphism: %r"
+                    % (g, f, compose_data(data[g], data[f]))
                 )
             row[g][cf] = h
             comp[(g, f)] = h
     for g, r in enumerate(row):  # in place, so no second copy of the tables
         row[g] = tuple(r)
 
-    identities = {}
-    for k, o in enumerate(objects):
+    for k, o in enumerate(cat.objects):
         want = tuple(into[k])
         units = [
             e
-            for e in homs.get((o, o), ())
+            for e in cat.hom(o, o)
             if row[e] == want and all(row[g][col[e]] == g for g in out_of[k])
         ]
         if len(units) != 1:
             raise UnitViolation(
                 "object %r has %d units" % (o, len(units))
             )
-        identities[o] = units[0]
+        cat.identities[o] = units[0]
 
     _certify_associativity(row, col, out_of, dst_k, into, src_k)
-    del row
-
-    return FiniteCategory(
-        objects,
-        homs,
-        comp,
-        identities,
-        mor_src,
-        mor_dst,
-        mor_data if has_data else None,
-    )
+    return cat
 
 
 def _certify_associativity(row, col, out_of, dst_k, into, src_k):
@@ -248,79 +260,6 @@ def _certify_associativity(row, col, out_of, dst_k, into, src_k):
     if least is not None:
         f, g, h = least
         raise AssociativityViolation(h, g, f)
-
-
-def _data_index(morphisms):
-    """(src, dst, data) -> position in the list of such entries; raises
-    ValueError when data repeats within a hom set."""
-    index = {entry: m for m, entry in enumerate(morphisms)}
-    if len(index) != len(morphisms):
-        raise ValueError("morphism data repeats within a hom set")
-    return index
-
-
-def compose_by_data(morphisms, compose_data):
-    """A comp_rule for build_category over (src, dst, data) morphisms.
-
-    compose_data(g_data, f_data) receives the data of g and f and returns
-    the data of g∘f.  It must depend on the two data values alone, never
-    on the endpoints, so that equal pairs of data compose alike wherever
-    they occur.  The composite is the morphism f.src -> g.dst carrying
-    the result; a composite outside its hom set raises ValueError, and so
-    does data repeated within a hom set.
-
-    Endpoints and data values get dense integer ids, and the composite
-    is found through one (src id, dst id, data id) index.  When some
-    data value is carried by more than one morphism, each distinct pair
-    of data values is composed once and its result reused; when every
-    value is distinct, so is every pair, and nothing is memoised.
-    """
-    endpoint_id, data_id, values = {}, {}, []
-    srcs, dsts, dids = [], [], []
-    for src, dst, data in morphisms:
-        d = data_id.setdefault(data, len(values))
-        if d == len(values):
-            values.append(data)
-        srcs.append(endpoint_id.setdefault(src, len(endpoint_id)))
-        dsts.append(endpoint_id.setdefault(dst, len(endpoint_id)))
-        dids.append(d)
-    index = {key: m for m, key in enumerate(zip(srcs, dsts, dids))}
-    if len(index) != len(dids):
-        raise ValueError("morphism data repeats within a hom set")
-
-    def not_a_morphism(g, f, data):
-        return ValueError(
-            "composite of %d after %d is not a morphism: %r" % (g, f, data)
-        )
-
-    if len(values) == len(dids):
-
-        def comp_rule(g, f):
-            data = compose_data(values[dids[g]], values[dids[f]])
-            mid = index.get((srcs[f], dsts[g], data_id.get(data)))
-            if mid is None:
-                raise not_a_morphism(g, f, data)
-            return mid
-
-        return comp_rule
-
-    memo = {}  # (data id of g, data id of f) -> data id of g∘f
-
-    def comp_rule(g, f):
-        pair = (dids[g], dids[f])
-        d = memo.get(pair)
-        if d is None:
-            data = compose_data(values[pair[0]], values[pair[1]])
-            d = data_id.get(data)
-            if d is None:
-                raise not_a_morphism(g, f, data)
-            memo[pair] = d
-        mid = index.get((srcs[f], dsts[g], d))
-        if mid is None:
-            raise not_a_morphism(g, f, values[d])
-        return mid
-
-    return comp_rule
 
 
 @dataclass(frozen=True)
@@ -444,7 +383,7 @@ def comma_category(F, d):
             if S.mor_src[g] == c:
                 dst = (S.mor_dst[g], T.comp[(F.mor_map[g], m)])
                 morphisms.append(((c, m), dst, g))
-    return build_category(objs, morphisms, compose_by_data(morphisms, S.compose))
+    return build_category(objs, morphisms, S.compose)
 
 
 def product_category(C, D):
@@ -460,7 +399,7 @@ def product_category(C, D):
         (gc, gd), (fc, fd) = g, f
         return C.comp[(gc, fc)], D.comp[(gd, fd)]
 
-    return build_category(objs, morphisms, compose_by_data(morphisms, compose_data))
+    return build_category(objs, morphisms, compose_data)
 
 
 def one_object_groupoid(elements, compose_fn, identity_element, label="*"):
@@ -469,19 +408,30 @@ def one_object_groupoid(elements, compose_fn, identity_element, label="*"):
     if identity_element not in elements:
         raise ValueError("identity element missing")
     morphisms = [(label, label, e) for e in elements]
-    return build_category([label], morphisms, compose_by_data(morphisms, compose_fn))
+    return build_category([label], morphisms, compose_fn)
 
 
 def subcategory(cat, objects, mids):
     """The subcategory on the given objects and morphism ids.
 
     Identities of the chosen objects are always included; the morphism
-    set must be closed under composition (ValueError otherwise).
-    Morphism data and the object order of the parent are preserved.
+    set must be closed under composition (ValueError otherwise).  An
+    object not in cat raises UnknownObject and an id outside
+    range(cat.n_morphisms) ValueError.  Morphism data and the object
+    order of the parent are preserved.
+
+    Composition is the parent's, restricted, so associativity and the
+    units hold as certified in the parent and are not checked again.
     """
     obj_set = set(objects)
-    objects = [o for o in cat.objects if o in obj_set]
+    unknown = obj_set.difference(cat.obj_index)
+    if unknown:
+        raise UnknownObject(", ".join(sorted(map(repr, unknown))))
     keep = set(mids)
+    stray = {m for m in keep if m not in range(cat.n_morphisms)}
+    if stray:
+        raise ValueError("not morphism ids: %s" % ", ".join(sorted(map(repr, stray))))
+    objects = [o for o in cat.objects if o in obj_set]
     for o in objects:
         keep.add(cat.identities[o])
     keep = sorted(keep)
@@ -491,26 +441,18 @@ def subcategory(cat, objects, mids):
             raise ValueError("morphism %d leaves the chosen objects" % m)
         into[cat.mor_dst[m]].append(m)
     reindex = {m: k for k, m in enumerate(keep)}
+    sub = FiniteCategory(objects, [(cat.mor_src[m], cat.mor_dst[m], cat.mor_data[m]) for m in keep])
     # only composable pairs, in (g, f) order, so the witness is the least
     for g in keep:
         for f in into[cat.mor_src[g]]:
-            if cat.comp[(g, f)] not in reindex:
+            gf = reindex.get(cat.comp[(g, f)])
+            if gf is None:
                 raise ValueError(
                     "not closed under composition at (g=%d, f=%d)" % (g, f)
                 )
-    morphisms = [
-        (
-            cat.mor_src[m],
-            cat.mor_dst[m],
-            cat.data(m),
-        )
-        for m in keep
-    ]
-
-    def comp_rule(g, f):
-        return reindex[cat.comp[(keep[g], keep[f])]]
-
-    return build_category(objects, morphisms, comp_rule)
+            sub.comp[(reindex[g], reindex[f])] = gf
+    sub.identities.update((o, reindex[cat.identities[o]]) for o in objects)
+    return sub
 
 
 def full_subcategory(cat, objects):
@@ -770,7 +712,7 @@ def category_from_json(data):
     for key, h in data["comp"].items():
         g, f = (int(x) for x in key.split(","))
         comp[(g, f)] = h
-    morphisms = [(mor_src[m], mor_dst[m]) for m in range(n)]
+    morphisms = [(mor_src[m], mor_dst[m], m) for m in range(n)]
     return build_category(objects, morphisms, lambda g, f: comp[(g, f)])
 
 

@@ -14,10 +14,12 @@ Four constructions share this module:
 * the group-completion category built from pairs of objects and
   stabilizing isomorphisms.
 
-Every category is assembled through ``fincat.build_category``, so
-associativity and unit laws are certified exhaustively at build time.
-Morphism data tells the morphisms of a hom set apart, and
-``FiniteCategory.find`` maps it back to the id:
+Every category is built by ``fincat.build_category`` from its
+(src, dst, data) morphisms and the rule composing their data, so
+associativity and unit laws are certified exhaustively at build time;
+the fibers and components taken by ``subcategory`` restrict a category
+so certified.  Morphism data tells the morphisms of a hom set apart,
+and ``FiniteCategory.find`` maps it back to the id:
 
 * span category: the canonical QSpan;
 * hermitian span category: the underlying QSpan;
@@ -44,7 +46,6 @@ from .fincat import (
     build_category,
     check_functor,
     comma_category,
-    compose_by_data,
     full_subcategory,
     functor_by_data,
     one_object_groupoid,
@@ -206,7 +207,7 @@ def q_category(max_size):
     QSpan."""
     objects = list(range(max_size + 1))
     morphisms = [(u, v, s) for u in objects for v in objects for s in q_span_morphisms(u, v)]
-    return build_category(objects, morphisms, compose_by_data(morphisms, q_compose))
+    return build_category(objects, morphisms, q_compose)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +272,7 @@ def qh_category(max_size):
     Objects are SymmetricForms; morphism data is the underlying QSpan.
     Composition is span composition; a composite that is not among the
     reductive spans of its hom set, which ``reductive_spans`` has
-    checked, is refused by ``compose_by_data``.
+    checked, is refused by ``build_category``.
     """
     objects = []
     for n in range(max_size + 1):
@@ -279,7 +280,7 @@ def qh_category(max_size):
     morphisms = [
         (M, N, s) for M in objects for N in objects for s in reductive_spans(M, N)
     ]
-    return build_category(objects, morphisms, compose_by_data(morphisms, q_compose))
+    return build_category(objects, morphisms, q_compose)
 
 
 def qh_forgetful(qh, q):
@@ -388,7 +389,7 @@ def conflation_category(max_size):
             for bmap in kernel.inflation_maps(src.total, dst.total):
                 if _quotient_parts(src, dst, bmap) is not None:
                     morphisms.append((src, dst, bmap))
-    return build_category(objects, morphisms, compose_by_data(morphisms, kernel.compose))
+    return build_category(objects, morphisms, kernel.compose)
 
 
 def quotient_fibration(E, q):
@@ -406,7 +407,7 @@ def iso_groupoid(max_size):
     isomorphism."""
     objects = list(range(max_size + 1))
     morphisms = [(n, n, phi) for n in objects for phi in isos(n)]
-    return build_category(objects, morphisms, compose_by_data(morphisms, compose))
+    return build_category(objects, morphisms, compose)
 
 
 def canonical_extension(c, a):
@@ -603,10 +604,15 @@ def conflation_suite(max_size, fiber_sizes=None):
             )
         )
 
-    title = "conflation category fibration suite"
-    return SuiteReport(title, max_size, checks, notes=[
-        "fiber sizes exercised: %s" % (tuple(fiber_sizes),),
-    ])
+    notes = ["fiber sizes exercised: %s" % (tuple(fiber_sizes),)]
+    notes += [
+        "action = extension after restriction on the fiber (size %d) has no case:"
+        " an object with quotient %d has total >= %d, so %d + total > %d"
+        % (c, c, c, c, max_size)
+        for c in fiber_sizes
+        if 2 * c > max_size
+    ]
+    return SuiteReport("conflation category fibration suite", max_size, checks, notes=notes)
 
 
 def _functorial(E, mids, mapper):
@@ -700,7 +706,7 @@ def hyperbolic_groupoid(max_size):
         if not M.fixed_points()
     ]
     morphisms = [(M, N, phi) for M in objects for N in objects for phi in isometries(M, N)]
-    return build_category(objects, morphisms, compose_by_data(morphisms, compose))
+    return build_category(objects, morphisms, compose)
 
 
 def graph_of_isometries(SH, QH):
@@ -895,16 +901,19 @@ def completion_category(window):
         for dst in objects
         for data in completion_morphisms(*src, *dst)
     ]
+    return build_category(objects, morphisms, completion_compose)
 
-    def compose_data(g, f):
-        (v, amap, bmap), (v2, amap2, bmap2) = f, g
-        ja = tuple(range(v2 + 1)) + tuple(v2 + k for k in amap[1:])
-        jb = tuple(range(v2 + 1)) + tuple(v2 + k for k in bmap[1:])
-        na = kernel.compose(amap2, ja)
-        nb = kernel.compose(bmap2, jb)
-        return (v2 + v,) + _stab_canonical(v2 + v, na, nb)
 
-    return build_category(objects, morphisms, compose_by_data(morphisms, compose_data))
+def completion_compose(g, f):
+    """Composite of the stabilizations f = (v, alpha, beta), then
+    g = (v2, alpha2, beta2): (v2 + v, alpha2 ∘ (id ⊕ alpha),
+    beta2 ∘ (id ⊕ beta)) in canonical form."""
+    (v, amap, bmap), (v2, amap2, bmap2) = f, g
+    ja = tuple(range(v2 + 1)) + tuple(v2 + k for k in amap[1:])
+    jb = tuple(range(v2 + 1)) + tuple(v2 + k for k in bmap[1:])
+    na = kernel.compose(amap2, ja)
+    nb = kernel.compose(bmap2, jb)
+    return (v2 + v,) + _stab_canonical(v2 + v, na, nb)
 
 
 def completion_summary(window):

@@ -8,7 +8,6 @@ import random
 
 import pytest
 
-from f1kgw import fincat, qcat
 from f1kgw._backend import kernel
 from f1kgw.fincat import (
     AbelianGroupSNF,
@@ -24,7 +23,6 @@ from f1kgw.fincat import (
     category_to_json,
     check_functor,
     comma_category,
-    compose_by_data,
     full_subcategory,
     functor_by_data,
     one_object_groupoid,
@@ -35,8 +33,11 @@ from f1kgw.fincat import (
     subcategory,
 )
 from f1kgw.forms import hyperbolic, identity_form
+from f1kgw.pointed import compose
 from f1kgw.qcat import (
+    QSpan,
     completion_category,
+    completion_compose,
     conflation_category,
     graph_of_isometries,
     hyperbolic_groupoid,
@@ -44,15 +45,24 @@ from f1kgw.qcat import (
     q_category,
     q_compose,
     qh_category,
+    quotient_fibration,
 )
 
 
 def walking_arrow():
+    """0 -> 1: the identities "id0" and "id1" (ids 0 and 1) and the
+    arrow "a" (id 2)."""
     return build_category(
         [0, 1],
-        [(0, 0), (1, 1), (0, 1)],
-        lambda g, f: {(0, 0): 0, (1, 1): 1, (2, 0): 2, (1, 2): 2}[(g, f)],
+        [(0, 0, "id0"), (1, 1, "id1"), (0, 1, "a")],
+        lambda g, f: f if g.startswith("id") else g,
     )
+
+
+def by_ids(endpoints):
+    """(src, dst, id) triples: each morphism carries its own id as data,
+    so a composition table on ids is a rule composing data."""
+    return [(src, dst, m) for m, (src, dst) in enumerate(endpoints)]
 
 
 def test_build_category_units_and_lookup():
@@ -64,13 +74,11 @@ def test_build_category_units_and_lookup():
     with pytest.raises(UnknownObject):
         pi1_presentation(two, 7)
     with pytest.raises(UnknownObject):
-        build_category([0], [(0, 1)], lambda g, f: g)
+        build_category([0], [(0, 1, "a")], lambda g, f: g)
 
 
 def test_build_category_rejects_broken_associativity():
-    # three parallel endo-arrows with a non-associative "composition"
-    table = {}
-
+    # three endo-arrows with a non-associative "composition" of their data
     def comp(g, f):
         if f == 0:
             return g
@@ -78,25 +86,30 @@ def test_build_category_rejects_broken_associativity():
             return f
         return {(1, 1): 2, (1, 2): 1, (2, 1): 1, (2, 2): 1}[(g, f)]
 
-    with pytest.raises(AssociativityViolation):
-        build_category(["*"], [("*", "*")] * 3, comp)
+    with pytest.raises(AssociativityViolation) as exc:
+        build_category(["*"], [("*", "*", k) for k in range(3)], comp)
+    # the least (f, g, h) is (1, 1, 2): (2∘1)∘1 = 2 but 2∘(1∘1) = 1
+    assert exc.value.witness == (2, 1, 1)
 
 
 def test_build_category_requires_identities():
     with pytest.raises(UnitViolation):
         # a single non-identity endomorphism (e*e = e has no unit partner)
-        build_category(["*"], [("*", "*"), ("*", "*")], lambda g, f: 1)
+        build_category(["*"], [("*", "*", 0), ("*", "*", 1)], lambda g, f: 1)
 
 
 def test_build_category_rejects_a_bad_composite_id():
+    # the walking arrow with ids as data: a composite datum that no
+    # morphism carries, or that only a morphism of another hom set does
+    # (id_0 ∘ id_0 answered by the arrow 0 -> 1), is not a morphism
+    morphisms = by_ids([(0, 0), (1, 1), (0, 1)])
     table = {(0, 0): 0, (1, 1): 1, (2, 0): 2, (1, 2): 2}
     for bad in (3, -1, None):
-        with pytest.raises(ValueError, match="bad id"):
-            build_category([0, 1], [(0, 0), (1, 1), (0, 1)], lambda g, f: bad)
-    # id_0 ∘ id_0 answered by the arrow 0 -> 1
+        with pytest.raises(ValueError, match="is not a morphism: %r" % (bad,)):
+            build_category([0, 1], morphisms, lambda g, f: bad)
     wrong = {**table, (0, 0): 2}
-    with pytest.raises(ValueError, match="wrong endpoints"):
-        build_category([0, 1], [(0, 0), (1, 1), (0, 1)], lambda g, f: wrong[(g, f)])
+    with pytest.raises(ValueError, match="composite of 0 after 0 is not a morphism: 2"):
+        build_category([0, 1], morphisms, lambda g, f: wrong[(g, f)])
 
 
 def _triple_loop_verdict(cat, comp):
@@ -126,7 +139,7 @@ def _triple_loop_verdict(cat, comp):
 @pytest.mark.parametrize("build,size,trials", [(q_category, 3, 160), (completion_category, 2, 100)])
 def test_associativity_witness_matches_the_triple_loop(build, size, trials):
     cat = build(size)
-    morphisms = list(zip(cat.mor_src, cat.mor_dst))
+    morphisms = by_ids(zip(cat.mor_src, cat.mor_dst))
     # pairs whose hom set offers another composite with the same endpoints
     pairs = [
         (g, f)
@@ -165,11 +178,6 @@ def test_find_recovers_every_morphism_from_its_data(build, size):
     assert cat.find(a, a, "no such datum") is None
 
 
-def test_find_needs_morphism_data():
-    with pytest.raises(ValueError, match="no morphism data"):
-        walking_arrow().find(0, 1, None)
-
-
 def test_compose_by_data_rejects_a_missing_composite():
     cases = [
         # Z/3 given only 0 and 1: 1 + 1 = 2 has no morphism; no datum
@@ -184,61 +192,80 @@ def test_compose_by_data_rejects_a_missing_composite():
         ),
     ]
     for objects, morphisms in cases:
-        comp_rule = compose_by_data(morphisms, lambda g, f: (g + f) % 3)
         with pytest.raises(ValueError, match="composite of 1 after 1 is not a morphism: 2"):
-            build_category(objects, morphisms, comp_rule)
+            build_category(objects, morphisms, lambda g, f: (g + f) % 3)
         with pytest.raises(ValueError, match="repeats within a hom set"):
-            compose_by_data(morphisms + [morphisms[1]], lambda g, f: 0)
-
-
-def _per_pair_compose_by_data(morphisms, compose_data):
-    """Reference comp_rule: composes every pair and looks the composite
-    up by its (src, dst, data) entry."""
-    index = {entry: m for m, entry in enumerate(morphisms)}
-    if len(index) != len(morphisms):
-        raise ValueError("morphism data repeats within a hom set")
-
-    def comp_rule(g, f):
-        data = compose_data(morphisms[g][2], morphisms[f][2])
-        mid = index.get((morphisms[f][0], morphisms[g][1], data))
-        if mid is None:
-            raise ValueError(
-                "composite of %d after %d is not a morphism: %r" % (g, f, data)
-            )
-        return mid
-
-    return comp_rule
+            build_category(objects, morphisms + [morphisms[1]], lambda g, f: 0)
 
 
 def _comma_categories(max_size):
-    """The comma categories that comma_tau_suite(max_size) builds."""
+    """The comma categories that comma_tau_suite(max_size) builds, each
+    with the composition of its data: morphisms of the hyperbolic
+    groupoid, composed there."""
     SH = hyperbolic_groupoid(max_size)
     tau = graph_of_isometries(SH, qh_category(max_size))
     bases = [M for M in (identity_form(0), hyperbolic(1)) if M.size <= max_size]
-    return [comma_category(tau, M) for M in bases]
+    return [(comma_category(tau, M), SH.compose) for M in bases]
 
 
-def _contents(cats):
-    return [(c.comp, c.identities, c.homs, c.mor_data) for c in cats]
+def _product_categories():
+    """C × D for the walking arrow and Z/3, each with componentwise
+    composition of its (id in C, id in D) data."""
+    two = walking_arrow()
+    bz3 = one_object_groupoid(range(3), lambda a, b: (a + b) % 3, 0)
+    out = []
+    for C, D in ((two, bz3), (bz3, two), (bz3, bz3)):
+
+        def compose_data(g, f, C=C, D=D):
+            return C.comp[(g[0], f[0])], D.comp[(g[1], f[1])]
+
+        out.append((product_category(C, D), compose_data))
+    return out
+
+
+def _group_categories():
+    """B(Z/5) and B(S_4), each with its group law."""
+    def add(a, b):
+        return (a + b) % 5
+
+    def after(a, b):
+        return tuple(a[b[i]] for i in range(4))
+
+    return [
+        (one_object_groupoid(range(5), add, 0), add),
+        (one_object_groupoid(itertools.permutations(range(4)), after, (0, 1, 2, 3)), after),
+    ]
 
 
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: [q_category(n) for n in range(5)],
-        lambda: [qh_category(n) for n in range(5)],
-        lambda: [completion_category(n) for n in range(4)],
-        lambda: [conflation_category(n) for n in range(4)],
-        lambda: [iso_groupoid(3), hyperbolic_groupoid(4)],
+        lambda: [(q_category(n), q_compose) for n in range(5)],
+        lambda: [(qh_category(n), q_compose) for n in range(5)],
+        lambda: [(completion_category(n), completion_compose) for n in range(4)],
+        lambda: [(conflation_category(n), kernel.compose) for n in range(4)],
+        lambda: [(iso_groupoid(3), compose), (hyperbolic_groupoid(4), compose)],
         lambda: _comma_categories(3),
+        _product_categories,
+        _group_categories,
     ],
-    ids=["q", "qh", "completion", "conflation", "groupoids", "comma"],
+    ids=["q", "qh", "completion", "conflation", "groupoids", "comma", "product", "one_object"],
 )
-def test_compose_by_data_builds_what_per_pair_composition_builds(build, monkeypatch):
-    got = _contents(build())
-    monkeypatch.setattr(fincat, "compose_by_data", _per_pair_compose_by_data)
-    monkeypatch.setattr(qcat, "compose_by_data", _per_pair_compose_by_data)
-    assert got == _contents(build())
+def test_compose_by_data_builds_what_per_pair_composition_builds(build):
+    """Independent oracle: every composable pair, and only those, is
+    composed, each on its own, and its composite is the morphism that
+    find returns for the composed data."""
+    for cat, compose_data in build():
+        out_of = collections.defaultdict(list)
+        for g in range(cat.n_morphisms):
+            out_of[cat.mor_src[g]].append(g)
+        pairs = [(g, f) for f in range(cat.n_morphisms) for g in out_of[cat.mor_dst[f]]]
+        assert sorted(cat.comp) == sorted(pairs)
+        for g, f in pairs:
+            want = cat.find(
+                cat.mor_src[f], cat.mor_dst[g], compose_data(cat.data(g), cat.data(f))
+            )
+            assert want is not None and cat.comp[(g, f)] == want, (g, f)
 
 
 def _counting(compose_data):
@@ -255,7 +282,7 @@ def test_compose_by_data_composes_each_distinct_data_pair_once():
     cat = conflation_category(2)
     morphisms = list(zip(cat.mor_src, cat.mor_dst, cat.mor_data))
     compose, calls = _counting(kernel.compose)
-    again = build_category(cat.objects, morphisms, compose_by_data(morphisms, compose))
+    again = build_category(cat.objects, morphisms, compose)
     assert again.comp == cat.comp
     pairs = {(cat.data(g), cat.data(f)) for (g, f) in cat.comp}
     assert set(calls) == pairs and set(calls.values()) == {1}
@@ -267,7 +294,7 @@ def test_compose_by_data_composes_every_pair_when_no_datum_repeats():
     assert len(set(cat.mor_data)) == cat.n_morphisms
     morphisms = list(zip(cat.mor_src, cat.mor_dst, cat.mor_data))
     compose, calls = _counting(q_compose)
-    build_category(cat.objects, morphisms, compose_by_data(morphisms, compose))
+    build_category(cat.objects, morphisms, compose)
     assert sum(calls.values()) == len(cat.comp)
 
 
@@ -289,7 +316,7 @@ def test_pi1_of_idempotent_monoid_is_trivial():
     def comp(g, f):
         return 1 if (g == 1 or f == 1) else 0
 
-    idem = build_category(["*"], [("*", "*"), ("*", "*")], comp)
+    idem = build_category(["*"], [("*", "*", 0), ("*", "*", 1)], comp)
     assert str(abelianize(pi1_presentation(idem, "*"))) == "0"
 
 
@@ -302,7 +329,7 @@ def test_pi1_of_parallel_pair_is_infinite_cyclic():
             return f
         raise AssertionError("no composable non-identity pairs")
 
-    par = build_category([0, 1], [(0, 0), (1, 1), (0, 1), (0, 1)], comp)
+    par = build_category([0, 1], by_ids([(0, 0), (1, 1), (0, 1), (0, 1)]), comp)
     assert str(abelianize(pi1_presentation(par, 0))) == "Z"
 
 
@@ -588,10 +615,61 @@ def test_full_subcategory_and_closure_check():
         subcategory(s3, ["*"], [t, s])
 
 
+def test_subcategory_rejects_an_object_not_in_the_parent():
+    q1 = q_category(1)
+    with pytest.raises(UnknownObject, match="nope"):
+        subcategory(q1, ["nope"], [])
+    with pytest.raises(UnknownObject, match="nope"):
+        full_subcategory(q1, [0, "nope"])
+
+
+def test_subcategory_rejects_an_id_outside_the_parent():
+    q1 = q_category(1)
+    for stray in (-1, q1.n_morphisms, "x"):
+        with pytest.raises(ValueError, match="not morphism ids: %r" % (stray,)):
+            subcategory(q1, [0, 1], [0, stray])
+
+
+def _assert_restricts_a_certified_build(cat, sub, objects, keep):
+    """sub, on the given objects and the parent ids keep, is what
+    build_category certifies when fed those parent ids as data."""
+    ref = build_category(objects, [(cat.mor_src[m], cat.mor_dst[m], m) for m in keep], cat.compose)
+    assert sub.objects == ref.objects
+    assert sub.comp == ref.comp
+    assert sub.identities == ref.identities
+    assert sub.homs == ref.homs
+    assert sub.mor_data == tuple(cat.data(m) for m in ref.mor_data)
+
+
+def test_fibers_restrict_what_build_category_certifies():
+    """The three fibers that conflation_suite(3) takes."""
+    E, q = conflation_category(3), q_category(3)
+    quotient = quotient_fibration(E, q)
+    for c in (0, 1, 2):
+        over_identity = q.find(c, c, QSpan.identity(c))
+        mids = [m for m in range(E.n_morphisms) if quotient(m) == over_identity]
+        objects = [X for X in E.objects if X.quotient == c]
+        fiber = subcategory(E, objects, mids)
+        keep = sorted(set(mids) | {E.identities[X] for X in objects})
+        _assert_restricts_a_certified_build(E, fiber, objects, keep)
+
+
+def test_full_subcategory_restricts_what_build_category_certifies():
+    QH = qh_category(3)
+    component = max(pi0(QH), key=len)
+    keep = [
+        m
+        for m in range(QH.n_morphisms)
+        if QH.mor_src[m] in component and QH.mor_dst[m] in component
+    ]
+    objects = [M for M in QH.objects if M in component]
+    _assert_restricts_a_certified_build(QH, full_subcategory(QH, component), objects, keep)
+
+
 def test_pi0_components():
     two = walking_arrow()
     assert pi0(two) == ((0, 1),)
-    disc = build_category([0, 1], [(0, 0), (1, 1)], lambda g, f: g)
+    disc = build_category([0, 1], [(0, 0, "id0"), (1, 1, "id1")], lambda g, f: g)
     assert pi0(disc) == ((0,), (1,))
 
 
@@ -600,6 +678,13 @@ def test_json_round_trip_and_dot():
     back = category_from_json(category_to_json(two))
     assert len(back.objects) == 2 and back.n_morphisms == 3
     assert back.hom("0", "1") == (2,)
+    # composition and identities survive, and each id is its own data
+    for cat in (two, q_category(2)):
+        back = category_from_json(category_to_json(cat))
+        assert back.comp == cat.comp
+        assert back.identities == {str(o): m for o, m in cat.identities.items()}
+        for m in range(back.n_morphisms):
+            assert back.find(back.mor_src[m], back.mor_dst[m], m) == m
     dot = category_to_dot(two)
     assert dot.startswith("digraph")
     assert "n0 -> n1" in dot

@@ -214,8 +214,21 @@ def test_conflation_suite_small():
 def test_conflation_suite_default_fiber_sizes_fit_the_window():
     report = conflation_suite(1)
     assert report.ok
-    assert report.notes == ["fiber sizes exercised: (0, 1)"]
+    assert report.notes == [
+        "fiber sizes exercised: (0, 1)",
+        "action = extension after restriction on the fiber (size 1) has no case:"
+        " an object with quotient 1 has total >= 1, so 1 + total > 1",
+    ]
     assert not [c.name for c in report.checks if "size 2" in c.name]
+
+
+def test_conflation_suite_names_every_check_without_a_case_in_a_note():
+    for max_size, size in ((1, 1), (2, 2), (3, 2)):
+        report = conflation_suite(max_size)
+        empty = [c.name for c in report.checks if c.checked == 0]
+        assert empty == ["action = extension after restriction on the fiber (size %d)" % size]
+        for name in empty:
+            assert sum(note.startswith(name + " has no case") for note in report.notes) == 1
 
 
 # -------------------------------------------------- comma / stabilization
