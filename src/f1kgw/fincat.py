@@ -4,18 +4,19 @@ comma constructions, and low-dimensional invariants of the nerve.
 Morphisms are dense integer ids; every table is index-based.  Each
 morphism carries hashable data that tells it apart within its hom set,
 and a category is built from its (src, dst, data) triples and a rule
-that composes data.  All certification is by full enumeration over the
-composition table: every category is certified by ``build_category``,
-which checks associativity and the unit laws on every composable
-triple and every morphism, or restricted by ``subcategory`` from one
-that was.  The check runs over one composition table per object (a row
-per morphism out of it, a column per morphism into it), so each
-triple costs a list read, not a dict lookup, and no triple is skipped.
-Ties everywhere are broken by least id, so construction is
-deterministic.
+that composes data.  Composition is kept as one table per object (a
+row per morphism out of it, a column per morphism into it), about one
+pointer per composable pair; ``comp`` is a read-only mapping view of
+the tables.  All certification is by full enumeration over them: every
+category is certified by ``build_category``, which checks associativity
+and the unit laws on every composable triple and every morphism, or
+restricted by ``subcategory`` from one that was.  Each triple costs a
+list read, not a dict lookup, and no triple is skipped.  Ties
+everywhere are broken by least id, so construction is deterministic.
 """
 
 from collections import deque
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -39,14 +40,21 @@ class FiniteCategory:
 
     objects: tuple of hashable ids (their order fixes the object index).
     homs: (src_id, dst_id) -> tuple of morphism ids.
-    comp: (g, f) -> id of g∘f, defined exactly on composable pairs.
     identities: object id -> id of its identity morphism.
     mor_src, mor_dst, mor_data: endpoints and payload (spans, maps, ...)
     per morphism id.  Data is hashable and tells the morphisms of one
     hom set apart, so ``find(src, dst, data)`` recovers the id.
+    src_k, dst_k: the object indices of each morphism's endpoints.
+    out_of, into: per object index, the ids of the morphisms out of and
+    into that object, ascending.
+    col: col[f] is the position of f in into[dst_k[f]].
+    row: the composition tables, one per object: row[g][col[f]] is the
+    id of g∘f for every f into the source of g.
+    comp: a read-only mapping (g, f) -> g∘f over the tables, defined
+    exactly on composable pairs.
 
     The constructor indexes the objects and the (src, dst, data)
-    morphisms and leaves ``comp`` and ``identities`` empty:
+    morphisms and leaves ``row`` and ``identities`` empty:
     ``build_category`` fills and certifies them, and ``subcategory``
     restricts them from its parent.  The data index (object index of
     src, object index of dst, dense data id) -> morphism id serves both
@@ -56,12 +64,17 @@ class FiniteCategory:
     __slots__ = (
         "objects",
         "homs",
-        "comp",
         "identities",
         "mor_src",
         "mor_dst",
         "mor_data",
         "obj_index",
+        "src_k",
+        "dst_k",
+        "out_of",
+        "into",
+        "col",
+        "row",
         "_inverses",
         "_data_id",
         "_by_data",
@@ -91,7 +104,18 @@ class FiniteCategory:
         for m, key in enumerate(zip(mor_src, mor_dst)):
             homs.setdefault(key, []).append(m)
         self.homs = {k: tuple(v) for k, v in homs.items()}
-        self.comp = {}
+        self.src_k = tuple(k[0] for k in keys)
+        self.dst_k = tuple(k[1] for k in keys)
+        out_of = [[] for _ in self.objects]
+        into = [[] for _ in self.objects]
+        col = [0] * len(keys)
+        for m, (a, b, _) in enumerate(keys):
+            out_of[a].append(m)
+            col[m] = len(into[b])
+            into[b].append(m)
+        self.out_of, self.into = tuple(map(tuple, out_of)), tuple(map(tuple, into))
+        self.col = tuple(col)
+        self.row = ()
         self.identities = {}
         self._inverses = None
 
@@ -99,11 +123,21 @@ class FiniteCategory:
     def n_morphisms(self):
         return len(self.mor_src)
 
+    @property
+    def comp(self):
+        return Composition(self)
+
     def hom(self, a, b):
         return self.homs.get((a, b), ())
 
     def compose(self, g, f):
-        return self.comp[(g, f)]
+        """Id of g∘f; KeyError unless f's target is g's source."""
+        try:
+            if g >= 0 and f >= 0 and self.src_k[g] == self.dst_k[f]:
+                return self.row[g][self.col[f]]
+        except (IndexError, TypeError):
+            pass
+        raise KeyError((g, f))
 
     def data(self, mid):
         return self.mor_data[mid]
@@ -117,14 +151,13 @@ class FiniteCategory:
     def inverse(self, mid):
         """Id of the two-sided inverse, or None."""
         if self._inverses is None:
+            row, col, ids = self.row, self.col, self.identities
             inv = {}
             for m in range(self.n_morphisms):
                 a, b = self.mor_src[m], self.mor_dst[m]
+                rm, cm = row[m], col[m]
                 for n in self.hom(b, a):
-                    if (
-                        self.comp[(n, m)] == self.identities[a]
-                        and self.comp[(m, n)] == self.identities[b]
-                    ):
+                    if row[n][cm] == ids[a] and rm[col[n]] == ids[b]:
                         inv[m] = n
                         break
             self._inverses = inv
@@ -143,6 +176,44 @@ class FiniteCategory:
             len(self.objects),
             self.n_morphisms,
         )
+
+
+class Composition(Mapping):
+    """The read-only mapping (g, f) -> g∘f of a category, read from its
+    composition tables.  Its keys are exactly the composable pairs, by
+    ascending f, then g."""
+
+    __slots__ = ("_cat",)
+
+    def __init__(self, cat):
+        self._cat = cat
+
+    def __getitem__(self, pair):
+        try:
+            g, f = pair
+        except (TypeError, ValueError):
+            raise KeyError(pair) from None
+        return self._cat.compose(g, f)
+
+    def __len__(self):
+        return sum(map(len, self._cat.row))
+
+    def __iter__(self):
+        return (pair for pair, _ in self.items())
+
+    def items(self):
+        return _CompositionItems(self)
+
+
+class _CompositionItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        cat = self._mapping._cat
+        row, out_of, dst_k = cat.row, cat.out_of, cat.dst_k
+        for f, cf in enumerate(cat.col):
+            for g in out_of[dst_k[f]]:
+                yield (g, f), row[g][cf]
 
 
 def build_category(objects, morphisms, compose_data):
@@ -167,28 +238,20 @@ def build_category(objects, morphisms, compose_data):
     every object (UnitViolation if no unique unit exists).
     Associativity is checked on every composable triple, a whole row of
     f at a time (AssociativityViolation with the least witnessing
-    (f, g, h)).  The tables are dropped afterwards; the category keeps
-    only the (g, f) -> g∘f dict ``comp``.
+    (f, g, h)).  The tables are the category's composition: ``row``
+    keeps them, and ``comp`` and ``compose`` read them.
     """
     cat = FiniteCategory(objects, morphisms)
-    n, data, data_id, by_data = cat.n_morphisms, cat.mor_data, cat._data_id, cat._by_data
-    # dense object indices and data ids, in id order
-    src_k, dst_k, did = zip(*by_data) if n else ((), (), ())
-    # out_of[k] / into[k] list ids in ascending order
-    out_of = [[] for _ in cat.objects]
-    into = [[] for _ in cat.objects]
-    col = [0] * n  # col[f]: position of f in into[dst_k[f]]
-    for mid in range(n):
-        out_of[src_k[mid]].append(mid)
-        col[mid] = len(into[dst_k[mid]])
-        into[dst_k[mid]].append(mid)
+    data, data_id, by_data = cat.mor_data, cat._data_id, cat._by_data
+    src_k, dst_k, out_of, into, col = cat.src_k, cat.dst_k, cat.out_of, cat.into, cat.col
 
-    if len(data_id) == n:
+    if len(data_id) == cat.n_morphisms:
 
         def composite(g, f):
             return data_id.get(compose_data(data[g], data[f]))
 
     else:
+        did = [key[2] for key in by_data]  # data id of each morphism
         memo = {}  # (data id of g, data id of f) -> data id of g∘f
 
         def composite(g, f):
@@ -201,9 +264,8 @@ def build_category(objects, morphisms, compose_data):
     # row[g][col[f]] = g∘f: the table of object o has one row per
     # morphism out of o and one column per morphism into o
     row = [[None] * len(into[k]) for k in src_k]
-    comp = cat.comp
-    for f in range(n):
-        cf, sf = col[f], src_k[f]
+    for f, cf in enumerate(col):
+        sf = src_k[f]
         for g in out_of[dst_k[f]]:
             h = by_data.get((sf, dst_k[g], composite(g, f)))
             if h is None:
@@ -212,16 +274,15 @@ def build_category(objects, morphisms, compose_data):
                     % (g, f, compose_data(data[g], data[f]))
                 )
             row[g][cf] = h
-            comp[(g, f)] = h
     for g, r in enumerate(row):  # in place, so no second copy of the tables
         row[g] = tuple(r)
+    cat.row = tuple(row)
 
     for k, o in enumerate(cat.objects):
-        want = tuple(into[k])
         units = [
             e
             for e in cat.hom(o, o)
-            if row[e] == want and all(row[g][col[e]] == g for g in out_of[k])
+            if row[e] == into[k] and all(row[g][col[e]] == g for g in out_of[k])
         ]
         if len(units) != 1:
             raise UnitViolation(
@@ -229,11 +290,11 @@ def build_category(objects, morphisms, compose_data):
             )
         cat.identities[o] = units[0]
 
-    _certify_associativity(row, col, out_of, dst_k, into, src_k)
+    _certify_associativity(cat)
     return cat
 
 
-def _certify_associativity(row, col, out_of, dst_k, into, src_k):
+def _certify_associativity(cat):
     """Check (h∘g)∘f == h∘(g∘f) on every composable triple.
 
     For g: c -> b and h out of b, both sides come as whole rows over the
@@ -241,6 +302,8 @@ def _certify_associativity(row, col, out_of, dst_k, into, src_k):
     h read at the columns of g's composites.  On failure the witness is
     the least (f, g, h), raised as AssociativityViolation(h, g, f).
     """
+    row, col, out_of, into = cat.row, cat.col, cat.out_of, cat.into
+    src_k, dst_k = cat.src_k, cat.dst_k
     least = None
     for g, rg in enumerate(row):
         cols = [col[gf] for gf in rg]
@@ -324,9 +387,14 @@ def _functor_witnesses(F, mode):
         for o in S.objects:
             if F.mor_map[S.identities[o]] != T.identities[F.obj_map[o]]:
                 yield "identity of %r not preserved" % (o,)
-        for (g, f), gf in S.comp.items():
-            if T.comp[(F.mor_map[g], F.mor_map[f])] != F.mor_map[gf]:
-                yield "composition broken at (g=%d, f=%d)" % (g, f)
+        # reached only when every morphism is mapped with its endpoints,
+        # so the images of a composable pair are composable in T
+        image, row, out_of, dst_k, t_row, t_col = F.mor_map, S.row, S.out_of, S.dst_k, T.row, T.col
+        for f, cf in enumerate(S.col):
+            tcf = t_col[image[f]]
+            for g in out_of[dst_k[f]]:
+                if t_row[image[g]][tcf] != image[row[g][cf]]:
+                    yield "composition broken at (g=%d, f=%d)" % (g, f)
     elif mode in ("full", "faithful"):
         for a in S.objects:
             for b in S.objects:
@@ -373,16 +441,13 @@ def comma_category(F, d):
     S, T = F.source, F.target
     if d not in T.obj_index:
         raise UnknownObject(repr(d))
-    objs = []
-    for c in S.objects:
+    objs, morphisms = [], []
+    for c, out_of_c in zip(S.objects, S.out_of):
         for m in T.hom(d, F.obj_map[c]):
             objs.append((c, m))
-    morphisms = []
-    for (c, m) in objs:
-        for g in range(S.n_morphisms):
-            if S.mor_src[g] == c:
-                dst = (S.mor_dst[g], T.comp[(F.mor_map[g], m)])
-                morphisms.append(((c, m), dst, g))
+            morphisms.extend(
+                ((c, m), (S.mor_dst[g], T.compose(F.mor_map[g], m)), g) for g in out_of_c
+            )
     return build_category(objs, morphisms, S.compose)
 
 
@@ -397,7 +462,7 @@ def product_category(C, D):
 
     def compose_data(g, f):
         (gc, gd), (fc, fd) = g, f
-        return C.comp[(gc, fc)], D.comp[(gd, fd)]
+        return C.row[gc][C.col[fc]], D.row[gd][D.col[fd]]
 
     return build_category(objs, morphisms, compose_data)
 
@@ -420,8 +485,9 @@ def subcategory(cat, objects, mids):
     range(cat.n_morphisms) ValueError.  Morphism data and the object
     order of the parent are preserved.
 
-    Composition is the parent's, restricted, so associativity and the
-    units hold as certified in the parent and are not checked again.
+    Composition is the parent's tables, restricted, so associativity
+    and the units hold as certified in the parent and are not checked
+    again.
     """
     obj_set = set(objects)
     unknown = obj_set.difference(cat.obj_index)
@@ -435,22 +501,25 @@ def subcategory(cat, objects, mids):
     for o in objects:
         keep.add(cat.identities[o])
     keep = sorted(keep)
-    into = {o: [] for o in objects}  # kept morphisms by target, ascending
     for m in keep:
         if cat.mor_src[m] not in obj_set or cat.mor_dst[m] not in obj_set:
             raise ValueError("morphism %d leaves the chosen objects" % m)
-        into[cat.mor_dst[m]].append(m)
-    reindex = {m: k for k, m in enumerate(keep)}
+    reindex = [None] * cat.n_morphisms
+    for k, m in enumerate(keep):
+        reindex[m] = k
     sub = FiniteCategory(objects, [(cat.mor_src[m], cat.mor_dst[m], cat.mor_data[m]) for m in keep])
-    # only composable pairs, in (g, f) order, so the witness is the least
-    for g in keep:
-        for f in into[cat.mor_src[g]]:
-            gf = reindex.get(cat.comp[(g, f)])
-            if gf is None:
-                raise ValueError(
-                    "not closed under composition at (g=%d, f=%d)" % (g, f)
-                )
-            sub.comp[(reindex[g], reindex[f])] = gf
+    # the parent's columns of the kept morphisms into each chosen object
+    cols = [[cat.col[keep[f]] for f in fs] for fs in sub.into]
+    row = []
+    # g ascending, then f, so the witness is the least (g, f)
+    for g, k in zip(keep, sub.src_k):
+        rg = cat.row[g]
+        r = tuple(reindex[rg[c]] for c in cols[k])
+        if None in r:
+            f = keep[sub.into[k][r.index(None)]]
+            raise ValueError("not closed under composition at (g=%d, f=%d)" % (g, f))
+        row.append(r)
+    sub.row = tuple(row)
     sub.identities.update((o, reindex[cat.identities[o]]) for o in objects)
     return sub
 
@@ -571,13 +640,12 @@ def pi1_presentation(cat, basepoint):
         return (gen_index[m] + 1,)
 
     relations = [word(m) for m in sorted(tree)]
-    for (g, f), gf in sorted(cat.comp.items()):
-        if f in idents or g in idents:
+    for g, rg in enumerate(cat.row):  # (g, f) ascending
+        if g in idents or cat.mor_src[g] not in component:
             continue
-        if cat.mor_src[f] not in component:
-            continue
-        w = word(f) + word(g) + tuple(-s for s in reversed(word(gf)))
-        relations.append(w)
+        for f, gf in zip(cat.into[cat.src_k[g]], rg):
+            if f not in idents:
+                relations.append(word(f) + word(g) + tuple(-s for s in reversed(word(gf))))
     return GroupPresentation(
         generators=tuple(mids),
         relations=tuple(relations),
@@ -708,12 +776,9 @@ def category_from_json(data):
             mor_src[m] = objects[a]
             mor_dst[m] = objects[b]
             n = max(n, m + 1)
-    comp = {}
-    for key, h in data["comp"].items():
-        g, f = (int(x) for x in key.split(","))
-        comp[(g, f)] = h
+    comp = data["comp"]
     morphisms = [(mor_src[m], mor_dst[m], m) for m in range(n)]
-    return build_category(objects, morphisms, lambda g, f: comp[(g, f)])
+    return build_category(objects, morphisms, lambda g, f: comp["%d,%d" % (g, f)])
 
 
 def category_to_dot(cat, name="category"):

@@ -35,7 +35,8 @@ map and the data of each morphism's image, and certified by
 
 Spans compose on their canonical map tuples (``sub`` and ``pmap``)
 through the kernel's pullback legs; ``QSpan`` validates its data
-through the kernel, and F1Morphism is the boundary type of
+through the kernel, except for the composites ``q_compose`` builds
+from spans already validated, and F1Morphism is the boundary type of
 ``QSpan.to_morphisms`` and ``QSpan.from_morphisms``.
 """
 
@@ -89,10 +90,10 @@ class QSpan:
     subset of {1..dst}); the middle object is relabelled {1..len(sub)}
     in image order, and ``pmap`` is the deflation to the source on that
     relabelling.  Two spans are isomorphic iff their canonical forms
-    are equal.
+    are equal.  The hash is computed once, at construction.
     """
 
-    __slots__ = ("src", "dst", "sub", "pmap")
+    __slots__ = ("src", "dst", "sub", "pmap", "_hash")
 
     def __init__(self, src, dst, sub, pmap):
         sub = tuple(sub)
@@ -105,22 +106,38 @@ class QSpan:
             raise ValueError("invalid map %r for %d -> %d" % (pmap, len(sub), src))
         if not kernel.is_surjective(pmap, src):
             raise ValueError("the outgoing leg must be a deflation")
+        self._store(src, dst, sub, pmap)
+
+    @classmethod
+    def _trusted(cls, src, dst, sub, pmap):
+        """The span of canonical tuples that the kernel has built from
+        valid spans, stored without ``__init__``'s checks."""
+        span = object.__new__(cls)
+        span._store(src, dst, sub, pmap)
+        return span
+
+    def _store(self, src, dst, sub, pmap):
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
         object.__setattr__(self, "sub", sub)
         object.__setattr__(self, "pmap", pmap)
+        object.__setattr__(self, "_hash", hash((src, dst, sub, pmap)))
 
     def __setattr__(self, *a):
         raise AttributeError("QSpan is immutable")
 
     def __eq__(self, other):
-        return isinstance(other, QSpan) and self.key() == other.key()
+        return (
+            isinstance(other, QSpan)
+            and self._hash == other._hash
+            and self.sub == other.sub
+            and self.pmap == other.pmap
+            and self.src == other.src
+            and self.dst == other.dst
+        )
 
     def __hash__(self):
-        return hash(self.key())
-
-    def key(self):
-        return (self.src, self.dst, self.sub, self.pmap)
+        return self._hash
 
     @classmethod
     def from_morphisms(cls, p, j):
@@ -131,15 +148,7 @@ class QSpan:
             raise ValueError("the incoming leg must be an inflation")
         if not is_deflation(p):
             raise ValueError("the outgoing leg must be a deflation")
-        return cls._by_image(p.dst, j.dst, p.map, j.map)
-
-    @classmethod
-    def _by_image(cls, src, dst, pmap, jmap):
-        """The span of the map tuples pmap: E ->> src and jmap: E >-> dst,
-        its middle relabelled in the order of the image of jmap."""
-        order = sorted(range(1, len(jmap)), key=jmap.__getitem__)
-        sub = tuple(jmap[e] for e in order)
-        return cls(src, dst, sub, (0,) + tuple(pmap[e] for e in order))
+        return cls(p.dst, j.dst, *_by_image(p.map, j.map))
 
     @classmethod
     def identity(cls, n):
@@ -170,18 +179,27 @@ class QSpan:
         return "QSpan(%d, %d, %r, %r)" % (self.src, self.dst, self.sub, self.pmap)
 
 
+def _by_image(pmap, jmap):
+    """The canonical (sub, pmap) of the span of the map tuples
+    pmap: E ->> src and jmap: E >-> dst, its middle relabelled in the
+    order of the image of jmap."""
+    order = sorted(range(1, len(jmap)), key=jmap.__getitem__)
+    return tuple(jmap[e] for e in order), (0,) + tuple(pmap[e] for e in order)
+
+
 def q_compose(g, f):
     """Composite of spans by pullback: f: u -> v, then g: v -> w.
 
     The pullback of f's inflation leg against g's deflation leg is taken
     on the canonical map tuples, and the composite legs are relabelled by
-    their image."""
+    their image.  The legs of a pullback of spans are again an inflation
+    and a deflation, so the composite is stored without re-validation."""
     if f.dst != g.src:
         raise TypeMismatch("spans are not composable")
     j_f, j_g = (0,) + f.sub, (0,) + g.sub
     l, t = kernel.pullback_legs(j_f, g.pmap, len(f.sub), len(g.sub))
-    return QSpan._by_image(
-        f.src, g.dst, kernel.compose(f.pmap, l), kernel.compose(j_g, t)
+    return QSpan._trusted(
+        f.src, g.dst, *_by_image(kernel.compose(f.pmap, l), kernel.compose(j_g, t))
     )
 
 
@@ -631,15 +649,17 @@ def _functorial(E, mids, mapper):
             yield "identity %d not sent to an identity" % m
         else:
             yield ""
+    row, col, src_k, dst_k = E.row, E.col, E.src_k, E.dst_k
     by_src = {}
     for m in mids:
-        by_src.setdefault(E.mor_src[m], []).append(m)
+        by_src.setdefault(src_k[m], []).append(m)
     for f in mids:
-        for g in by_src.get(E.mor_dst[f], ()):
-            gf = E.comp[(g, f)]
+        cf, image_f = col[f], images[f]
+        for g in by_src.get(dst_k[f], ()):
+            gf, image_g = row[g][cf], images[g]
             if gf not in images:
                 yield "composite of %d, %d left the domain" % (g, f)
-            elif E.comp[(images[g], images[f])] != images[gf]:
+            elif src_k[image_g] != dst_k[image_f] or row[image_g][col[image_f]] != images[gf]:
                 yield "composition broken at (g=%d, f=%d)" % (g, f)
             else:
                 yield ""
@@ -687,8 +707,8 @@ def _natural_iso(E, c, objects, comparison, mids, round_trip):
             eta[X] = mid
             yield ""
     for m in mids:
-        lhs = E.comp[(eta[E.mor_dst[m]], scalar_action(E, c, m))]
-        rhs = E.comp[(round_trip(m), eta[E.mor_src[m]])]
+        lhs = E.compose(eta[E.mor_dst[m]], scalar_action(E, c, m))
+        rhs = E.compose(round_trip(m), eta[E.mor_src[m]])
         yield "" if lhs == rhs else "naturality fails at morphism %d" % m
 
 

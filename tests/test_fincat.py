@@ -2,9 +2,11 @@
 fundamental-group presentations, and exact Smith reduction."""
 
 import collections
+import gc
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -664,6 +666,66 @@ def test_full_subcategory_restricts_what_build_category_certifies():
     ]
     objects = [M for M in QH.objects if M in component]
     _assert_restricts_a_certified_build(QH, full_subcategory(QH, component), objects, keep)
+
+
+def _composition_views():
+    """(category, rule composing its data): a built category of spans,
+    one of conflations, its full subcategory on total size 2, and the
+    isomorphisms of that."""
+    q3, e2 = q_category(3), conflation_category(2)
+    top = full_subcategory(e2, [X for X in e2.objects if X.total == 2])
+    core = subcategory(top, top.objects, [m for m in range(top.n_morphisms) if top.is_iso(m)])
+    return [(q3, q_compose), (e2, kernel.compose), (top, kernel.compose), (core, kernel.compose)]
+
+
+def test_comp_is_a_read_only_view_of_the_composition_tables():
+    for cat, compose_data in _composition_views():
+        n = cat.n_morphisms
+        src = [cat.obj_index[o] for o in cat.mor_src]
+        dst = [cat.obj_index[o] for o in cat.mor_dst]
+        oracle = {
+            (g, f): cat.find(cat.mor_src[f], cat.mor_dst[g], compose_data(cat.data(g), cat.data(f)))
+            for f in range(n)
+            for g in range(n)
+            if src[g] == dst[f]
+        }
+        assert None not in oracle.values()
+        assert dict(cat.comp) == oracle and cat.comp == oracle
+        assert len(cat.comp) == len(oracle) > 0
+        assert [pair for pair, _ in cat.comp.items()] == sorted(oracle, key=lambda p: (p[1], p[0]))
+        assert list(cat.comp) == [pair for pair, _ in cat.comp.items()]
+        for g in range(n):
+            for f in range(n):
+                if src[g] == dst[f]:
+                    assert cat.compose(g, f) == cat.comp[(g, f)] == oracle[(g, f)]
+                    assert (g, f) in cat.comp
+                else:
+                    for read in (cat.comp.__getitem__, lambda p: cat.compose(*p)):
+                        with pytest.raises(KeyError):
+                            read((g, f))
+                    assert (g, f) not in cat.comp
+        for stray in ((-1, 0), (0, -1), (n, 0), (0, n), (0, None), (0,), (0, 0, 0), "x", None):
+            with pytest.raises(KeyError):
+                cat.comp[stray]
+            assert stray not in cat.comp
+        with pytest.raises(TypeError):
+            cat.comp[(0, 0)] = 0
+
+
+def test_conflation_category_keeps_its_composition_in_the_tables():
+    """The composition costs about one pointer per composable pair;
+    a (g, f) -> g∘f dict cost over 100 bytes a pair."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cat = conflation_category(3)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(cat.comp) == 121339
+    assert retained / len(cat.comp) < 32
 
 
 def test_pi0_components():

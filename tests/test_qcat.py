@@ -77,6 +77,19 @@ def test_span_identity_composition():
     assert q_compose(g, QSpan.identity(1)) == g
 
 
+def test_q_compose_builds_what_the_validating_constructor_builds():
+    """Composites skip QSpan's checks: each one over the span category
+    at window 3 is the span that the checks accept and the category
+    holds."""
+    cat = q_category(3)
+    for (g, f), gf in cat.comp.items():
+        span = q_compose(cat.data(g), cat.data(f))
+        checked = QSpan(span.src, span.dst, span.sub, span.pmap)
+        assert span == checked == cat.data(gf)
+        assert hash(span) == hash(checked) == hash(cat.data(gf))
+        assert type(span.sub) is type(span.pmap) is tuple
+
+
 def test_q_compose_matches_the_pullback_of_legs():
     # Newly covers: q_compose against an independent route, on every
     # composable pair of q_category(3).  The oracle turns both spans
