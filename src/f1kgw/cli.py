@@ -181,7 +181,7 @@ def cmd_witt(args):
 
 def _emit_category(args, cat, name):
     if args.output == "json":
-        _emit_json(args, category_to_json(cat))
+        _emit(args, category_to_json(cat))
         return 0
     if args.output == "dot":
         _emit(args, category_to_dot(cat, name))

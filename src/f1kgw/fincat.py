@@ -13,8 +13,12 @@ and the unit laws on every composable triple and every morphism, or
 restricted by ``subcategory`` from one that was.  Each triple costs a
 list read, not a dict lookup, and no triple is skipped.  Ties
 everywhere are broken by least id, so construction is deterministic.
+The JSON export is text written from the tables one row at a time, in
+the bytes of a sorted, indented ``json.dumps``, with no dict of the
+whole composition in between.
 """
 
+import json
 from collections import deque
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
@@ -752,21 +756,61 @@ def abelianize(pres):
 # serialization
 
 
+def _json_block(open_, items, close, indent):
+    """A JSON container of pre-encoded items at the given depth, laid
+    out as json.dumps lays it out with indent=2."""
+    if not items:
+        return open_ + close
+    pad = " " * indent
+    return "%s\n%s%s\n%s%s" % (open_, pad, (",\n" + pad).join(items), pad[:-2], close)
+
+
 def category_to_json(cat):
-    """{objects, homs, comp} with object indices in the hom keys; the
-    keys come in table order, so dump with sort_keys for stable bytes."""
-    return {
-        "objects": [str(o) for o in cat.objects],
-        "homs": {
-            "%d,%d" % (cat.obj_index[a], cat.obj_index[b]): list(ms)
-            for (a, b), ms in cat.homs.items()
-        },
-        "comp": {"%d,%d" % (g, f): h for (g, f), h in cat.comp.items()},
-    }
+    """The export as JSON text: {comp, homs, objects}, with "g,f" -> id
+    of g∘f in comp, "a,b" (object indices) -> ascending ids in homs, and
+    each object's str.  The bytes are those of json.dumps(..., indent=2,
+    sort_keys=True) plus a newline.  comp is written straight from the
+    composition tables, one string per row g, so the text itself is the
+    largest thing built.
+    """
+    row, col, into, src_k = cat.row, cat.col, cat.into, cat.src_k
+    # Keys "a,b" sort as (str(a), str(b)), because "," sorts before every
+    # digit.  Per object: the morphisms f into it in that order, as the
+    # key tails 'f": ' and the columns col[f].
+    cols = []
+    for fs in into:
+        fs = sorted(fs, key=str)
+        cols.append((['%d": ' % f for f in fs], [col[f] for f in fs]))
+    # every row holds at least its source's identity, so none is empty
+    parts, sep = ['{\n  "comp": {'], "\n    "
+    for g in sorted(range(len(row)), key=str):
+        heads, cs = cols[src_k[g]]
+        r, lead = row[g], '"%d,' % g
+        parts.append(sep + ",\n    ".join([lead + hd + str(r[c]) for hd, c in zip(heads, cs)]))
+        sep = ",\n    "
+    index = cat.obj_index
+    homs = [
+        '"%s,%s": %s' % (a, b, _json_block("[", list(map(str, ms)), "]", 6))
+        for a, b, ms in sorted(
+            (str(index[a]), str(index[b]), ms) for (a, b), ms in cat.homs.items()
+        )
+    ]
+    objects = [json.dumps(str(o)) for o in cat.objects]
+    parts.append(
+        '%s},\n  "homs": %s,\n  "objects": %s\n}\n'
+        % (
+            "\n  " if row else "",
+            _json_block("{", homs, "}", 4),
+            _json_block("[", objects, "]", 4),
+        )
+    )
+    return "".join(parts)
 
 
-def category_from_json(data):
-    """Rebuild a category from the export; identities are re-detected."""
+def category_from_json(text):
+    """Rebuild a category from the exported text; identities are
+    re-detected."""
+    data = json.loads(text)
     objects = list(data["objects"])
     n = 0
     mor_src, mor_dst = {}, {}

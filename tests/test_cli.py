@@ -8,6 +8,8 @@ import sys
 import pytest
 
 from f1kgw.cli import main
+from f1kgw.fincat import category_from_json
+from f1kgw.qcat import completion_category
 
 
 def run(argv, capsys):
@@ -146,6 +148,23 @@ def test_export_to_file(tmp_path, capsys):
     assert set(data) >= {"objects", "homs", "comp"}
     # stdout stays quiet when writing to a file
     assert out == ""
+    # the file rebuilds the category
+    cat = completion_category(2)
+    back = category_from_json(target.read_text(encoding="utf-8"))
+    assert back.comp == cat.comp
+    assert back.identities == {str(o): m for o, m in cat.identities.items()}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["export", "--what", what] for what in ("qcat", "qhcat", "conflations", "completion")]
+    + [["qcat", "--output", "json"], ["qhcat", "--output", "json"]],
+    ids=" ".join,
+)
+def test_category_json_is_the_sorted_dump(argv, capsys):
+    rc, out = run(argv + ["--max-size", "2"], capsys)
+    assert rc == 0
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 def test_export_dot(capsys):

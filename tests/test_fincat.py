@@ -4,6 +4,7 @@ fundamental-group presentations, and exact Smith reduction."""
 import collections
 import gc
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -733,6 +734,78 @@ def test_pi0_components():
     assert pi0(two) == ((0, 1),)
     disc = build_category([0, 1], [(0, 0, "id0"), (1, 1, "id1")], lambda g, f: g)
     assert pi0(disc) == ((0,), (1,))
+
+
+def _category_payload(cat):
+    """The export as a dict, as category_to_json built it before it
+    wrote text: dumped with sort_keys and indent=2, it is the oracle of
+    the text."""
+    return {
+        "objects": [str(o) for o in cat.objects],
+        "homs": {
+            "%d,%d" % (cat.obj_index[a], cat.obj_index[b]): list(ms)
+            for (a, b), ms in cat.homs.items()
+        },
+        "comp": {"%d,%d" % (g, f): h for (g, f), h in cat.comp.items()},
+    }
+
+
+def _chain(names):
+    """The poset category of a chain: one morphism i -> j for i <= j."""
+    n = len(names)
+    return build_category(
+        names,
+        [(names[i], names[j], (i, j)) for i in range(n) for j in range(i, n)],
+        lambda g, f: (f[0], g[1]),
+    )
+
+
+_JSON_CASES = {
+    "q_category(3)": lambda: q_category(3),
+    "qh_category(3)": lambda: qh_category(3),
+    "completion_category(3)": lambda: completion_category(3),
+    "conflation_category(2)": lambda: conflation_category(2),
+    # 12 objects and 78 morphisms, so "10,..." sorts between "1,..." and "2,..."
+    "chain of 12": lambda: _chain(list(range(12))),
+    "escaped names": lambda: _chain(['say "hi"', "back\\slash", "x ⊕ y", "tab\t", ("t", 1)]),
+    "discrete 11": lambda: build_category(
+        range(11), [(k, k, k) for k in range(11)], lambda g, f: g
+    ),
+    "empty": lambda: build_category([], [], lambda g, f: g),
+}
+
+
+@pytest.mark.parametrize("case", list(_JSON_CASES))
+def test_category_to_json_writes_the_bytes_of_the_sorted_dump(case):
+    cat = _JSON_CASES[case]()
+    text = category_to_json(cat)
+    assert text == json.dumps(_category_payload(cat), sort_keys=True, indent=2) + "\n"
+
+
+def test_category_to_json_sorts_ids_as_strings():
+    text = category_to_json(_chain(list(range(12))))
+    keys = list(json.loads(text)["comp"])
+    assert keys == sorted(keys, key=lambda k: tuple(k.split(",")))
+    assert keys != sorted(keys, key=lambda k: tuple(map(int, k.split(","))))
+    assert keys.index("1,0") < keys.index("10,0") < keys.index("2,0")
+    homs = list(json.loads(text)["homs"])
+    assert homs.index("1,11") < homs.index("10,10") < homs.index("2,2")
+    text = category_to_json(_chain(['say "hi"', "x ⊕ y"]))
+    assert json.loads(text)["objects"] == ['say "hi"', "x ⊕ y"]
+    assert '"say \\"hi\\""' in text and '"x \\u2295 y"' in text
+
+
+def test_category_to_json_peaks_within_five_times_its_text():
+    cat = conflation_category(3)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        text = category_to_json(cat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) == 2666989
+    assert peak < 5 * len(text)
 
 
 def test_json_round_trip_and_dot():
