@@ -737,9 +737,8 @@ def test_pi0_components():
 
 
 def _category_payload(cat):
-    """The export as a dict, as category_to_json built it before it
-    wrote text: dumped with sort_keys and indent=2, it is the oracle of
-    the text."""
+    """The export as a dict: dumped with sort_keys and indent=2, it is
+    the oracle of category_to_json's text."""
     return {
         "objects": [str(o) for o in cat.objects],
         "homs": {
