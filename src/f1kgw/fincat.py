@@ -491,7 +491,7 @@ def subcategory(cat, objects, mids):
 
     Composition is the parent's tables, restricted, so associativity
     and the units hold as certified in the parent and are not checked
-    again.
+    again.  When every morphism is kept, cat itself is returned.
     """
     obj_set = set(objects)
     unknown = obj_set.difference(cat.obj_index)
@@ -508,6 +508,8 @@ def subcategory(cat, objects, mids):
     for m in keep:
         if cat.mor_src[m] not in obj_set or cat.mor_dst[m] not in obj_set:
             raise ValueError("morphism %d leaves the chosen objects" % m)
+    if len(keep) == cat.n_morphisms:
+        return cat
     reindex = [None] * cat.n_morphisms
     for k, m in enumerate(keep):
         reindex[m] = k

@@ -28,7 +28,8 @@ and ``FiniteCategory.find`` maps it back to the id:
 * group-completion category: (v, alpha, beta) in canonical form.
 
 The functors between them (the forgetful functor, the quotient
-fibration, the fiber embeddings, the graph of isometries and the
+fibration, the fiber embeddings, the base changes to and from the zero
+fiber, the scalar action, the graph of isometries and the
 stabilizations) are built by ``fincat.functor_by_data`` from an object
 map and the data of each morphism's image, and certified by
 ``fincat.check_functor``, which returns its first witness.
@@ -41,7 +42,7 @@ from spans already validated, and F1Morphism is the boundary type of
 """
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .fincat import (
     build_category,
@@ -459,50 +460,16 @@ def scalar_action_object(c, X):
     )
 
 
-def scalar_action(E, c, m):
-    """C·f: the scalar action on a morphism, id_C ⊕ b on the totals."""
-    return E.find(
-        scalar_action_object(c, E.mor_src[m]),
-        scalar_action_object(c, E.mor_dst[m]),
-        _id_sum(c, E.data(m)),
-    )
-
-
 @lru_cache(maxsize=None)
 def _zero_quotient(n):
     """The conflation N >-> N ->> 0."""
     return Conflation(F1Morphism.identity(n), F1Morphism.zero(n, 0))
 
 
-def restriction_to_zero(E, m):
-    """z*: the fiber morphism restricted to the subs: (A,B,C) becomes
-    (A,A,0) and b becomes the induced map on subs."""
-    src, dst = E.mor_src[m], E.mor_dst[m]
-    b0 = kernel.compose(
-        kernel.adjoint(dst.i.map, dst.total), kernel.compose(E.data(m), src.i.map)
-    )
-    return E.find(_zero_quotient(src.sub), _zero_quotient(dst.sub), b0)
-
-
-def total_to_zero(E, m):
-    """p*: the fiber morphism pushed to the totals: (A,B,C) becomes
-    (B,B,0) and b is reused."""
-    return E.find(
-        _zero_quotient(E.mor_src[m].total), _zero_quotient(E.mor_dst[m].total), E.data(m)
-    )
-
-
 @lru_cache(maxsize=None)
 def _extension(c, X):
     """A >-> C⊕B ->> C for the conflation X = (A >-> B ->> 0)."""
     return Conflation(compose(inc_right(c, X.total), X.i), proj_left(c, X.total))
-
-
-def zero_to_fiber(E, c, m):
-    """The extension functor from the fiber over 0: (A,B,0) becomes
-    A >-> C⊕B ->> C and b becomes id_C ⊕ b."""
-    b = _id_sum(c, E.data(m))
-    return E.find(_extension(c, E.mor_src[m]), _extension(c, E.mor_dst[m]), b)
 
 
 def conflation_suite(max_size, fiber_sizes=None):
@@ -513,11 +480,20 @@ def conflation_suite(max_size, fiber_sizes=None):
     from the zero fiber, the scalar action, and the two natural
     isomorphisms comparing the action with extension/restriction
     round trips.  The fiber sizes default to those of 0, 1, 2 within
-    max_size.  Every check stops at its first failing case and reports
-    it as the witness.
+    max_size; one outside 0..max_size raises ValueError.  Each base
+    change and the scalar action is a ``functor_by_data`` over its
+    domain, certified by ``check_functor``: restriction and total object
+    on the fiber over c; extension on the zero fiber and the action on
+    the whole category, both where c + total <= max_size.  Every check
+    reports its first failing case as the witness.
     """
     if fiber_sizes is None:
         fiber_sizes = tuple(c for c in (0, 1, 2) if c <= max_size)
+    outside = [c for c in fiber_sizes if c not in range(max_size + 1)]
+    if outside:
+        raise ValueError(
+            "fiber sizes outside 0..%d: %s" % (max_size, ", ".join(map(repr, outside)))
+        )
     checks = []
     E = conflation_category(max_size)
     expected = sum(
@@ -537,11 +513,14 @@ def conflation_suite(max_size, fiber_sizes=None):
     checks.append(
         CheckResult("quotient functor to the span category", not w, E.n_morphisms, w)
     )
-    fiber_mids = {}
+    fibers = {}
     for c in fiber_sizes:
         over_identity = q.find(c, c, QSpan.identity(c))
-        fiber_mids[c] = [m for m in range(E.n_morphisms) if quotient(m) == over_identity]
-        fiber = subcategory(E, [X for X in E.objects if X.quotient == c], fiber_mids[c])
+        fibers[c] = fiber = subcategory(
+            E,
+            [X for X in E.objects if X.quotient == c],
+            [m for m in range(E.n_morphisms) if quotient(m) == over_identity],
+        )
         S = iso_groupoid(max_size - c)
         w = check_functor(fiber_embedding(S, fiber, c), "equivalence")
         checks.append(
@@ -553,71 +532,58 @@ def conflation_suite(max_size, fiber_sizes=None):
             )
         )
 
-    run = CheckResult.first_failure
-
-    def within(mids, c):
-        """The ids among mids whose source and target fit c + total <= max_size."""
-        return [
-            m
-            for m in mids
-            if c + E.mor_src[m].total <= max_size
-            and c + E.mor_dst[m].total <= max_size
-        ]
-
-    zero_fiber_mids = [
-        m
-        for m in range(E.n_morphisms)
-        if E.mor_src[m].quotient == 0 and E.mor_dst[m].quotient == 0
-    ]
+    def id_sum_functor(S, c, obj):
+        """The functor S -> E sending X to obj(X) and b to id_C ⊕ b."""
+        return functor_by_data(
+            S, E, {X: obj(X) for X in S.objects}, lambda m: _id_sum(c, S.data(m))
+        )
 
     for c in fiber_sizes:
-        for name, mapper in (
-            ("restriction to the zero fiber (quotient size %d)" % c,
-             lambda m: restriction_to_zero(E, m)),
-            ("total-object functor to the zero fiber (quotient size %d)" % c,
-             lambda m: total_to_zero(E, m)),
-        ):
-            checks.append(run(name, _functorial(E, fiber_mids[c], mapper)))
+        fiber = fibers[c]
 
-        budget_mids = within(zero_fiber_mids, c)
-        checks.append(
-            run(
-                "extension from the zero fiber (quotient size %d)" % c,
-                _functorial(E, budget_mids, lambda m: zero_to_fiber(E, c, m)),
+        def on_subs(m):
+            """adj(i')∘b∘i: the fiber morphism m restricted to the subs."""
+            X, Y = fiber.mor_src[m], fiber.mor_dst[m]
+            return kernel.compose(
+                kernel.adjoint(Y.i.map, Y.total), kernel.compose(fiber.data(m), X.i.map)
             )
-        )
-        checks.append(
-            run(
-                "scalar action by size %d is functorial" % c,
-                _functorial(
-                    E, within(range(E.n_morphisms), c), lambda m: scalar_action(E, c, m)
-                ),
-            )
-        )
+
         fitting = [X for X in E.objects if c + X.total <= max_size]
+        zero = full_subcategory(E, [X for X in fitting if X.quotient == 0])
+        on_fiber = full_subcategory(fiber, [X for X in fitting if X.quotient == c])
+        action = partial(scalar_action_object, c)
+        for name, F in (
+            ("restriction to the zero fiber (quotient size %d)",
+             functor_by_data(fiber, E, {X: _zero_quotient(X.sub) for X in fiber.objects}, on_subs)),
+            ("total-object functor to the zero fiber (quotient size %d)",
+             functor_by_data(
+                 fiber, E, {X: _zero_quotient(X.total) for X in fiber.objects}, fiber.data
+             )),
+            ("extension from the zero fiber (quotient size %d)",
+             id_sum_functor(zero, c, partial(_extension, c))),
+            ("scalar action by size %d is functorial",
+             id_sum_functor(full_subcategory(E, fitting), c, action)),
+        ):
+            w = check_functor(F, "functoriality")
+            S = F.source
+            checks.append(CheckResult(name % c, not w, S.n_morphisms + len(S.comp), w))
         checks.append(
-            run(
+            CheckResult.first_failure(
                 "action = extension after restriction on the fiber (size %d)" % c,
                 _natural_iso(
-                    E,
-                    c,
-                    [X for X in fitting if X.quotient == c],
-                    _sorted_comparison,
-                    within(fiber_mids[c], c),
-                    lambda m: zero_to_fiber(E, c, total_to_zero(E, m)),
+                    id_sum_functor(on_fiber, c, action),
+                    id_sum_functor(on_fiber, c, lambda X: _extension(c, _zero_quotient(X.total))),
+                    partial(_sorted_comparison, c),
                 ),
             )
         )
         checks.append(
-            run(
+            CheckResult.first_failure(
                 "action = restriction after extension over the zero fiber (size %d)" % c,
                 _natural_iso(
-                    E,
-                    c,
-                    [X for X in fitting if X.quotient == 0],
-                    _identity_comparison,
-                    budget_mids,
-                    lambda m: total_to_zero(E, zero_to_fiber(E, c, m)),
+                    id_sum_functor(zero, c, action),
+                    id_sum_functor(zero, c, lambda X: _zero_quotient(c + X.total)),
+                    partial(_identity_comparison, c),
                 ),
             )
         )
@@ -631,38 +597,6 @@ def conflation_suite(max_size, fiber_sizes=None):
         if 2 * c > max_size
     ]
     return SuiteReport("conflation category fibration suite", max_size, checks, notes=notes)
-
-
-def _functorial(E, mids, mapper):
-    """Witnesses that a morphism assignment fails to preserve identities
-    or composition on the given ids: one case per morphism, then one
-    per composable pair."""
-    idents = set(E.identities.values())
-    images = {}
-    for m in mids:
-        image = mapper(m)
-        if image is None:
-            yield "image of morphism %d is not a valid morphism" % m
-            continue
-        images[m] = image
-        if m in idents and image not in idents:
-            yield "identity %d not sent to an identity" % m
-        else:
-            yield ""
-    row, col, src_k, dst_k = E.row, E.col, E.src_k, E.dst_k
-    by_src = {}
-    for m in mids:
-        by_src.setdefault(src_k[m], []).append(m)
-    for f in mids:
-        cf, image_f = col[f], images[f]
-        for g in by_src.get(dst_k[f], ()):
-            gf, image_g = row[g][cf], images[g]
-            if gf not in images:
-                yield "composite of %d, %d left the domain" % (g, f)
-            elif src_k[image_g] != dst_k[image_f] or row[image_g][col[image_f]] != images[gf]:
-                yield "composition broken at (g=%d, f=%d)" % (g, f)
-            else:
-                yield ""
 
 
 def _sorted_comparison(c, X):
@@ -690,15 +624,16 @@ def _identity_comparison(c, X):
     return _zero_quotient(total), tuple(range(total + 1))
 
 
-def _natural_iso(E, c, objects, comparison, mids, round_trip):
-    """Witnesses that the scalar action by size c is not naturally
-    isomorphic to round_trip on the given objects and the morphisms
-    mids between them.  comparison(c, X) gives the target and the
-    totals map of the component at X.  One case per object, then one
-    per morphism."""
+def _natural_iso(action, round_trip, comparison):
+    """Witnesses that the functors action and round_trip, from one
+    domain S into one category E, are not naturally isomorphic through
+    the components comparison(X): the target and totals map of the
+    morphism out of action(X).  One case per object of S, then one per
+    morphism."""
+    S, E = action.source, action.target
     eta = {}
-    for X in objects:
-        mid = E.find(scalar_action_object(c, X), *comparison(c, X))
+    for X in S.objects:
+        mid = E.find(action.obj_map[X], *comparison(X))
         if mid is None:
             yield "comparison at %s is not a morphism" % (X,)
         elif not E.is_iso(mid):
@@ -706,10 +641,18 @@ def _natural_iso(E, c, objects, comparison, mids, round_trip):
         else:
             eta[X] = mid
             yield ""
-    for m in mids:
-        lhs = E.compose(eta[E.mor_dst[m]], scalar_action(E, c, m))
-        rhs = E.compose(round_trip(m), eta[E.mor_src[m]])
-        yield "" if lhs == rhs else "naturality fails at morphism %d" % m
+    comp = E.comp
+    for m in range(S.n_morphisms):
+        a, r = action.mor_map.get(m), round_trip.mor_map.get(m)
+        if a is None or r is None:
+            yield "morphism %d unmapped by the %s" % (m, "action" if a is None else "round trip")
+            continue
+        lhs = comp.get((eta[S.mor_dst[m]], a))
+        rhs = comp.get((r, eta[S.mor_src[m]]))
+        if lhs is None or rhs is None:
+            yield "naturality square at morphism %d does not compose" % m
+        else:
+            yield "" if lhs == rhs else "naturality fails at morphism %d" % m
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line surface: every subcommand, output formats, file
 output, exit codes, and byte determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -135,6 +136,23 @@ def test_suites_smallest_windows(capsys):
     assert rc == 2
     assert captured.out == ""
     assert "error: suites needs --max-size >= 1, got 0" in captured.err
+
+
+@pytest.mark.parametrize(
+    "max_size, output, digest",
+    [
+        (1, "text", "8653286c8b5c9298"),
+        (1, "json", "2dbd336a4f8b732a"),
+        (2, "text", "7079251c41d7d15d"),
+        (2, "json", "9a5f7bcfa1fbeabb"),
+        (3, "text", "c7775ca2dbfcc11f"),
+        (3, "json", "68ff132ada3757cf"),
+    ],
+)
+def test_suites_bytes_are_pinned(capsys, max_size, output, digest):
+    rc, out = run(["suites", "--max-size", str(max_size), "--output", output], capsys)
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest()[:16] == digest
 
 
 def test_export_to_file(tmp_path, capsys):

@@ -633,6 +633,20 @@ def test_subcategory_rejects_an_id_outside_the_parent():
             subcategory(q1, [0, 1], [0, stray])
 
 
+def test_subcategory_keeping_every_morphism_is_the_parent():
+    q2 = q_category(2)
+    everything = list(range(q2.n_morphisms))
+    assert full_subcategory(q2, q2.objects) is q2
+    assert subcategory(q2, q2.objects, everything) is q2
+    # the checks before the early return still run
+    with pytest.raises(ValueError, match="leaves the chosen objects"):
+        subcategory(q2, q2.objects[:-1], everything)
+    with pytest.raises(UnknownObject, match="nope"):
+        subcategory(q2, list(q2.objects) + ["nope"], everything)
+    with pytest.raises(ValueError, match="not morphism ids: %d" % q2.n_morphisms):
+        subcategory(q2, q2.objects, everything + [q2.n_morphisms])
+
+
 def _assert_restricts_a_certified_build(cat, sub, objects, keep):
     """sub, on the given objects and the parent ids keep, is what
     build_category certifies when fed those parent ids as data."""

@@ -3,14 +3,16 @@ category with its quotient fibration, stabilization, and the
 group-completion category."""
 
 import itertools
+import re
 from math import comb, factorial
 
 import pytest
 
+from f1kgw import qcat
 from f1kgw._backend import kernel
 from f1kgw.fincat import abelianize, check_functor, full_subcategory, pi0, pi1_presentation
 from f1kgw.forms import enumerate_forms, hyperbolic, identity_form
-from f1kgw.pointed import F1Morphism, all_conflations, complete_pullback, compose
+from f1kgw.pointed import Conflation, F1Morphism, all_conflations, complete_pullback, compose
 from f1kgw.qcat import (
     QSpan,
     _quotient_parts,
@@ -242,6 +244,98 @@ def test_conflation_suite_names_every_check_without_a_case_in_a_note():
         assert empty == ["action = extension after restriction on the fiber (size %d)" % size]
         for name in empty:
             assert sum(note.startswith(name + " has no case") for note in report.notes) == 1
+
+
+def test_conflation_suite_rejects_fiber_sizes_outside_the_window():
+    for sizes, named in (((3,), "3"), ((-1,), "-1"), ((0, 5, 1, -2), "5, -2")):
+        with pytest.raises(ValueError, match=r"^fiber sizes outside 0\.\.2: %s$" % named):
+            conflation_suite(2, fiber_sizes=sizes)
+
+
+@pytest.fixture
+def corrupt(monkeypatch):
+    """Replace a helper of the conflation suite for one test.  The
+    cached helpers are emptied around it, so that none answers from
+    what it built with the honest helper or keeps what it built with
+    the corrupted one."""
+    cached = (qcat.scalar_action_object, qcat._extension, qcat._zero_quotient)
+    for helper in cached:
+        helper.cache_clear()
+    yield lambda name, helper: monkeypatch.setattr(qcat, name, helper)
+    for helper in cached:
+        helper.cache_clear()
+
+
+def _failures(report):
+    """{check name: (cases counted, witness)} of the failing checks; the
+    report renders and says so."""
+    assert not report.ok and report.render().endswith("result: FAILURES")
+    return {c.name: (c.checked, c.witness) for c in report.checks if not c.passed}
+
+
+def test_natural_iso_reports_a_round_trip_that_does_not_compose(corrupt):
+    """An isomorphic stand-in for 2 >-> 2 ->> 0 moves the round trip's
+    objects off the comparisons' targets: reported, not a KeyError."""
+    honest = qcat._zero_quotient
+    swapped = Conflation(F1Morphism(2, 2, (0, 2, 1)), F1Morphism.zero(2, 0))
+    corrupt("_zero_quotient", lambda n: swapped if n == 2 else honest(n))
+    failures = _failures(conflation_suite(3))
+    assert failures == {
+        "action = extension after restriction on the fiber (size 0)":
+            (13, "naturality square at morphism 2 does not compose"),
+        "action = extension after restriction on the fiber (size 1)":
+            (5, "naturality square at morphism 1 does not compose"),
+    }
+
+
+def test_a_broken_id_sum_fails_the_extension_and_the_action(corrupt):
+    """id_C ⊕ id_B sent to id_C ⊕ swap for C = 1, B = 2."""
+    honest = qcat._id_sum
+    corrupt("_id_sum", lambda c, f: honest(c, (0, 2, 1) if (c, f) == (1, (0, 1, 2)) else f))
+    failures = _failures(conflation_suite(3, fiber_sizes=(1,)))
+    # a failing functor check counts its whole domain, as a passing one does
+    checked, witness = failures["extension from the zero fiber (quotient size 1)"]
+    assert checked == 44
+    assert re.fullmatch(r"identity of Conflation\(.*\) not preserved", witness)
+    checked, witness = failures["scalar action by size 1 is functorial"]
+    assert checked == 404
+    assert re.fullmatch(r"morphism \d+ unmapped", witness)
+    assert "restriction to the zero fiber (quotient size 1)" not in failures
+
+
+def test_a_broken_extension_fails_the_natural_iso(corrupt):
+    """The extension of a total-1 object replaced by 2 >-> 2 ->> 0."""
+    honest = qcat._extension
+
+    def broken(c, X):
+        return qcat._zero_quotient(2) if (c, X.total) == (1, 1) else honest(c, X)
+
+    corrupt("_extension", broken)
+    failures = _failures(conflation_suite(2, fiber_sizes=(1,)))
+    assert failures == {
+        "action = extension after restriction on the fiber (size 1)":
+            (2, "naturality square at morphism 0 does not compose"),
+    }
+
+
+def test_a_broken_scalar_action_fails_the_action_and_the_natural_iso(corrupt):
+    """C·X replaced by the extension of X for C = 1 and X = 1 >-> 1 ->> 0."""
+    honest = qcat.scalar_action_object
+
+    def broken(c, X):
+        if (c, X.total, X.quotient) == (1, 1, 0):
+            return qcat._extension(c, X)
+        return honest(c, X)
+
+    corrupt("scalar_action_object", broken)
+    failures = _failures(conflation_suite(2, fiber_sizes=(1,)))
+    assert set(failures) == {
+        "scalar action by size 1 is functorial",
+        "action = restriction after extension over the zero fiber (size 1)",
+    }
+    assert failures["scalar action by size 1 is functorial"] == (12, "morphism 3 unmapped")
+    _, witness = failures["action = restriction after extension over the zero fiber (size 1)"]
+    assert re.fullmatch(r"comparison at .* is not a morphism", witness)
 
 
 # -------------------------------------------------- comma / stabilization
