@@ -7,12 +7,15 @@ and a category is built from its (src, dst, data) triples and a rule
 that composes data.  Composition is kept as one table per object (a
 row per morphism out of it, a column per morphism into it), about one
 pointer per composable pair; ``comp`` is a read-only mapping view of
-the tables.  All certification is by full enumeration over them: every
-category is certified by ``build_category``, which checks associativity
-and the unit laws on every composable triple and every morphism, or
-restricted by ``subcategory`` from one that was.  Each triple costs a
-list read, not a dict lookup, and no triple is skipped.  Ties
-everywhere are broken by least id, so construction is deterministic.
+the tables.  All certification is by full enumeration over them.
+The unit laws are checked on every morphism, and associativity is
+certified in one of three ways: by ``build_category``, which checks
+every composable triple, each at the cost of a list read; by
+``build_transported``, when its composition is carried from a category
+so certified, through a witness functor checked functorial and faithful
+on every morphism and composable pair; or by ``subcategory``, which
+restricts a category certified either way.  Ties everywhere are broken
+by least id, so construction is deterministic.
 The JSON export is text written from the tables one row at a time, in
 the bytes of a sorted, indented ``json.dumps``, with no dict of the
 whole composition in between.
@@ -230,6 +233,45 @@ def build_category(objects, morphisms, compose_data):
     the two data values alone, never on the endpoints, so that equal
     pairs of data compose alike wherever they occur.
 
+    The composition tables and the units come from ``_tabulate``.
+    Associativity is then checked on every composable triple, a whole
+    row of f at a time (AssociativityViolation with the least witnessing
+    (f, g, h)).  The tables are the category's composition: ``row``
+    keeps them, and ``comp`` and ``compose`` read them.
+    """
+    cat = _tabulate(objects, morphisms, compose_data)
+    _certify_associativity(cat)
+    return cat
+
+
+def build_transported(objects, morphisms, compose_data, witness):
+    """Assemble a finite category whose composition is transported from
+    a certified one, and certify it through a functor.
+
+    objects, morphisms, compose_data: as for ``build_category``.
+    witness(cat): a functor from the tabulated category into a category
+    that ``build_category`` has certified, usually a ``functor_by_data``.
+
+    The tables and the units come from ``_tabulate``.  When the witness
+    is functorial and faithful, cat is associative without a triple
+    being visited: F sends both bracketings of h, g, f to F(h)∘F(g)∘F(f)
+    in the associative target, and both lie in one hom set, on which F
+    is injective.  Each check costs one read per morphism or composable
+    pair.  When either check returns a witness, every triple is checked
+    as in ``build_category``, so a broken composition raises the same
+    AssociativityViolation, with the same least witness.
+    """
+    cat = _tabulate(objects, morphisms, compose_data)
+    F = witness(cat)
+    if check_functor(F, "functoriality") or check_functor(F, "faithful"):
+        _certify_associativity(cat)
+    return cat
+
+
+def _tabulate(objects, morphisms, compose_data):
+    """The category of the (src, dst, data) triples with its composition
+    tables filled and its units found, associativity not yet certified.
+
     The composite of g and f is the morphism f.src -> g.dst carrying the
     composed data, looked up in the category's data index; a composite
     outside that hom set raises ValueError.  When some datum is carried
@@ -240,10 +282,6 @@ def build_category(objects, morphisms, compose_data):
     Every composable pair is composed into the composition table of the
     middle object: row g, column f holds g∘f.  Unit laws are checked for
     every object (UnitViolation if no unique unit exists).
-    Associativity is checked on every composable triple, a whole row of
-    f at a time (AssociativityViolation with the least witnessing
-    (f, g, h)).  The tables are the category's composition: ``row``
-    keeps them, and ``comp`` and ``compose`` read them.
     """
     cat = FiniteCategory(objects, morphisms)
     data, data_id, by_data = cat.mor_data, cat._data_id, cat._by_data
@@ -293,8 +331,6 @@ def build_category(objects, morphisms, compose_data):
                 "object %r has %d units" % (o, len(units))
             )
         cat.identities[o] = units[0]
-
-    _certify_associativity(cat)
     return cat
 
 

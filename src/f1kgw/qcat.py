@@ -14,16 +14,19 @@ Four constructions share this module:
 * the group-completion category built from pairs of objects and
   stabilizing isomorphisms.
 
-Every category is built by ``fincat.build_category`` from its
-(src, dst, data) morphisms and the rule composing their data, so
-associativity and unit laws are certified exhaustively at build time;
-the fibers and components taken by ``subcategory`` restrict a category
-so certified.  Morphism data tells the morphisms of a hom set apart,
-and ``FiniteCategory.find`` maps it back to the id:
+Every category is built from its (src, dst, data) morphisms and the
+rule composing their data, and certified at build time: by
+``fincat.build_category``, triple by triple, or, for the conflation
+category, by ``fincat.build_transported`` through the faithful functor
+to ``pointed_set_category`` that keeps the middle map.  The fibers and
+components taken by ``subcategory`` restrict a category so certified.
+Morphism data tells the morphisms of a hom set apart, and
+``FiniteCategory.find`` maps it back to the id:
 
 * span category: the canonical QSpan;
 * hermitian span category: the underlying QSpan;
 * conflation category: the map tuple of the middle inflation;
+* pointed sets: the map tuple;
 * isomorphism and hyperbolic groupoids: the map, as an F1Morphism;
 * group-completion category: (v, alpha, beta) in canonical form.
 
@@ -46,6 +49,7 @@ from functools import lru_cache, partial
 
 from .fincat import (
     build_category,
+    build_transported,
     check_functor,
     comma_category,
     full_subcategory,
@@ -398,9 +402,23 @@ def _quotient_parts(src, dst, bmap):
     return c1, qmap
 
 
+def pointed_set_category(n):
+    """The category of the pointed sets 0..n and all maps between them,
+    partial injections as kernel map tuples, composed by
+    ``kernel.compose`` and certified triple by triple."""
+    objects = range(n + 1)
+    morphisms = [(a, b, f) for a in objects for b in objects for f in kernel.hom_maps(a, b)]
+    return build_category(objects, morphisms, kernel.compose)
+
+
 def conflation_category(max_size):
     """The category of conflations with total object of size <=
-    max_size; morphism data is the map tuple of the middle inflation."""
+    max_size; morphism data is the map tuple of the middle inflation.
+
+    Composition is that of the middle maps, so the category is certified
+    through the functor X ↦ X.total, b ↦ b into
+    ``pointed_set_category(max_size)``, checked functorial and faithful.
+    """
     objects = list(all_conflations(max_size))
     morphisms = []
     for src in objects:
@@ -408,15 +426,29 @@ def conflation_category(max_size):
             for bmap in kernel.inflation_maps(src.total, dst.total):
                 if _quotient_parts(src, dst, bmap) is not None:
                     morphisms.append((src, dst, bmap))
-    return build_category(objects, morphisms, kernel.compose)
+    P = pointed_set_category(max_size)
+    return build_transported(
+        objects,
+        morphisms,
+        kernel.compose,
+        lambda E: functor_by_data(E, P, {X: X.total for X in E.objects}, E.data),
+    )
 
 
 def quotient_fibration(E, q):
-    """The functor from conflations to spans taking quotients."""
+    """The functor from conflations to spans taking quotients.
+
+    The quotient span of b: X -> Y is C <<- C1 >-> C', where C1 is the
+    image of p'∘b and the deflation sends p'∘b(x) to p(x).  Every
+    morphism of E passed ``_quotient_parts``, so that value is well
+    defined; ``QSpan`` and ``check_functor`` still validate the span.
+    """
 
     def quotient_span(m):
         src, dst = E.mor_src[m], E.mor_dst[m]
-        return QSpan(src.quotient, dst.quotient, *_quotient_parts(src, dst, E.data(m)))
+        value = dict(zip(kernel.compose(dst.p.map, E.data(m)), src.p.map))
+        image = sorted(value)
+        return QSpan(src.quotient, dst.quotient, image[1:], [value[c] for c in image])
 
     return functor_by_data(E, q, {X: X.quotient for X in E.objects}, quotient_span)
 
@@ -485,7 +517,9 @@ def conflation_suite(max_size, fiber_sizes=None):
     domain, certified by ``check_functor``: restriction and total object
     on the fiber over c; extension on the zero fiber and the action on
     the whole category, both where c + total <= max_size.  Every check
-    reports its first failing case as the witness.
+    reports its first failing case as the witness.  The fibers are taken
+    over the quotient functor, so when its check fails the report ends
+    there, with a note that says so.
     """
     if fiber_sizes is None:
         fiber_sizes = tuple(c for c in (0, 1, 2) if c <= max_size)
@@ -494,6 +528,7 @@ def conflation_suite(max_size, fiber_sizes=None):
         raise ValueError(
             "fiber sizes outside 0..%d: %s" % (max_size, ", ".join(map(repr, outside)))
         )
+    title = "conflation category fibration suite"
     checks = []
     E = conflation_category(max_size)
     expected = sum(
@@ -513,6 +548,9 @@ def conflation_suite(max_size, fiber_sizes=None):
     checks.append(
         CheckResult("quotient functor to the span category", not w, E.n_morphisms, w)
     )
+    if w:
+        note = "fiber checks skipped: the fibers are taken over the quotient functor, which failed"
+        return SuiteReport(title, max_size, checks, notes=[note])
     fibers = {}
     for c in fiber_sizes:
         over_identity = q.find(c, c, QSpan.identity(c))
@@ -596,7 +634,7 @@ def conflation_suite(max_size, fiber_sizes=None):
         for c in fiber_sizes
         if 2 * c > max_size
     ]
-    return SuiteReport("conflation category fibration suite", max_size, checks, notes=notes)
+    return SuiteReport(title, max_size, checks, notes=notes)
 
 
 def _sorted_comparison(c, X):

@@ -27,12 +27,14 @@ from f1kgw.qcat import (
     hyperbolic_groupoid,
     is_reductive_span,
     iso_groupoid,
+    pointed_set_category,
     q_category,
     q_compose,
     qh_category,
     qh_census_counts,
     qh_component_fixed_points,
     qh_forgetful,
+    quotient_fibration,
     reductive_spans,
     stabilization_equivalence_suite,
     standard_stabilization,
@@ -212,6 +214,28 @@ def test_conflation_morphism_derivation_rejects():
     assert QSpan(1, 1, *parts) == QSpan.identity(1)
 
 
+def test_quotient_fibration_sends_each_morphism_to_its_quotient_parts():
+    E, q = conflation_category(3), q_category(3)
+    quotient = quotient_fibration(E, q)
+    for m in range(E.n_morphisms):
+        X, Y = E.mor_src[m], E.mor_dst[m]
+        parts = _quotient_parts(X, Y, E.data(m))
+        assert quotient(m) == q.find(X.quotient, Y.quotient, QSpan(X.quotient, Y.quotient, *parts))
+
+
+def test_pointed_set_category_counts_partial_injections():
+    sizes = []
+    for n in range(5):
+        P = pointed_set_category(n)
+        assert P.objects == tuple(range(n + 1))
+        for a in P.objects:
+            for b in P.objects:
+                want = sum(comb(a, k) * comb(b, k) * factorial(k) for k in range(min(a, b) + 1))
+                assert len(P.hom(a, b)) == want, (a, b)
+        sizes.append(P.n_morphisms)
+    assert sizes == [1, 5, 20, 90, 499]
+
+
 def test_iso_groupoid_counts():
     G = iso_groupoid(3)
     assert len(G.objects) == 4
@@ -336,6 +360,28 @@ def test_a_broken_scalar_action_fails_the_action_and_the_natural_iso(corrupt):
     assert failures["scalar action by size 1 is functorial"] == (12, "morphism 3 unmapped")
     _, witness = failures["action = restriction after extension over the zero fiber (size 1)"]
     assert re.fullmatch(r"comparison at .* is not a morphism", witness)
+
+
+def test_a_partial_quotient_functor_ends_the_suite_with_a_note(monkeypatch):
+    """The fibers are read off the quotient functor: when it leaves a
+    morphism unmapped, the suite reports that and takes no fiber."""
+    honest = qcat.quotient_fibration
+
+    def dropping_the_last(E, q):
+        F = honest(E, q)
+        del F.mor_map[E.n_morphisms - 1]
+        return F
+
+    monkeypatch.setattr(qcat, "quotient_fibration", dropping_the_last)
+    report = conflation_suite(2)
+    assert _failures(report) == {"quotient functor to the span category": (61, "morphism 60 unmapped")}
+    assert [c.name for c in report.checks] == [
+        "object census matches (x+1)*x! per total size",
+        "quotient functor to the span category",
+    ]
+    assert report.notes == [
+        "fiber checks skipped: the fibers are taken over the quotient functor, which failed"
+    ]
 
 
 # -------------------------------------------------- comma / stabilization
