@@ -75,13 +75,21 @@ def pullback_legs(b, r, w_size, v_size):
 def is_pullback(l, t, b, r, u_size, v_size, w_size, x_size):
     """Is the commuting square (shape as in ``universal_square_ok``) a
     pullback, i.e. is its comparison into the elementwise pullback a
-    bijection?  Sound when t is injective; l may be arbitrary."""
+    bijection?  Sound when t is injective; l may be arbitrary.
 
-    # name an element by its W image, or by its V image when that is 0
-    def names(left, top):
-        return sorted((left[e], 0 if left[e] else top[e]) for e in range(1, len(left)))
-
-    return names(l, t) == names(*pullback_legs(b, r, w_size, v_size))
+    An element of U is named by its W image, or by its V image when that
+    is 0; the elementwise pullback has the names (w, 0) for the w whose
+    b(w) is hit by r and (0, v) for v in the kernel of r.  So the names
+    agree as multisets exactly when the sorted nonzero l(e) are those w
+    and the sorted t(e) with l(e) = 0 are that kernel.
+    """
+    hit = set(r[1:])
+    hit.discard(0)
+    matched = [w for w in range(1, w_size + 1) if b[w] in hit]
+    if sorted(w for w in l[1:] if w) != matched:
+        return False
+    ker = [v for v in range(1, v_size + 1) if r[v] == 0]
+    return sorted(v for w, v in zip(l[1:], t[1:]) if w == 0) == ker
 
 
 def is_pushout(l, t, b, r, u_size, v_size, w_size, x_size):
@@ -140,32 +148,41 @@ def deflation_maps(src, dst):
 
 
 @lru_cache(maxsize=None)
-def _shared(m):
-    """The first map equal to m: the tables repeat few distinct
-    composites (159 in 8,222 entries for axiom_suite(4)), so each is
-    stored once."""
-    return m
+def _hom_index(src, dst):
+    """The position of each map in hom_maps(src, dst)."""
+    return {m: k for k, m in enumerate(hom_maps(src, dst))}
 
 
 @lru_cache(maxsize=None)
-def post_table(g, n, src):
-    """g∘c for every c in hom_maps(n, src), in that order."""
-    return tuple(_shared(compose(g, c)) for c in hom_maps(n, src))
+def post_table(g, n, src, dst):
+    """For every c in hom_maps(n, src), in that order, the index of g∘c
+    in hom_maps(n, dst), where g: src -> dst."""
+    index = _hom_index(n, dst)
+    return tuple(index[compose(g, c)] for c in hom_maps(n, src))
 
 
 @lru_cache(maxsize=None)
-def pre_table(f, n, dst):
-    """c∘f for every c in hom_maps(dst, n), in that order."""
-    return tuple(_shared(compose(c, f)) for c in hom_maps(dst, n))
+def pre_table(f, n, src, dst):
+    """For every c in hom_maps(dst, n), in that order, the index of c∘f
+    in hom_maps(src, n), where f: src -> dst."""
+    index = _hom_index(src, n)
+    return tuple(index[compose(c, f)] for c in hom_maps(dst, n))
+
+
+@lru_cache(maxsize=None)
+def _tally(table, *args):
+    """How often each index occurs in table(*args): the tables repeat few
+    distinct composites (159 in 8,222 entries for axiom_suite(4))."""
+    return Counter(table(*args))
 
 
 def _bijective(first, second, domain, left, right):
     """Is m ↦ (first[m], second[m]), over a hom set of size domain, a
-    bijection onto the index pairs (i, j) with left[i] == right[j]?"""
+    bijection onto the index pairs (i, j) with left[i] == right[j]?
+    left and right are the tallies of those index tables."""
     if len(set(zip(first, second))) != domain:
         return False
-    tally = Counter(left)
-    return sum(tally[k] for k in right) == domain
+    return sum(count * right[k] for k, count in left.items()) == domain
 
 
 def universal_square_ok(l, t, b, r, u_size, v_size, w_size, x_size, bound):
@@ -175,28 +192,28 @@ def universal_square_ok(l, t, b, r, u_size, v_size, w_size, x_size, bound):
 
     Every test object T = n <= bound is still enumerated and every map
     compared.  The composites come from the cached tables: post_table
-    holds g∘c for every c: T -> src(g), pre_table holds c∘f for every
-    c: dst(f) -> T, so each leg's composites are computed once per
-    process and shared by every square that has that leg.  The
-    pullback comparison hom(T,U) -> {(c,d): b∘c = r∘d} is a bijection
-    exactly when the (l∘m, t∘m) are pairwise distinct and as many as
-    the matched pairs; dually for the pushout.
+    holds the index of g∘c for every c: T -> src(g), pre_table that of
+    c∘f for every c: dst(f) -> T, so each leg's composites are computed
+    and tallied once per process and shared by every square that has
+    that leg.  The pullback comparison hom(T,U) -> {(c,d): b∘c = r∘d}
+    is a bijection exactly when the (l∘m, t∘m) are pairwise distinct
+    and as many as the matched pairs; dually for the pushout.
     """
     for n in range(bound + 1):
         if not _bijective(
-            post_table(l, n, u_size),
-            post_table(t, n, u_size),
+            post_table(l, n, u_size, w_size),
+            post_table(t, n, u_size, v_size),
             len(hom_maps(n, u_size)),
-            post_table(b, n, w_size),
-            post_table(r, n, v_size),
+            _tally(post_table, b, n, w_size, x_size),
+            _tally(post_table, r, n, v_size, x_size),
         ):
             return False
         if not _bijective(
-            pre_table(b, n, x_size),
-            pre_table(r, n, x_size),
+            pre_table(b, n, w_size, x_size),
+            pre_table(r, n, v_size, x_size),
             len(hom_maps(x_size, n)),
-            pre_table(l, n, w_size),
-            pre_table(t, n, v_size),
+            _tally(pre_table, l, n, u_size, w_size),
+            _tally(pre_table, t, n, u_size, v_size),
         ):
             return False
     return True

@@ -581,40 +581,44 @@ UNIVERSAL_BOUND = 2
 CALIBRATION_BOUND = 3
 
 
+def _support(m):
+    """The elements a map sends to a nonzero point, as a key."""
+    return tuple(map(bool, m))
+
+
 def _commuting_squares(max_size, infl, defl):
     """Yield every commuting distinguished square with corners <= max_size,
-    as (l, t, b, r, u, v, w, x): the leg maps, then the corner sizes.
+    as (l, t, b, r, u, v, w, x): the leg maps, then the corner sizes, in
+    the order of (u, v, t, x, r, w, l).
 
-    Enumerates (t, r, l) and derives b pointwise from b∘l = r∘t: the
-    nonzero fibres of a deflation l are single elements, so b is forced;
-    candidates whose forced b is not an inflation are skipped.
+    Enumerates (t, r) and builds each square from d = r∘t.  When l hits
+    every point of W, as a deflation does, b∘l = d forces b, and b is an
+    inflation exactly when l's support is supp(d) and w = |supp(d)|:
+    l(e) = 0 forces d(e) = 0, and a point of W hit only from outside
+    supp(d) would have b = 0.  So the l of the class passed in (a
+    corrupted class still counts) are indexed by support once per call,
+    and only those with support supp(d) are visited.  Each is a map of
+    its hom set, so a bijection from supp(d) onto W, and b = d∘l^ad.
+    The nonzero values of b are those of the partial injection d, so b
+    is a valid everywhere-injective map by construction and is not
+    re-checked.
     """
     for u in range(max_size + 1):
+        by_support = {}
+        for w in range(u + 1):
+            for l in defl(u, w):
+                key = _support(l)
+                if sum(key) == w:
+                    by_support.setdefault(key, []).append((l, kernel.adjoint(l, w)))
         for v in range(u, max_size + 1):
             for t in infl(u, v):
                 for x in range(max_size + 1):
                     for r in defl(v, x):
                         d = kernel.compose(r, t)
-                        for w in range(max_size + 1):
-                            for l in defl(u, w):
-                                bmap = [0] * (w + 1)
-                                ok = True
-                                for e in range(1, u + 1):
-                                    le = l[e]
-                                    if le == 0:
-                                        if d[e] != 0:
-                                            ok = False
-                                            break
-                                    else:
-                                        bmap[le] = d[e]
-                                if not ok:
-                                    continue
-                                bmap = tuple(bmap)
-                                if not kernel.is_valid_map(bmap, x):
-                                    continue
-                                if not kernel.is_injective(bmap):
-                                    continue
-                                yield l, t, bmap, r, u, v, w, x
+                        key = _support(d)
+                        w = sum(key)
+                        for l, back in by_support.get(key, ()):
+                            yield l, t, kernel.compose(d, back), r, u, v, w, x
 
 
 def _square_text(l, t, b, r, u, v, w, x):
@@ -741,13 +745,13 @@ def _exact_bifunctor(max_size):
     """DS2: ⊕ is a bifunctor preserving the exact structure."""
     small = min(2, max_size)
     composable = [
-        (b, c, f, g)
+        (b, c, f, g, kernel.compose(g, f))
         for a, b, c in product(range(small + 1), repeat=3)
         for f in kernel.hom_maps(a, b)
         for g in kernel.hom_maps(b, c)
     ]
-    for (b1, c1, f1, g1), (_, _, f2, g2) in product(composable, repeat=2):
-        lhs = kernel.block_sum(kernel.compose(g1, f1), kernel.compose(g2, f2), c1)
+    for (b1, c1, f1, g1, gf1), (_, _, f2, g2, gf2) in product(composable, repeat=2):
+        lhs = kernel.block_sum(gf1, gf2, c1)
         rhs = kernel.compose(
             kernel.block_sum(g1, g2, c1), kernel.block_sum(f1, f2, b1)
         )

@@ -331,24 +331,6 @@ def qh_component_fixed_points(qh):
     return out
 
 
-def qh_census_counts(max_size):
-    """Brute-force recount: for each pair of forms, the number of valid
-    spans found by filtering every span between the sizes.  Returns a
-    dict (M, N) -> count for cross-checking reductive_spans."""
-    objects = []
-    for n in range(max_size + 1):
-        objects.extend(enumerate_forms(n))
-    counts = {}
-    for M in objects:
-        for N in objects:
-            c = 0
-            for s in q_span_morphisms(M.size, N.size):
-                if is_reductive_span(M, N, s):
-                    c += 1
-            counts[(M, N)] = c
-    return counts
-
-
 # ---------------------------------------------------------------------------
 # the category of conflations
 
@@ -915,23 +897,3 @@ def completion_compose(g, f):
     na = kernel.compose(amap2, ja)
     nb = kernel.compose(bmap2, jb)
     return (v2 + v,) + _stab_canonical(v2 + v, na, nb)
-
-
-def completion_summary(window):
-    """Component and automorphism census without the certified build.
-
-    Components of the completion category are indexed by the
-    difference b - a; automorphism classes at (a, b) number a!·b!.
-    """
-    objects = [(a, b) for a in range(window + 1) for b in range(window + 1)]
-    components = {}
-    for (a, b) in objects:
-        components.setdefault(b - a, []).append((a, b))
-    auts = {
-        (a, b): math.factorial(a) * math.factorial(b) for (a, b) in objects
-    }
-    return {
-        "window": window,
-        "components": {d: tuple(v) for d, v in sorted(components.items())},
-        "automorphisms": auts,
-    }

@@ -47,12 +47,46 @@ def test_package_computes_with_the_pure_kernel():
 
 
 def test_composition_tables_match_compose():
+    hom_maps = _corepy.hom_maps
     for src, dst, n in itertools.product(range(4), repeat=3):
-        for g in _corepy.hom_maps(src, dst):
-            post = [_corepy.compose(g, c) for c in _corepy.hom_maps(n, src)]
-            pre = [_corepy.compose(c, g) for c in _corepy.hom_maps(dst, n)]
-            assert list(_corepy.post_table(g, n, src)) == post
-            assert list(_corepy.pre_table(g, n, dst)) == pre
+        for g in hom_maps(src, dst):
+            post = _corepy.post_table(g, n, src, dst)
+            pre = _corepy.pre_table(g, n, src, dst)
+            assert len(post) == len(hom_maps(n, src))
+            assert len(pre) == len(hom_maps(dst, n))
+            for k, c in enumerate(hom_maps(n, src)):
+                assert hom_maps(n, dst)[post[k]] == _corepy.compose(g, c)
+            for k, c in enumerate(hom_maps(dst, n)):
+                assert hom_maps(src, n)[pre[k]] == _corepy.compose(c, g)
+
+
+def names_is_pullback(l, t, b, r, u_size, v_size, w_size, x_size):
+    """The pair-naming definition that is_pullback had before it compared
+    integer lists, kept as the oracle: name an element of U by its W
+    image, or by its V image when that is 0, and compare the sorted
+    names with those of the elementwise pullback's legs."""
+
+    def names(left, top):
+        return sorted((left[e], 0 if left[e] else top[e]) for e in range(1, len(left)))
+
+    return names(l, t) == names(*_corepy.pullback_legs(b, r, w_size, v_size))
+
+
+def test_is_pullback_matches_the_pair_names():
+    hom_maps = _corepy.hom_maps
+    verdicts = {}
+    for u, v, w, x in itertools.product(range(3), repeat=4):
+        for l, t, b, r in itertools.product(
+            hom_maps(u, w), hom_maps(u, v), hom_maps(w, x), hom_maps(v, x)
+        ):
+            sq = (l, t, b, r, u, v, w, x)
+            want = names_is_pullback(*sq)
+            assert _corepy.is_pullback(*sq) == want, sq
+            commutes = _corepy.compose(b, l) == _corepy.compose(r, t)
+            verdicts[commutes, want] = verdicts.get((commutes, want), 0) + 1
+    assert sum(verdicts.values()) == 5568
+    # both verdicts occur on squares that commute and on squares that do not
+    assert len(verdicts) == 4
 
 
 def enumerated_universal_failure(l, t, b, r, u_size, v_size, w_size, x_size, bound):

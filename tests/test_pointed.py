@@ -1,6 +1,8 @@
 """The base category: morphism algebra, conflations, bicartesian
 squares, and the exact-structure axiom suite."""
 
+import itertools
+
 import pytest
 
 from f1kgw.pointed import (
@@ -36,6 +38,7 @@ from f1kgw.pointed import (
     retraction_of_splitting,
     section_of_splitting,
     split_conflation,
+    _commuting_squares,
     _exact_bifunctor,
 )
 from f1kgw._backend import kernel
@@ -338,6 +341,61 @@ CORRUPTIONS = {
         inflation_maps_of=lambda u, v: () if u == v else kernel.inflation_maps(u, v)
     ),
 }
+
+
+SQUARE_CLASSES = {
+    "honest": {},
+    "hom_maps as inflations": dict(inflation_maps_of=kernel.hom_maps),
+    "hom_maps as deflations": dict(deflation_maps_of=kernel.hom_maps),
+    "hom_maps in both slots": dict(
+        inflation_maps_of=kernel.hom_maps, deflation_maps_of=kernel.hom_maps
+    ),
+    **CORRUPTIONS,
+}
+
+
+def brute_force_squares(max_size, infl, defl):
+    """Every (t, r, l) from the classes, t: u -> v with v >= u as in the
+    suite, and every everywhere-injective b: w -> x with b∘l = r∘t, from
+    an enumeration of injections that does not use the kernel; in the
+    order of (u, v, t, x, r, w, l).
+
+    Only the squares whose l hits every point of W are kept: those are
+    the squares in which b∘l = r∘t determines b, which is what the suite
+    enumerates.  They are all of them when every l is a deflation; a
+    corrupted class with an l that misses a point has more."""
+    sizes = range(max_size + 1)
+    out = []
+    for u in sizes:
+        for v in range(u, max_size + 1):
+            for t in infl(u, v):
+                for x in sizes:
+                    for r in defl(v, x):
+                        d = tuple(r[k] for k in t)
+                        for w in sizes:
+                            injections = [
+                                (0,) + p for p in itertools.permutations(range(1, x + 1), w)
+                            ]
+                            for l in defl(u, w):
+                                if not set(range(1, w + 1)) <= set(l):
+                                    continue
+                                for b in injections:
+                                    if tuple(b[k] for k in l) == d:
+                                        out.append((l, t, b, r, u, v, w, x))
+    return out
+
+
+@pytest.mark.parametrize("max_size", range(4))
+@pytest.mark.parametrize("classes", sorted(SQUARE_CLASSES))
+def test_commuting_squares_match_the_brute_force(classes, max_size):
+    # Newly covers: the squares built from the support of r∘t are every
+    # commuting square of the classes, in the enumeration order the
+    # suite's counts and witnesses depend on, for corrupted classes too.
+    given = SQUARE_CLASSES[classes]
+    infl = given.get("inflation_maps_of", kernel.inflation_maps)
+    defl = given.get("deflation_maps_of", kernel.deflation_maps)
+    want = brute_force_squares(max_size, infl, defl)
+    assert list(_commuting_squares(max_size, infl, defl)) == want
 
 
 @pytest.mark.parametrize("corruption", sorted(CORRUPTED_REPORTS))

@@ -20,7 +20,6 @@ from f1kgw.qcat import (
     comma_tau_suite,
     completion_category,
     completion_morphisms,
-    completion_summary,
     conflation_category,
     conflation_suite,
     graph_of_isometries,
@@ -30,8 +29,8 @@ from f1kgw.qcat import (
     pointed_set_category,
     q_category,
     q_compose,
+    q_span_morphisms,
     qh_category,
-    qh_census_counts,
     qh_component_fixed_points,
     qh_forgetful,
     quotient_fibration,
@@ -153,6 +152,20 @@ def test_hermitian_span_recognition():
     assert not is_reductive_span(z, h1, bad)
     # identity span on a form is always reductive
     assert is_reductive_span(h1, h1, QSpan.identity(2))
+
+
+def qh_census_counts(max_size):
+    """Brute-force recount, the oracle for reductive_spans: for each pair
+    of forms, the number of valid spans found by filtering every span
+    between the sizes, as a dict (M, N) -> count."""
+    objects = [M for n in range(max_size + 1) for M in enumerate_forms(n)]
+    return {
+        (M, N): sum(
+            1 for s in q_span_morphisms(M.size, N.size) if is_reductive_span(M, N, s)
+        )
+        for M in objects
+        for N in objects
+    }
 
 
 def test_reductive_span_census_against_brute_filter():
@@ -431,6 +444,21 @@ def test_stabilization_equivalence_suite():
 
 
 # ------------------------------------------------------------ completion
+
+
+def completion_summary(window):
+    """The closed forms for the completion category, kept as an oracle:
+    its components are indexed by the difference b - a, and the
+    automorphism classes at (a, b) number a!·b!."""
+    objects = [(a, b) for a in range(window + 1) for b in range(window + 1)]
+    components = {}
+    for a, b in objects:
+        components.setdefault(b - a, []).append((a, b))
+    return {
+        "window": window,
+        "components": {d: tuple(v) for d, v in sorted(components.items())},
+        "automorphisms": {(a, b): factorial(a) * factorial(b) for a, b in objects},
+    }
 
 
 def test_completion_components_count_differences():
