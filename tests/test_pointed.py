@@ -388,9 +388,9 @@ def brute_force_squares(max_size, infl, defl):
 @pytest.mark.parametrize("max_size", range(4))
 @pytest.mark.parametrize("classes", sorted(SQUARE_CLASSES))
 def test_commuting_squares_match_the_brute_force(classes, max_size):
-    # Newly covers: the squares built from the support of r∘t are every
-    # commuting square of the classes, in the enumeration order the
-    # suite's counts and witnesses depend on, for corrupted classes too.
+    # Newly covers: the squares built from the support of r∘t are those
+    # of the brute force, in the enumeration order the suite's counts
+    # and witnesses depend on, for corrupted classes too.
     given = SQUARE_CLASSES[classes]
     infl = given.get("inflation_maps_of", kernel.inflation_maps)
     defl = given.get("deflation_maps_of", kernel.deflation_maps)
