@@ -6,6 +6,8 @@ and distinct nonzero values (injective outside the fibre over 0).
 
 from collections import Counter
 from functools import lru_cache
+from itertools import compress, filterfalse
+from operator import mul
 
 BACKEND = "py"
 
@@ -72,6 +74,36 @@ def pullback_legs(b, r, w_size, v_size):
     return tuple(l), tuple(t)
 
 
+@lru_cache(maxsize=None)
+def _points(n):
+    """The list [1, .., n]."""
+    return list(range(1, n + 1))
+
+
+@lru_cache(maxsize=None)
+def _image(f):
+    """The nonzero values of f, as a set."""
+    return frozenset(filter(None, f))
+
+
+@lru_cache(maxsize=None)
+def _kernel_points(f):
+    """The nonzero elements that f sends to 0, ascending."""
+    return [v for v in range(1, len(f)) if f[v] == 0]
+
+
+@lru_cache(maxsize=None)
+def _sorted_values(f):
+    """The nonzero values of f, ascending."""
+    return sorted(filter(None, f))
+
+
+@lru_cache(maxsize=None)
+def _zero_mask(f):
+    """For every slot of f, whether it is a nonzero element sent to 0."""
+    return (False,) + tuple(v == 0 for v in f[1:])
+
+
 def is_pullback(l, t, b, r, u_size, v_size, w_size, x_size):
     """Is the commuting square (shape as in ``universal_square_ok``) a
     pullback, i.e. is its comparison into the elementwise pullback a
@@ -82,23 +114,29 @@ def is_pullback(l, t, b, r, u_size, v_size, w_size, x_size):
     b(w) is hit by r and (0, v) for v in the kernel of r.  So the names
     agree as multisets exactly when the sorted nonzero l(e) are those w
     and the sorted t(e) with l(e) = 0 are that kernel.
+
+    What depends on one leg only (r's image and kernel, l's sorted values
+    and zero slots) is a pure function of that map, so it is cached by
+    the map and shared by every square with that leg; each square still
+    compares its own legs.
     """
-    hit = set(r[1:])
-    hit.discard(0)
-    matched = [w for w in range(1, w_size + 1) if b[w] in hit]
-    if sorted(w for w in l[1:] if w) != matched:
+    matched = compress(range(w_size + 1), map(_image(r).__contains__, b))
+    if _sorted_values(l) != list(matched):
         return False
-    ker = [v for v in range(1, v_size + 1) if r[v] == 0]
-    return sorted(v for w, v in zip(l[1:], t[1:]) if w == 0) == ker
+    return sorted(compress(t, _zero_mask(l))) == _kernel_points(r)
 
 
 def is_pushout(l, t, b, r, u_size, v_size, w_size, x_size):
     """Is the commuting square a pushout, i.e. is the comparison out of
     the elementwise pushout (W∖0, then the points of V that t misses) a
-    bijection?  Sound when l is surjective."""
-    hit = set(t[1:])
-    images = list(b[1:]) + [r[v] for v in range(1, v_size + 1) if v not in hit]
-    return sorted(images) == list(range(1, x_size + 1))
+    bijection?  Sound when l is surjective.
+
+    t's image and the list 1..x are pure functions of t and of x, cached
+    and shared by every square; each square still sorts its own images.
+    """
+    missed = filterfalse(_image(t).__contains__, _points(v_size))
+    images = b[1:] + tuple(map(r.__getitem__, missed))
+    return sorted(images) == _points(x_size)
 
 
 def is_injective(f):
@@ -153,7 +191,6 @@ def _hom_index(src, dst):
     return {m: k for k, m in enumerate(hom_maps(src, dst))}
 
 
-@lru_cache(maxsize=None)
 def post_table(g, n, src, dst):
     """For every c in hom_maps(n, src), in that order, the index of g∘c
     in hom_maps(n, dst), where g: src -> dst."""
@@ -161,7 +198,6 @@ def post_table(g, n, src, dst):
     return tuple(index[compose(g, c)] for c in hom_maps(n, src))
 
 
-@lru_cache(maxsize=None)
 def pre_table(f, n, src, dst):
     """For every c in hom_maps(dst, n), in that order, the index of c∘f
     in hom_maps(src, n), where f: src -> dst."""
@@ -170,19 +206,34 @@ def pre_table(f, n, src, dst):
 
 
 @lru_cache(maxsize=None)
-def _tally(table, *args):
-    """How often each index occurs in table(*args): the tables repeat few
-    distinct composites (159 in 8,222 entries for axiom_suite(4))."""
-    return Counter(table(*args))
+def _leg(g, src, dst):
+    """What universal_square_ok reads of the leg g: src -> dst.  Entry n
+    is (post_table, its tally, pre_table, its tally) for the test object
+    of size n; the list is filled by _leg_upto up to the largest n asked
+    for, so a leg has one entry whatever bound its squares use.  The
+    tables repeat few distinct composites (159 in 8,222 entries for
+    axiom_suite(4)), hence the tallies."""
+    return []
 
 
-def _bijective(first, second, domain, left, right):
-    """Is m ↦ (first[m], second[m]), over a hom set of size domain, a
-    bijection onto the index pairs (i, j) with left[i] == right[j]?
+def _leg_upto(g, src, dst, bound):
+    """_leg(g, src, dst), filled for every n <= bound."""
+    tables = _leg(g, src, dst)
+    for n in range(len(tables), bound + 1):
+        post, pre = post_table(g, n, src, dst), pre_table(g, n, src, dst)
+        tables.append((post, Counter(post), pre, Counter(pre)))
+    return tables
+
+
+def _bijective(first, second, left, right):
+    """Is m ↦ (first[m], second[m]), over the hom set that first is
+    indexed by, a bijection onto the index pairs (i, j) with
+    left[i] == right[j]?
     left and right are the tallies of those index tables."""
-    if len(set(zip(first, second))) != domain:
+    if len(set(zip(first, second))) != len(first):
         return False
-    return sum(count * right[k] for k, count in left.items()) == domain
+    # the sum of left[k] * right[k] over the indices k of left
+    return sum(map(mul, left.values(), map(right.__getitem__, left))) == len(first)
 
 
 def universal_square_ok(l, t, b, r, u_size, v_size, w_size, x_size, bound):
@@ -191,29 +242,26 @@ def universal_square_ok(l, t, b, r, u_size, v_size, w_size, x_size, bound):
     r: V->X with b∘l = r∘t (inflations t,b; deflations l,r).
 
     Every test object T = n <= bound is still enumerated and every map
-    compared.  The composites come from the cached tables: post_table
-    holds the index of g∘c for every c: T -> src(g), pre_table that of
-    c∘f for every c: dst(f) -> T, so each leg's composites are computed
-    and tallied once per process and shared by every square that has
-    that leg.  The pullback comparison hom(T,U) -> {(c,d): b∘c = r∘d}
-    is a bijection exactly when the (l∘m, t∘m) are pairwise distinct
-    and as many as the matched pairs; dually for the pushout.
+    compared.  The composites come from index tables: post_table holds
+    the index of g∘c for every c: T -> src(g), pre_table that of c∘f for
+    every c: dst(f) -> T.  A leg's tables and tallies are a pure function
+    of that map and its endpoints, so they are computed once per process
+    and shared by every square that has that leg.  The pullback
+    comparison hom(T,U) -> {(c,d): b∘c = r∘d} is a bijection exactly when
+    the (l∘m, t∘m) are pairwise distinct and as many as the matched
+    pairs; dually for the pushout.
     """
+    ls = _leg_upto(l, u_size, w_size, bound)
+    ts = _leg_upto(t, u_size, v_size, bound)
+    bs = _leg_upto(b, w_size, x_size, bound)
+    rs = _leg_upto(r, v_size, x_size, bound)
     for n in range(bound + 1):
-        if not _bijective(
-            post_table(l, n, u_size, w_size),
-            post_table(t, n, u_size, v_size),
-            len(hom_maps(n, u_size)),
-            _tally(post_table, b, n, w_size, x_size),
-            _tally(post_table, r, n, v_size, x_size),
-        ):
+        l_post, _, _, l_pre_tally = ls[n]
+        t_post, _, _, t_pre_tally = ts[n]
+        _, b_post_tally, b_pre, _ = bs[n]
+        _, r_post_tally, r_pre, _ = rs[n]
+        if not _bijective(l_post, t_post, b_post_tally, r_post_tally):
             return False
-        if not _bijective(
-            pre_table(b, n, w_size, x_size),
-            pre_table(r, n, v_size, x_size),
-            len(hom_maps(x_size, n)),
-            _tally(pre_table, l, n, u_size, w_size),
-            _tally(pre_table, t, n, u_size, v_size),
-        ):
+        if not _bijective(b_pre, r_pre, l_pre_tally, t_pre_tally):
             return False
     return True

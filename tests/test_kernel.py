@@ -9,7 +9,7 @@ import pytest
 
 import f1kgw
 from f1kgw import _corepy
-from f1kgw.pointed import _commuting_squares
+from f1kgw.pointed import _commuting_squares, axiom_suite
 
 
 def all_maps(src, dst):
@@ -72,21 +72,50 @@ def names_is_pullback(l, t, b, r, u_size, v_size, w_size, x_size):
     return names(l, t) == names(*_corepy.pullback_legs(b, r, w_size, v_size))
 
 
+def listed_is_pushout(l, t, b, r, u_size, v_size, w_size, x_size):
+    """The list comparison that is_pushout made before it cached what
+    depends on one leg, kept as the oracle: the images of W∖0 and of the
+    points of V that t misses, sorted, are 1..x."""
+    hit = set(t[1:])
+    images = list(b[1:]) + [r[v] for v in range(1, v_size + 1) if v not in hit]
+    return sorted(images) == list(range(1, x_size + 1))
+
+
 def test_is_pullback_matches_the_pair_names():
+    # Also covers is_pushout, against the list comparison: on every
+    # quadruple of maps with corners <= 2, commuting or not, and on every
+    # square that the suite enumerates at window 3 with hom_maps in both
+    # classes, so that neither criterion's soundness condition holds.
     hom_maps = _corepy.hom_maps
-    verdicts = {}
-    for u, v, w, x in itertools.product(range(3), repeat=4):
+    quadruples = [
+        (l, t, b, r, u, v, w, x)
+        for u, v, w, x in itertools.product(range(3), repeat=4)
         for l, t, b, r in itertools.product(
             hom_maps(u, w), hom_maps(u, v), hom_maps(w, x), hom_maps(v, x)
+        )
+    ]
+    assert len(quadruples) == 5568
+    verdicts = {"pullback": {}, "pushout": {}}
+    for sq in quadruples:
+        commutes = _corepy.compose(sq[2], sq[0]) == _corepy.compose(sq[3], sq[1])
+        for name, got, want in (
+            ("pullback", _corepy.is_pullback(*sq), names_is_pullback(*sq)),
+            ("pushout", _corepy.is_pushout(*sq), listed_is_pushout(*sq)),
         ):
-            sq = (l, t, b, r, u, v, w, x)
-            want = names_is_pullback(*sq)
-            assert _corepy.is_pullback(*sq) == want, sq
-            commutes = _corepy.compose(b, l) == _corepy.compose(r, t)
-            verdicts[commutes, want] = verdicts.get((commutes, want), 0) + 1
-    assert sum(verdicts.values()) == 5568
+            assert got == want, (name, sq)
+            tally = verdicts[name]
+            tally[commutes, want] = tally.get((commutes, want), 0) + 1
     # both verdicts occur on squares that commute and on squares that do not
-    assert len(verdicts) == 4
+    assert len(verdicts["pullback"]) == len(verdicts["pushout"]) == 4
+    squares = list(_commuting_squares(3, hom_maps, hom_maps))
+    assert len(squares) == 3678
+    seen = set()
+    for sq in squares:
+        pb, po = names_is_pullback(*sq), listed_is_pushout(*sq)
+        assert _corepy.is_pullback(*sq) == pb, sq
+        assert _corepy.is_pushout(*sq) == po, sq
+        seen.add((pb, po))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def enumerated_universal_failure(l, t, b, r, u_size, v_size, w_size, x_size, bound):
@@ -166,3 +195,43 @@ def test_universal_square_ok_matches_the_enumeration():
             reasons[reason] = reasons.get(reason, 0) + 1
     # both ways of failing occur, so neither branch goes unchecked
     assert reasons["duplicate"] > 0 and reasons["count"] > 0 and reasons[""] > 0
+
+
+def test_per_leg_caches_hold_one_entry_per_leg(monkeypatch):
+    # The caches behind the square checks are keyed by one map (and its
+    # endpoints), so after a whole suite they hold at most one entry per
+    # distinct leg: their memory follows the maps, not the squares, nor
+    # the two universal-property bounds that the suite uses.
+    per_map = (
+        _corepy._image,
+        _corepy._kernel_points,
+        _corepy._sorted_values,
+        _corepy._zero_mask,
+    )
+    for cache in per_map + (_corepy._leg,):
+        cache.cache_clear()
+    squares, maps, legs, bounds = [0], set(), set(), set()
+
+    def recording(check):
+        def wrapper(l, t, b, r, u, v, w, x, *bound):
+            if bound:
+                bounds.update(bound)
+                legs.update({(l, u, w), (t, u, v), (b, w, x), (r, v, x)})
+            else:
+                squares[0] += 1
+                maps.update({l, t, b, r})
+            return check(l, t, b, r, u, v, w, x, *bound)
+
+        return wrapper
+
+    for name in ("is_pullback", "is_pushout", "universal_square_ok"):
+        monkeypatch.setattr(_corepy, name, recording(getattr(_corepy, name)))
+    assert axiom_suite(4).ok
+    assert bounds == {2, 3}
+    assert _corepy._leg.cache_info().currsize == len(legs) == 179
+    for leg in legs:
+        assert len(_corepy._leg(*leg)) in (3, 4)
+    assert _corepy._leg.cache_info().currsize == len(legs)
+    assert squares[0] == 61978 and len(maps) == 155
+    for cache in per_map:
+        assert 0 < cache.cache_info().currsize <= len(maps)

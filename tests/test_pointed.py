@@ -440,3 +440,35 @@ def test_ds2_reports_a_summed_square_outside_the_classes(monkeypatch):
     result = CheckResult.first_failure("DS2", _exact_bifunctor(2))
     assert not result.passed
     assert result.witness == "⊕ of bicartesian squares not bicartesian"
+
+
+def test_ds2_sums_each_triple_once_and_hides_no_wrong_sum(monkeypatch):
+    # Newly covers: DS2 computes each block sum once per (f, g, f_dst).
+    # A sum that is wrong on one triple only is still found at case
+    # 2,702, as when every pair of pairs was summed afresh; the same
+    # (f, g) also occurs with f_dst = 1, so a memo that dropped f_dst
+    # would hide it.  The 166² = 27,556 functoriality cases need 220
+    # distinct sums, and each is asked for once.
+    honest = kernel.block_sum
+    bad = ((0, 1, 0), (0, 0, 1), 2)
+    calls = []
+
+    def block_sum(f, g, f_dst):
+        calls.append((f, g, f_dst))
+        s = honest(f, g, f_dst)
+        # the nonzero blocks reversed, on the one bad triple
+        return s[:1] + s[:0:-1] if (f, g, f_dst) == bad else s
+
+    monkeypatch.setattr(kernel, "block_sum", block_sum)
+    result = CheckResult.first_failure("DS2", _exact_bifunctor(2))
+    assert (result.passed, result.checked, result.witness) == (
+        False,
+        2702,
+        "⊕ not functorial",
+    )
+    assert (bad[0], bad[1], 1) in calls
+    calls.clear()
+    bad = None  # from here on every sum is honest
+    cases = list(itertools.islice(_exact_bifunctor(2), 166 * 166))
+    assert cases == [""] * 27556
+    assert len(calls) == len(set(calls)) == 220
