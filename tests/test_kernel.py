@@ -210,7 +210,7 @@ def test_per_leg_caches_hold_one_entry_per_leg(monkeypatch):
     )
     for cache in per_map + (_corepy._leg,):
         cache.cache_clear()
-    squares, maps, legs, bounds = [0], set(), set(), set()
+    intrinsic_calls, maps, legs, bounds = [0], set(), set(), set()
 
     def recording(check):
         def wrapper(l, t, b, r, u, v, w, x, *bound):
@@ -218,7 +218,7 @@ def test_per_leg_caches_hold_one_entry_per_leg(monkeypatch):
                 bounds.update(bound)
                 legs.update({(l, u, w), (t, u, v), (b, w, x), (r, v, x)})
             else:
-                squares[0] += 1
+                intrinsic_calls[0] += 1
                 maps.update({l, t, b, r})
             return check(l, t, b, r, u, v, w, x, *bound)
 
@@ -232,6 +232,6 @@ def test_per_leg_caches_hold_one_entry_per_leg(monkeypatch):
     for leg in legs:
         assert len(_corepy._leg(*leg)) in (3, 4)
     assert _corepy._leg.cache_info().currsize == len(legs)
-    assert squares[0] == 61978 and len(maps) == 155
+    assert intrinsic_calls[0] == 61978 and len(maps) == 155
     for cache in per_map:
         assert 0 < cache.cache_info().currsize <= len(maps)
