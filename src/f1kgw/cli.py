@@ -134,12 +134,23 @@ def cmd_k0(args):
     return 0 if agree else 1
 
 
+# The text output of gw0 also counts the components of the hermitian
+# span category.  The build behind that count grows steeply with the
+# size, so the count stops at this size.
+GW0_COMPONENT_CAP = 4
+
+
 def cmd_gw0(args):
     result = gw0(args.max_size)
     if args.output == "json":
         _emit_json(args, result.to_json())
     else:
-        size = min(args.max_size, 4)
+        size = min(args.max_size, GW0_COMPONENT_CAP)
+        if size < args.max_size:
+            sys.stderr.write(
+                "note: hermitian span components are counted at size %d, "
+                "not at --max-size %d\n" % (size, args.max_size)
+            )
         lines = [result.render()]
         lines.append(
             "hermitian span components at size %d: %d"
@@ -314,7 +325,13 @@ def build_parser():
     p = add("decompose", cmd_decompose, "decompose a symmetric form", None)
     p.add_argument("form", help='form literal, e.g. "inv:(1 2)(3)"')
     add("k0", cmd_k0, "Grothendieck group of the exact structure", 3)
-    add("gw0", cmd_gw0, "hermitian Grothendieck group", 6)
+    add(
+        "gw0",
+        cmd_gw0,
+        "hermitian Grothendieck group; the text output also counts the "
+        "hermitian span components, at size min(--max-size, %d)" % GW0_COMPONENT_CAP,
+        6,
+    )
     add("witt", cmd_witt, "Witt monoid of anisotropic classes", 6)
     add("qcat", cmd_qcat, "span category", 3, outputs=("text", "json", "dot"))
     add("qhcat", cmd_qhcat, "hermitian span category", 3, outputs=("text", "json", "dot"))

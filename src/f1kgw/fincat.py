@@ -63,8 +63,9 @@ class FiniteCategory:
     The constructor indexes the objects and the (src, dst, data)
     morphisms and leaves ``row`` and ``identities`` empty:
     ``build_category`` fills and certifies them, and ``subcategory``
-    restricts them from its parent.  The data index (object index of
-    src, object index of dst, dense data id) -> morphism id serves both
+    restricts them from its parent.  Each datum gets a dense data id,
+    and each hom set one index {data id: morphism id}, keyed by the
+    object indices of its src and dst; that one index serves both
     composition and ``find``.
     """
 
@@ -84,7 +85,7 @@ class FiniteCategory:
         "row",
         "_inverses",
         "_data_id",
-        "_by_data",
+        "_hom_index",
     )
 
     def __init__(self, objects, morphisms):
@@ -96,27 +97,32 @@ class FiniteCategory:
             index[o] = len(index)
         mor_src, mor_dst, mor_data, keys = [], [], [], []
         self._data_id = data_id = {}  # datum -> dense id, by first appearance
-        for src, dst, data in morphisms:
+        self._hom_index = hom_index = {}  # (src k, dst k) -> {data id: morphism id}
+        for m, (src, dst, data) in enumerate(morphisms):
             if src not in index or dst not in index:
                 raise UnknownObject("morphism endpoint not among the objects: %r" % ((src, dst),))
             mor_src.append(src)
             mor_dst.append(dst)
             mor_data.append(data)
-            keys.append((index[src], index[dst], data_id.setdefault(data, len(data_id))))
-        self._by_data = {key: m for m, key in enumerate(keys)}
-        if len(self._by_data) != len(keys):
+            key = (index[src], index[dst])
+            ids = hom_index.get(key)
+            if ids is None:
+                ids = hom_index[key] = {}
+            ids[data_id.setdefault(data, len(data_id))] = m
+            keys.append(key)
+        if sum(map(len, hom_index.values())) != len(keys):
             raise ValueError("morphism data repeats within a hom set")
         self.mor_src, self.mor_dst, self.mor_data = tuple(mor_src), tuple(mor_dst), tuple(mor_data)
-        homs = {}
-        for m, key in enumerate(zip(mor_src, mor_dst)):
-            homs.setdefault(key, []).append(m)
-        self.homs = {k: tuple(v) for k, v in homs.items()}
+        objects = self.objects
+        self.homs = {
+            (objects[a], objects[b]): tuple(ids.values()) for (a, b), ids in hom_index.items()
+        }
         self.src_k = tuple(k[0] for k in keys)
         self.dst_k = tuple(k[1] for k in keys)
         out_of = [[] for _ in self.objects]
         into = [[] for _ in self.objects]
         col = [0] * len(keys)
-        for m, (a, b, _) in enumerate(keys):
+        for m, (a, b) in enumerate(keys):
             out_of[a].append(m)
             col[m] = len(into[b])
             into[b].append(m)
@@ -151,9 +157,8 @@ class FiniteCategory:
 
     def find(self, src, dst, data):
         """Id of the morphism src -> dst carrying data, or None."""
-        return self._by_data.get(
-            (self.obj_index.get(src), self.obj_index.get(dst), self._data_id.get(data))
-        )
+        ids = self._hom_index.get((self.obj_index.get(src), self.obj_index.get(dst)))
+        return None if ids is None else ids.get(self._data_id.get(data))
 
     def inverse(self, mid):
         """Id of the two-sided inverse, or None."""
@@ -273,49 +278,54 @@ def _tabulate(objects, morphisms, compose_data):
     tables filled and its units found, associativity not yet certified.
 
     The composite of g and f is the morphism f.src -> g.dst carrying the
-    composed data, looked up in the category's data index; a composite
-    outside that hom set raises ValueError.  When some datum is carried
-    by more than one morphism, each distinct pair of data is composed
-    once and its result reused; when every datum is distinct, so is
-    every pair, and nothing is memoised.
+    composed data, read from the index of that hom set; a composite
+    outside it raises ValueError.  Pairs are composed f first, then g,
+    so the error names the first such pair in that order.  For each f,
+    the hom sets out of f.src are looked up once, by target object.
+    When some datum is carried by more than one morphism, each distinct
+    pair of data is composed once and its result reused, from a memo
+    kept per datum of f; when every datum is distinct, so is every
+    pair, and nothing is memoised: a memo there costs its stores and
+    saves no call.
 
     Every composable pair is composed into the composition table of the
     middle object: row g, column f holds g∘f.  Unit laws are checked for
     every object (UnitViolation if no unique unit exists).
     """
     cat = FiniteCategory(objects, morphisms)
-    data, data_id, by_data = cat.mor_data, cat._data_id, cat._by_data
+    data, data_id = cat.mor_data, cat._data_id
     src_k, dst_k, out_of, into, col = cat.src_k, cat.dst_k, cat.out_of, cat.into, cat.col
-
-    if len(data_id) == cat.n_morphisms:
-
-        def composite(g, f):
-            return data_id.get(compose_data(data[g], data[f]))
-
-    else:
-        did = [key[2] for key in by_data]  # data id of each morphism
-        memo = {}  # (data id of g, data id of f) -> data id of g∘f
-
-        def composite(g, f):
-            pair = (did[g], did[f])
-            d = memo.get(pair, -1)
-            if d == -1:
-                d = memo[pair] = data_id.get(compose_data(data[g], data[f]))
-            return d
+    homs_out = [{} for _ in cat.objects]  # object index a -> {b: index of hom(a, b)}
+    for (a, b), ids in cat._hom_index.items():
+        homs_out[a][b] = ids
+    memo = None
+    if len(data_id) < cat.n_morphisms:
+        did = [data_id[d] for d in data]  # data id of each morphism
+        memo = {}  # data id of f -> {data id of g: data id of g∘f}
 
     # row[g][col[f]] = g∘f: the table of object o has one row per
     # morphism out of o and one column per morphism into o
     row = [[None] * len(into[k]) for k in src_k]
+    empty = {}
     for f, cf in enumerate(col):
-        sf = src_k[f]
-        for g in out_of[dst_k[f]]:
-            h = by_data.get((sf, dst_k[g], composite(g, f)))
-            if h is None:
-                raise ValueError(
-                    "composite of %d after %d is not a morphism: %r"
-                    % (g, f, compose_data(data[g], data[f]))
-                )
-            row[g][cf] = h
+        homs, df = homs_out[src_k[f]], data[f]
+        if memo is None:
+            for g in out_of[dst_k[f]]:
+                h = homs.get(dst_k[g], empty).get(data_id.get(compose_data(data[g], df)))
+                if h is None:
+                    _not_a_morphism(g, f, compose_data(data[g], df))
+                row[g][cf] = h
+        else:
+            seen = memo.setdefault(did[f], {})
+            for g in out_of[dst_k[f]]:
+                dg = did[g]
+                d = seen.get(dg, -1)
+                if d == -1:
+                    d = seen[dg] = data_id.get(compose_data(data[g], df))
+                h = homs.get(dst_k[g], empty).get(d)
+                if h is None:
+                    _not_a_morphism(g, f, compose_data(data[g], df))
+                row[g][cf] = h
     for g, r in enumerate(row):  # in place, so no second copy of the tables
         row[g] = tuple(r)
     cat.row = tuple(row)
@@ -332,6 +342,10 @@ def _tabulate(objects, morphisms, compose_data):
             )
         cat.identities[o] = units[0]
     return cat
+
+
+def _not_a_morphism(g, f, composite):
+    raise ValueError("composite of %d after %d is not a morphism: %r" % (g, f, composite))
 
 
 def _certify_associativity(cat):

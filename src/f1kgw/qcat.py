@@ -37,11 +37,14 @@ stabilizations) are built by ``fincat.functor_by_data`` from an object
 map and the data of each morphism's image, and certified by
 ``fincat.check_functor``, which returns its first witness.
 
-Spans compose on their canonical map tuples (``sub`` and ``pmap``)
-through the kernel's pullback legs; ``QSpan`` validates its data
-through the kernel, except for the composites ``q_compose`` builds
-from spans already validated, and F1Morphism is the boundary type of
-``QSpan.to_morphisms`` and ``QSpan.from_morphisms``.
+Spans compose on their canonical map tuples (``sub`` and ``pmap``):
+``q_compose`` walks the second span's middle once and keeps what
+pulls back along the first, which is already the canonical composite.
+``QSpan`` validates its data through the kernel, except for the
+composites ``q_compose`` builds from spans already validated, and
+F1Morphism is the boundary type of ``QSpan.to_morphisms`` and
+``QSpan.from_morphisms``.  The hermitian span category enumerates the
+isotropic reductions of each target form once per build.
 """
 
 import math
@@ -195,17 +198,25 @@ def _by_image(pmap, jmap):
 def q_compose(g, f):
     """Composite of spans by pullback: f: u -> v, then g: v -> w.
 
-    The pullback of f's inflation leg against g's deflation leg is taken
-    on the canonical map tuples, and the composite legs are relabelled by
-    their image.  The legs of a pullback of spans are again an inflation
-    and a deflation, so the composite is stored without re-validation."""
+    The pullback of f's inflation leg against g's deflation leg keeps
+    the points of g's middle whose deflation value is 0 or lies in
+    f.sub, and the composite deflates each through f.pmap.  Walking g's
+    sub in ascending order keeps the image ordered, so the composite is
+    already canonical.  The legs of a pullback of spans are again an
+    inflation and a deflation, so it is stored without re-validation."""
     if f.dst != g.src:
         raise TypeMismatch("spans are not composable")
-    j_f, j_g = (0,) + f.sub, (0,) + g.sub
-    l, t = kernel.pullback_legs(j_f, g.pmap, len(f.sub), len(g.sub))
-    return QSpan._trusted(
-        f.src, g.dst, *_by_image(kernel.compose(f.pmap, l), kernel.compose(j_g, t))
-    )
+    f_sub, f_pmap, g_pmap = f.sub, f.pmap, g.pmap
+    sub, pmap = [], [0]
+    for k, s in enumerate(g.sub, 1):
+        x = g_pmap[k]
+        if x == 0:
+            sub.append(s)
+            pmap.append(0)
+        elif x in f_sub:
+            sub.append(s)
+            pmap.append(f_pmap[f_sub.index(x) + 1])
+    return QSpan._trusted(f.src, g.dst, tuple(sub), tuple(pmap))
 
 
 def q_span_morphisms(u, v):
@@ -267,19 +278,31 @@ def is_reductive_span(M, N, span):
 def reductive_spans(M, N):
     """All hermitian morphisms M -> N, built from the census of
     (isotropic subobject U of N, isometry of N//U onto M) pairs."""
+    return _spans_through_reductions(M, N, _reductions(N))
+
+
+def _reductions(N):
+    """(U, N//U) for every isotropic subobject U of N: the part of the
+    hermitian morphisms into N that does not depend on their source."""
+    return [(iso, isotropic_reduction(iso)) for iso in isotropic_subobjects(N)]
+
+
+def _spans_through_reductions(M, N, reductions):
+    """The spans M -> N of ``reductive_spans``, one per reduction of N
+    in ``_reductions(N)`` order and isometry of it onto M, each checked
+    by ``is_reductive_span``."""
     out = []
-    for iso in isotropic_subobjects(N):
-        red = isotropic_reduction(iso)
+    for iso, red in reductions:
         if red.size != M.size:
             continue
-        T = iso.morphism.image
+        T = set(iso.morphism.image)
         perp = iso.perp()
-        carrier = [k for k in perp if k not in set(T)]
+        carrier = [k for k in perp if k not in T]
         relabel = {k: j + 1 for j, k in enumerate(carrier)}
         for h in isometries(red, M):
             pmap = [0]
             for k in perp:
-                pmap.append(0 if k in set(T) else h.map[relabel[k]])
+                pmap.append(0 if k in T else h.map[relabel[k]])
             span = QSpan(M.size, N.size, perp, tuple(pmap))
             if not is_reductive_span(M, N, span):
                 raise AssertionError(
@@ -293,15 +316,21 @@ def qh_category(max_size):
     """The hermitian span category on forms of size <= max_size.
 
     Objects are SymmetricForms; morphism data is the underlying QSpan.
-    Composition is span composition; a composite that is not among the
-    reductive spans of its hom set, which ``reductive_spans`` has
-    checked, is refused by ``build_category``.
+    The reductions of each target form are enumerated once per build,
+    and each hom set M -> N is ``reductive_spans(M, N)`` read through
+    them.  Composition is span composition; a composite that is not
+    among the reductive spans of its hom set, which
+    ``is_reductive_span`` has checked, is refused by ``build_category``.
     """
     objects = []
     for n in range(max_size + 1):
         objects.extend(enumerate_forms(n))
+    reductions = {N: _reductions(N) for N in objects}
     morphisms = [
-        (M, N, s) for M in objects for N in objects for s in reductive_spans(M, N)
+        (M, N, s)
+        for M in objects
+        for N in objects
+        for s in _spans_through_reductions(M, N, reductions[N])
     ]
     return build_category(objects, morphisms, q_compose)
 

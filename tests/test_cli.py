@@ -92,6 +92,18 @@ def test_gw0(capsys):
     assert "hermitian span components at size 4: 5" in out
 
 
+def test_gw0_notes_the_capped_component_census_on_stderr(capsys):
+    assert main(["gw0", "--max-size", "5"]) == 0
+    captured = capsys.readouterr()
+    assert "hermitian span components at size 4: 5" in captured.out
+    assert captured.err == (
+        "note: hermitian span components are counted at size 4, not at --max-size 5\n"
+    )
+    for argv in (["gw0", "--max-size", "4"], ["gw0", "--max-size", "5", "--output", "json"]):
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+
 def test_witt_json_shape(capsys):
     rc, out = run(["witt", "--max-size", "4", "--output", "json"], capsys)
     assert rc == 0

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -241,6 +242,18 @@ def test_find_recovers_every_morphism_from_its_data(build, size):
         assert cat.find(cat.mor_src[m], cat.mor_dst[m], cat.data(m)) == m
     a = cat.objects[0]
     assert cat.find(a, a, "no such datum") is None
+    # an unknown object at either end, and a datum read in every hom set:
+    # found only where a morphism of that hom set carries it
+    m = cat.n_morphisms - 1
+    assert cat.find("no such object", cat.mor_dst[m], cat.data(m)) is None
+    assert cat.find(cat.mor_src[m], "no such object", cat.data(m)) is None
+    misses = 0
+    for x in cat.objects:
+        for y in cat.objects:
+            carriers = [n for n in cat.hom(x, y) if cat.data(n) == cat.data(m)]
+            assert cat.find(x, y, cat.data(m)) == (carriers[0] if carriers else None)
+            misses += not carriers
+    assert misses
 
 
 def test_compose_by_data_rejects_a_missing_composite():
@@ -261,6 +274,39 @@ def test_compose_by_data_rejects_a_missing_composite():
             build_category(objects, morphisms, lambda g, f: (g + f) % 3)
         with pytest.raises(ValueError, match="repeats within a hom set"):
             build_category(objects, morphisms + [morphisms[1]], lambda g, f: 0)
+
+
+@pytest.mark.parametrize("objects", [["*"], ["a", "b"]], ids=["distinct", "repeated"])
+def test_tabulate_names_the_first_bad_pair_in_f_then_g_order(objects):
+    # Z/3 on each object, its data composed wrongly at (g=2, f=1) and at
+    # (g=1, f=2), two pairs in different rows.  Pairs go f first, then g,
+    # so (2, 1) is found first, whether or not data pairs are memoised.
+    morphisms = [(o, o, k) for o in objects for k in range(3)]
+    bad = {(2, 1), (1, 2)}
+
+    def rule(g, f):
+        return ("bad", g, f) if (g, f) in bad else (g + f) % 3
+
+    with pytest.raises(
+        ValueError, match=re.escape("composite of 2 after 1 is not a morphism: ('bad', 2, 1)")
+    ):
+        build_category(objects, morphisms, rule)
+
+
+@pytest.mark.parametrize("objects", [["*"], ["a", "b"]], ids=["distinct", "repeated"])
+def test_tabulate_raises_what_compose_data_raises_at_that_pair(objects):
+    morphisms = [(o, o, k) for o in objects for k in range(3)]
+    calls = []
+
+    def rule(g, f):
+        calls.append((g, f))
+        if (g, f) == (1, 2):
+            raise ZeroDivisionError("at (1, 2)")
+        return (g + f) % 3
+
+    with pytest.raises(ZeroDivisionError, match=re.escape("at (1, 2)")):
+        build_category(objects, morphisms, rule)
+    assert calls == [(g, f) for f in range(3) for g in range(3)][:8]
 
 
 def _comma_categories(max_size):
@@ -635,6 +681,26 @@ def test_functor_witness_order_and_unmapped_morphisms():
     F = functor_by_data(G, G, {"*": "*"}, lambda m: 2 * G.data(m))
     assert F.mor_map == {0: 0}
     assert check_functor(F, "equivalence") == "morphism 1 unmapped"
+
+
+def test_functoriality_witness_is_the_least_broken_pair():
+    # S is Z/5 tabulated with its data composed wrongly at (g=3, f=1) and
+    # at (g=1, f=2); the functor to the honest Z/5 that keeps the data is
+    # broken at exactly those two pairs, and (g=3, f=1) has the least f
+    def add(g, f):
+        return (g + f) % 5
+
+    def rigged(g, f):
+        return (g + f + 1) % 5 if (g, f) in {(3, 1), (1, 2)} else add(g, f)
+
+    morphisms = [("*", "*", k) for k in range(5)]
+    S = fincat._tabulate(["*"], morphisms, rigged)
+    T = build_category(["*"], morphisms, add)
+    F = functor_by_data(S, T, {"*": "*"}, S.data)
+    assert F.mor_map == {k: k for k in range(5)}
+    broken = [(g, f) for f in range(5) for g in range(5) if S.compose(g, f) != T.compose(g, f)]
+    assert broken == [(3, 1), (1, 2)]
+    assert check_functor(F, "functoriality") == "composition broken at (g=3, f=1)"
 
 
 def test_partial_functor_is_reported_by_every_mode():

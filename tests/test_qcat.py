@@ -2,6 +2,7 @@
 category with its quotient fibration, stabilization, and the
 group-completion category."""
 
+import collections
 import itertools
 import re
 from math import comb, factorial
@@ -11,7 +12,14 @@ import pytest
 from f1kgw import qcat
 from f1kgw._backend import kernel
 from f1kgw.fincat import abelianize, check_functor, full_subcategory, pi0, pi1_presentation
-from f1kgw.forms import enumerate_forms, hyperbolic, identity_form
+from f1kgw.forms import (
+    enumerate_forms,
+    hyperbolic,
+    identity_form,
+    isometries,
+    isotropic_reduction,
+    isotropic_subobjects,
+)
 from f1kgw.pointed import Conflation, F1Morphism, all_conflations, complete_pullback, compose
 from f1kgw.qcat import (
     QSpan,
@@ -95,7 +103,8 @@ def test_q_compose_builds_what_the_validating_constructor_builds():
 
 def test_q_compose_matches_the_pullback_of_legs():
     # Newly covers: q_compose against an independent route, on every
-    # composable pair of q_category(3).  The oracle turns both spans
+    # composable pair of q_category(4) and on the span data of every
+    # composable pair of qh_category(4).  The oracle turns both spans
     # into F1Morphism legs, completes the cospan by complete_pullback
     # and canonicalizes the composite legs with from_morphisms.
     def by_legs(g, f):
@@ -106,10 +115,13 @@ def test_q_compose_matches_the_pullback_of_legs():
             compose(p_f, square.left), compose(j_g, square.top)
         )
 
-    spans = q_category(3).mor_data
+    spans = q_category(4).mor_data
     pairs = [(g, f) for f in spans for g in spans if f.dst == g.src]
-    assert len(pairs) == 434
-    for g, f in pairs:
+    assert len(pairs) == 6882
+    qh = qh_category(4)
+    hermitian = {(qh.data(g), qh.data(f)) for g, f in qh.comp}
+    assert len(qh.comp) == 7558
+    for g, f in pairs + list(hermitian):
         assert q_compose(g, f) == by_legs(g, f)
 
 
@@ -176,6 +188,58 @@ def test_reductive_span_census_against_brute_filter():
             built = reductive_spans(M, N)
             assert len(built) == counts[(M, N)]
             assert len(set(built)) == len(built)
+
+
+def _per_pair_reductive_spans(M, N):
+    """The reference for qh_category's morphisms: reductive_spans as it
+    was, enumerating the isotropic subobjects of N once per (M, N)."""
+    out = []
+    for iso in isotropic_subobjects(N):
+        red = isotropic_reduction(iso)
+        if red.size != M.size:
+            continue
+        T = iso.morphism.image
+        perp = iso.perp()
+        carrier = [k for k in perp if k not in set(T)]
+        relabel = {k: j + 1 for j, k in enumerate(carrier)}
+        for h in isometries(red, M):
+            pmap = [0]
+            for k in perp:
+                pmap.append(0 if k in set(T) else h.map[relabel[k]])
+            span = QSpan(M.size, N.size, perp, tuple(pmap))
+            assert is_reductive_span(M, N, span)
+            out.append(span)
+    return out
+
+
+@pytest.mark.parametrize("max_size", range(5))
+def test_qh_category_lists_the_per_pair_morphisms_in_order(max_size):
+    """Same (src, dst, data) list in the same order, so the same ids and
+    export bytes, as the per-pair loop."""
+    objects = [M for n in range(max_size + 1) for M in enumerate_forms(n)]
+    want = [
+        (M, N, s) for M in objects for N in objects for s in _per_pair_reductive_spans(M, N)
+    ]
+    cat = qh_category(max_size)
+    assert cat.objects == tuple(objects)
+    assert list(zip(cat.mor_src, cat.mor_dst, cat.mor_data)) == want
+    if max_size <= 3:
+        for M in objects:
+            for N in objects:
+                assert reductive_spans(M, N) == _per_pair_reductive_spans(M, N)
+
+
+def test_qh_category_enumerates_isotropic_subobjects_once_per_form(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(N):
+        calls[N] += 1
+        return isotropic_subobjects(N)
+
+    monkeypatch.setattr(qcat, "isotropic_subobjects", counted)
+    cat = qh_category(4)
+    assert len(cat.objects) == 18
+    assert calls == collections.Counter(cat.objects)
 
 
 def test_hermitian_category_hom_counts_and_components():
