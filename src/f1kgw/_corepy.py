@@ -36,7 +36,7 @@ def zero_map(src, dst):
 
 def compose(g, f):
     """(g∘f)[i] = g[f[i]].  Requires len(g) = dst(f)+1."""
-    return tuple(g[v] for v in f)
+    return tuple([g[v] for v in f])
 
 
 def adjoint(f, dst):
@@ -72,6 +72,24 @@ def pullback_legs(b, r, w_size, v_size):
             l.append(0)
             t.append(v)
     return tuple(l), tuple(t)
+
+
+def pushout_legs(l, t, w_size, v_size):
+    """The legs (b, r) of the elementwise pushout of W <-l- U -t-> V, and
+    the size of X.
+
+    X is W∖0 first, then the points of V that t misses, ascending: b is
+    the inclusion of W, r sends t(u) to l(u) and each missed point to its
+    own new point.  Requires t to be injective.
+    """
+    back = adjoint(t, v_size)
+    r = list(compose(l, back))
+    x_size = w_size
+    for v in range(1, v_size + 1):
+        if back[v] == 0:
+            x_size += 1
+            r[v] = x_size
+    return identity(w_size), tuple(r), x_size
 
 
 @lru_cache(maxsize=None)
@@ -141,7 +159,7 @@ def is_pushout(l, t, b, r, u_size, v_size, w_size, x_size):
 
 def is_injective(f):
     """Injective everywhere, i.e. no nonzero element maps to 0."""
-    return all(v != 0 for v in f[1:])
+    return 0 not in f[1:]
 
 
 def is_surjective(f, dst):

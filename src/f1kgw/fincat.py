@@ -24,7 +24,6 @@ whole composition in between.
 import json
 from collections import deque
 from collections.abc import ItemsView, Mapping
-from dataclasses import dataclass
 from operator import itemgetter
 
 
@@ -379,14 +378,16 @@ def _certify_associativity(cat):
         raise AssociativityViolation(h, g, f)
 
 
-@dataclass(frozen=True)
 class Functor:
     """Object and morphism maps between explicit finite categories."""
 
-    source: FiniteCategory
-    target: FiniteCategory
-    obj_map: dict
-    mor_map: dict
+    __slots__ = ("source", "target", "obj_map", "mor_map")
+
+    def __init__(self, source, target, obj_map, mor_map):
+        self.source = source
+        self.target = target
+        self.obj_map = obj_map
+        self.mor_map = mor_map
 
     def __call__(self, mid):
         return self.mor_map[mid]
@@ -622,14 +623,16 @@ def pi0(cat):
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class GroupPresentation:
     """Generators with relator words; words are tuples of nonzero ints,
     ±(i+1) meaning generator i or its inverse, which is what
     ``abelian_group`` takes."""
 
-    generators: tuple
-    relations: tuple
+    __slots__ = ("generators", "relations")
+
+    def __init__(self, generators, relations):
+        self.generators = generators
+        self.relations = relations
 
     def __str__(self):
         def word(w):
@@ -708,13 +711,22 @@ def pi1_presentation(cat, basepoint):
     )
 
 
-@dataclass(frozen=True)
 class AbelianGroupSNF:
     """A finitely generated abelian group in Smith normal form: free
     rank plus the torsion chain d1 | d2 | ... (each >= 2)."""
 
-    rank: int
-    torsion: tuple
+    __slots__ = ("rank", "torsion")
+
+    def __init__(self, rank, torsion):
+        self.rank = rank
+        self.torsion = torsion
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, AbelianGroupSNF)
+            and self.rank == other.rank
+            and self.torsion == other.torsion
+        )
 
     def __str__(self):
         parts = []

@@ -7,9 +7,7 @@ abelian group in Smith normal form.  Where two independent routes to
 the same group exist, both are exposed so they can be compared.
 """
 
-from dataclasses import dataclass
-
-from .fincat import AbelianGroupSNF, abelian_group, pi0
+from .fincat import abelian_group, pi0
 from .forms import (
     CommMonoidPresentation,
     are_isometric,
@@ -21,12 +19,17 @@ from .pointed import all_conflations
 from .qcat import iso_groupoid, qh_category, qh_component_fixed_points
 
 
-@dataclass(frozen=True)
 class InvariantResult:
-    invariant: str
-    max_size: int
-    group: AbelianGroupSNF
-    details: tuple = ()
+    """An invariant's group at a window, with lines that say how it was
+    computed."""
+
+    __slots__ = ("invariant", "max_size", "group", "details")
+
+    def __init__(self, invariant, max_size, group, details=()):
+        self.invariant = invariant
+        self.max_size = max_size
+        self.group = group
+        self.details = details
 
     def to_json(self):
         return {

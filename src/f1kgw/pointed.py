@@ -22,11 +22,14 @@ wedge: blocks are concatenated, first summand first.
 
 F1Morphism is the boundary type: it validates its map, and the public
 functions here wrap the kernel's map-level operations.  The axiom suite
-computes on map tuples, and builds F1Morphisms only to print a witness
-or to certify the public square constructions themselves.
+computes on map tuples.  It builds F1Morphisms to print a witness, to
+validate the class maps that axioms iv and v complete (once each per
+size triple), and in the direct-sum and block-square checks of the
+public constructions.  The completions of axioms iv and v take their
+new legs from the kernel functions that complete_pullback and
+complete_pushout use.
 """
 
-from dataclasses import dataclass, field
 from itertools import product
 
 from ._backend import kernel
@@ -351,7 +354,7 @@ def complete_pullback(b, r):
     if b.dst != r.dst:
         raise TypeMismatch("cospan legs must share the codomain")
     if not is_inflation(b):
-        raise NotAnInflation("cospan inflation leg is %s" % classify(b))
+        raise NotAnInflation(_refusal("cospan", b))
     lmap, tmap = kernel.pullback_legs(b.map, r.map, b.src, r.src)
     u_size = len(lmap) - 1
     return BicartesianSquare(
@@ -372,22 +375,21 @@ def complete_pushout(l, t):
     if l.src != t.src:
         raise TypeMismatch("span legs must share the domain")
     if not is_inflation(t):
-        raise NotAnInflation("span inflation leg is %s" % classify(t))
-    w_size, v_size = l.dst, t.dst
-    back = kernel.adjoint(t.map, v_size)
-    rmap = list(kernel.compose(l.map, back))
-    x_size = w_size
-    for v in range(1, v_size + 1):
-        if back[v] == 0:
-            x_size += 1
-            rmap[v] = x_size
+        raise NotAnInflation(_refusal("span", t))
+    bmap, rmap, x_size = kernel.pushout_legs(l.map, t.map, l.dst, t.dst)
     return BicartesianSquare(
         left=l,
         top=t,
-        bottom=F1Morphism(w_size, x_size, kernel.identity(w_size)),
-        right=F1Morphism(v_size, x_size, rmap),
+        bottom=F1Morphism(l.dst, x_size, bmap),
+        right=F1Morphism(t.dst, x_size, rmap),
         check_classes=False,
     )
+
+
+def _refusal(shape, leg):
+    """Why a completion refuses a cospan or span whose inflation leg is
+    not an inflation."""
+    return "%s inflation leg is %s" % (shape, classify(leg))
 
 
 def split_conflation(c):
@@ -528,12 +530,17 @@ def all_conflations(max_total):
 # axiom suite
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    checked: int
-    witness: str = ""
+    """One check of a suite: its name, verdict, the number of cases it
+    read and the first witness against it ("" on a pass)."""
+
+    __slots__ = ("name", "passed", "checked", "witness")
+
+    def __init__(self, name, passed, checked, witness=""):
+        self.name = name
+        self.passed = passed
+        self.checked = checked
+        self.witness = witness
 
     def line(self):
         status = "pass" if self.passed else "FAIL"
@@ -555,12 +562,16 @@ class CheckResult:
         return cls(name, True, checked)
 
 
-@dataclass
 class SuiteReport:
-    title: str
-    max_size: int
-    checks: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    """A suite's checks in the order they ran, and notes on its scope."""
+
+    __slots__ = ("title", "max_size", "checks", "notes")
+
+    def __init__(self, title, max_size, checks=None, notes=None):
+        self.title = title
+        self.max_size = max_size
+        self.checks = [] if checks is None else checks
+        self.notes = [] if notes is None else notes
 
     @property
     def ok(self):
@@ -627,6 +638,19 @@ def _commuting_squares(max_size, infl, defl):
                             yield l, t, kernel.compose(d, back), r, u, v, w, x
 
 
+def _deflations_missing_a_point(max_size, defl):
+    """The l: U -> W of the deflation class, w <= u <= max_size, that
+    miss a point of W, as (u, w, l) in the order _commuting_squares
+    reads them.  It visits none of their squares."""
+    return [
+        (u, w, l)
+        for u in range(max_size + 1)
+        for w in range(u + 1)
+        for l in defl(u, w)
+        if sum(_support(l)) != w
+    ]
+
+
 def _square_text(l, t, b, r, u, v, w, x):
     """A square's legs as F1Morphisms, the way witnesses print them."""
     legs = ((u, w, l), (u, v, t), (w, x, b), (v, x, r))
@@ -641,23 +665,47 @@ def _default_defl(u, v):
     return kernel.deflation_maps(u, v)
 
 
+def _bicartesian(l, t, b, r, u, v, w, x):
+    """Does the square commute and is it a pullback and a pushout, by
+    the intrinsic criteria and against every test object of size <=
+    UNIVERSAL_BOUND?"""
+    return (
+        kernel.compose(b, l) == kernel.compose(r, t)
+        and kernel.is_pullback(l, t, b, r, u, v, w, x)
+        and kernel.is_pushout(l, t, b, r, u, v, w, x)
+        and kernel.universal_square_ok(l, t, b, r, u, v, w, x, UNIVERSAL_BOUND)
+    )
+
+
 def _scan_iv_task(args):
     """Verify completions of all cospans W >--> X <<-- V for one size
     triple; returns (checked, first failure or None).  A leg that the
-    completion refuses counts as a failure, not an error."""
+    completion refuses counts as a failure, not an error.
+
+    Each square is completed and checked on map tuples, as
+    complete_pullback would complete it and BicartesianSquare.verify
+    check it: its new legs l, t are valid maps, it commutes and is
+    bicartesian, and l is a deflation and t an inflation.  The class
+    maps are wrapped once per task, for their validation and to print
+    a witness.
+    """
     w, x, v, infl, defl = args
+    rs = [F1Morphism(v, x, m) for m in defl(v, x)]
     count = 0
-    for bm in infl(w, x):
-        b = F1Morphism(w, x, bm)
-        for rm in defl(v, x):
+    for b in [F1Morphism(w, x, m) for m in infl(w, x)]:
+        if rs and not is_inflation(b):
+            return count + 1, "cospan b=%s r=%s: %s" % (b, rs[0], _refusal("cospan", b))
+        for r in rs:
             count += 1
-            r = F1Morphism(v, x, rm)
-            try:
-                sq = complete_pullback(b, r)
-            except NotAnInflation as exc:
-                return count, "cospan b=%s r=%s: %s" % (b, r, exc)
-            if not sq.verify(UNIVERSAL_BOUND) or not (
-                is_deflation(sq.left) and is_inflation(sq.top)
+            lm, tm = kernel.pullback_legs(b.map, r.map, w, v)
+            u = len(lm) - 1
+            if not (
+                len(tm) == u + 1
+                and kernel.is_valid_map(lm, w)
+                and kernel.is_valid_map(tm, v)
+                and _bicartesian(lm, tm, b.map, r.map, u, v, w, x)
+                and kernel.is_surjective(lm, w)
+                and kernel.is_injective(tm)
             ):
                 return count, "cospan b=%s r=%s" % (b, r)
     return count, None
@@ -666,20 +714,28 @@ def _scan_iv_task(args):
 def _scan_v_task(args):
     """Verify completions of all spans W <<-- U >--> V for one size
     triple; returns (checked, first failure or None).  A leg that the
-    completion refuses counts as a failure, not an error."""
+    completion refuses counts as a failure, not an error.
+
+    As in _scan_iv_task, on map tuples: the new legs b, r of each square,
+    as complete_pushout builds them, are valid maps, the square commutes
+    and is bicartesian, and r is a deflation and b an inflation.
+    """
     w, u, v, infl, defl = args
+    ts = [F1Morphism(u, v, m) for m in infl(u, v)]
     count = 0
-    for lm in defl(u, w):
-        l = F1Morphism(u, w, lm)
-        for tm in infl(u, v):
+    for l in [F1Morphism(u, w, m) for m in defl(u, w)]:
+        for t in ts:
             count += 1
-            t = F1Morphism(u, v, tm)
-            try:
-                sq = complete_pushout(l, t)
-            except NotAnInflation as exc:
-                return count, "span l=%s t=%s: %s" % (l, t, exc)
-            if not sq.verify(UNIVERSAL_BOUND) or not (
-                is_deflation(sq.right) and is_inflation(sq.bottom)
+            if not is_inflation(t):
+                return count, "span l=%s t=%s: %s" % (l, t, _refusal("span", t))
+            bm, rm, x = kernel.pushout_legs(l.map, t.map, w, v)
+            if not (
+                len(rm) == v + 1
+                and kernel.is_valid_map(bm, x)
+                and kernel.is_valid_map(rm, x)
+                and _bicartesian(l.map, t.map, bm, rm, u, v, w, x)
+                and kernel.is_surjective(rm, x)
+                and kernel.is_injective(bm)
             ):
                 return count, "span l=%s t=%s" % (l, t)
     return count, None
@@ -799,16 +855,12 @@ def _summed_square_ok(s1, s2):
     t = kernel.block_sum(t1, t2, v1)
     b = kernel.block_sum(b1, b2, x1)
     r = kernel.block_sum(r1, r2, x1)
-    sq = (l, t, b, r, u1 + u2, v1 + v2, w1 + w2, x1 + x2)
     return (
-        kernel.compose(b, l) == kernel.compose(r, t)
-        and kernel.is_injective(t)
+        kernel.is_injective(t)
         and kernel.is_injective(b)
         and kernel.is_surjective(l, w1 + w2)
         and kernel.is_surjective(r, x1 + x2)
-        and kernel.is_pullback(*sq)
-        and kernel.is_pushout(*sq)
-        and kernel.universal_square_ok(*sq, UNIVERSAL_BOUND)
+        and _bicartesian(l, t, b, r, u1 + u2, v1 + v2, w1 + w2, x1 + x2)
     )
 
 
@@ -915,7 +967,10 @@ def axiom_suite(max_size, jobs=1, inflation_maps_of=None, deflation_maps_of=None
 
     inflation_maps_of/deflation_maps_of can replace the morphism-class
     enumerations, for corruption experiments; the default classes are
-    the honest ones.
+    the honest ones.  When axiom iii passes although the deflation class
+    holds maps that miss a point of their codomain, whose squares it
+    cannot visit (see _commuting_squares), a note names the first and
+    counts them.
     """
     from . import _parallel
 
@@ -930,12 +985,20 @@ def axiom_suite(max_size, jobs=1, inflation_maps_of=None, deflation_maps_of=None
 
     add(run("axiom i: zero maps", _zero_maps(max_size, infl, defl)))
     add(run("axiom ii: class closure", _class_closure(max_size, infl, defl)))
-    add(
-        run(
-            "axiom iii: cartesian iff cocartesian",
-            _cartesian_iff_cocartesian(max_size, infl, defl),
-        )
+    iii = run(
+        "axiom iii: cartesian iff cocartesian",
+        _cartesian_iff_cocartesian(max_size, infl, defl),
     )
+    add(iii)
+    # a pass says nothing of the squares axiom iii cannot visit; a
+    # failure already fails the report
+    missed = _deflations_missing_a_point(max_size, defl)
+    if iii.passed and missed:
+        report.notes.append(
+            "axiom iii did not check the squares of %d deflation%s that miss "
+            "a point of their codomain, the first %s"
+            % (len(missed), "" if len(missed) == 1 else "s", F1Morphism(*missed[0]))
+        )
 
     # (iv) cospan and (v) span completion to a bicartesian square, one
     # task per size triple, read as (w, x, v) for iv and (w, u, v) for v

@@ -740,16 +740,18 @@ def standard_stabilization(base, V):
     return QSpan(m, m + 2 * v, sub, pmap)
 
 
-def comma_tau_suite(max_size):
+def comma_tau_suite(max_size, hermitian_spans=None):
     """Certify the stabilization equivalences under a base form.
 
     For each base M (the zero form and the rank-one hyperbolic form, as
     far as they fit in max_size), the comma category of hermitian spans
     out of M into fixed-point-free forms is equivalent to the
     isomorphism groupoid, via V -> (M ⊕ H(V), projection span).
+    hermitian_spans is qh_category(max_size) when the caller has built
+    it already; otherwise the suite builds it.
     """
     SH = hyperbolic_groupoid(max_size)
-    QH = qh_category(max_size)
+    QH = qh_category(max_size) if hermitian_spans is None else hermitian_spans
     tau = graph_of_isometries(SH, QH)
     checks = []
     w = check_functor(tau, "functoriality")
@@ -791,7 +793,7 @@ def comma_tau_suite(max_size):
     )
 
 
-def stabilization_equivalence_suite(target_size=3, domain_size=2):
+def stabilization_equivalence_suite(target_size=3, domain_size=2, hermitian_spans=None):
     """Certify that adding a rank-one split summand identifies the
     fixed-point-free block of the hermitian span category with the
     component of the rank-one split form.
@@ -800,7 +802,8 @@ def stabilization_equivalence_suite(target_size=3, domain_size=2):
     groupoid with the fixed-point-free full subcategory at
     domain_size; the functor adds the split summand to objects and
     spans alike.  The image has size domain_size + 1, so target_size
-    must be at least that.
+    must be at least that.  hermitian_spans is qh_category(target_size)
+    when the caller has built it already; otherwise the suite builds it.
     """
     if target_size < domain_size + 1:
         raise ValueError(
@@ -816,7 +819,7 @@ def stabilization_equivalence_suite(target_size=3, domain_size=2):
         QHd, [Mo for Mo in QHd.objects if not Mo.fixed_points()]
     )
     dom = product_category(BG, dom_f0)
-    QHt = qh_category(target_size)
+    QHt = qh_category(target_size) if hermitian_spans is None else hermitian_spans
     component = None
     for comp in pi0(QHt):
         if S_form in comp:

@@ -3,11 +3,15 @@ output, exit codes, and byte determinism."""
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import f1kgw
+from f1kgw import cli, qcat
 from f1kgw.cli import main
 from f1kgw.fincat import category_from_json
 from f1kgw.qcat import completion_category
@@ -234,3 +238,40 @@ def test_console_script_round_trip():
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout == b.stdout
     assert json.loads(a.stdout)["invariant"] == "W0"
+
+
+def test_start_up_loads_no_dataclasses_inspect_or_multiprocessing():
+    # Newly covers: importing the cli loads none of these, and a
+    # one-worker axioms run does not load multiprocessing either.
+    code = (
+        "import sys, io, contextlib\n"
+        "import f1kgw.cli\n"
+        "heavy = ('dataclasses', 'inspect', 'multiprocessing')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = f1kgw.cli.main(['axioms', '--max-size', '2'])\n"
+        "print(rc, 'multiprocessing' in sys.modules)\n"
+    )
+    src = str(Path(f1kgw.__file__).resolve().parents[1])
+    paths = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n0 False\n"
+
+
+def test_suites_build_the_hermitian_span_category_once(capsys, monkeypatch):
+    # Newly covers: the comma and split-summand suites share one
+    # qh_category(max_size); the split-summand domain is its own build.
+    built = []
+    build = qcat.qh_category
+
+    def counting(max_size):
+        built.append(max_size)
+        return build(max_size)
+
+    monkeypatch.setattr(qcat, "qh_category", counting)
+    monkeypatch.setattr(cli, "qh_category", counting)
+    rc, _ = run(["suites", "--max-size", "2"], capsys)
+    assert rc == 0
+    assert sorted(built) == [1, 2]

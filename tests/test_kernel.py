@@ -46,6 +46,61 @@ def test_package_computes_with_the_pure_kernel():
     assert f1kgw._backend.kernel is _corepy
 
 
+def generator_compose(g, f):
+    """compose as it was before it built a list, kept as the oracle."""
+    return tuple(g[v] for v in f)
+
+
+def looped_is_injective(f):
+    """is_injective as it was before it asked ``0 in``, kept as the
+    oracle."""
+    return all(v != 0 for v in f[1:])
+
+
+def test_rewritten_kernel_functions_match_their_former_bodies():
+    hom_maps = _corepy.hom_maps
+    maps = [m for a, b in itertools.product(range(5), repeat=2) for m in hom_maps(a, b)]
+    assert len(maps) == 499
+    # not maps: a nonzero slot 0, repeated values, negative values, empty
+    malformed = [(1, 0, 2), (2, 2), (0, 1, 1, 0), (0, 0, 0), (0, -1, 2), (3,), ()]
+    for f in maps + malformed:
+        assert _corepy.is_injective(f) == looped_is_injective(f), f
+    assert {looped_is_injective(f) for f in malformed} == {True, False}
+    pairs = 0
+    for a, b, c in itertools.product(range(4), repeat=3):
+        for f in hom_maps(a, b):
+            for g in hom_maps(b, c):
+                assert _corepy.compose(g, f) == generator_compose(g, f)
+                pairs += 1
+    assert pairs == 3396
+    for g, f in ((malformed[0], (0, 2, 2, 1)), ((0, 3, 1), malformed[1]), ((4, 5), (1, 1, 0))):
+        assert _corepy.compose(g, f) == generator_compose(g, f)
+
+
+def former_pushout_legs(l, t, w_size, v_size):
+    """The legs that complete_pushout computed itself before the kernel
+    had pushout_legs, kept as the oracle."""
+    back = _corepy.adjoint(t, v_size)
+    rmap = list(_corepy.compose(l, back))
+    x_size = w_size
+    for v in range(1, v_size + 1):
+        if back[v] == 0:
+            x_size += 1
+            rmap[v] = x_size
+    return _corepy.identity(w_size), tuple(rmap), x_size
+
+
+def test_pushout_legs_match_the_former_completion():
+    spans = 0
+    for u, w, v in itertools.product(range(4), repeat=3):
+        for l in _corepy.hom_maps(u, w):
+            for t in _corepy.inflation_maps(u, v):
+                got = _corepy.pushout_legs(l, t, w, v)
+                assert got == former_pushout_legs(l, t, w, v), (l, t)
+                spans += 1
+    assert spans == 580
+
+
 def test_composition_tables_match_compose():
     hom_maps = _corepy.hom_maps
     for src, dst, n in itertools.product(range(4), repeat=3):

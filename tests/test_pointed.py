@@ -472,3 +472,111 @@ def test_ds2_sums_each_triple_once_and_hides_no_wrong_sum(monkeypatch):
     cases = list(itertools.islice(_exact_bifunctor(2), 166 * 166))
     assert cases == [""] * 27556
     assert len(calls) == len(set(calls)) == 220
+
+
+def test_completion_scans_take_the_legs_of_the_public_completions(monkeypatch):
+    # Newly covers: axioms iv and v complete each square on map tuples.
+    # Every cospan and span with corners <= 3 gets the legs that
+    # complete_pullback and complete_pushout build, and the scans build
+    # no square object and wrap each class map once per size triple.
+    from f1kgw import pointed
+
+    legs = {"pullback": {}, "pushout": {}}
+
+    def recording(kind, fn):
+        def wrapper(a, b, *sizes):
+            got = fn(a, b, *sizes)
+            legs[kind][(a, b) + sizes] = got
+            return got
+
+        return wrapper
+
+    monkeypatch.setattr(kernel, "pullback_legs", recording("pullback", kernel.pullback_legs))
+    monkeypatch.setattr(kernel, "pushout_legs", recording("pushout", kernel.pushout_legs))
+    wrapped, squares = [0], [0]
+    init, square_init = F1Morphism.__init__, BicartesianSquare.__init__
+
+    def counting(self, *args):
+        wrapped[0] += 1
+        init(self, *args)
+
+    def square(self, *args, **kwargs):
+        squares[0] += 1
+        square_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(F1Morphism, "__init__", counting)
+    monkeypatch.setattr(BicartesianSquare, "__init__", square)
+    sizes = range(4)
+    class_maps = 0
+    for a, b, c in itertools.product(sizes, repeat=3):
+        for scan, outer, inner in (
+            (pointed._scan_iv_task, kernel.inflation_maps(a, b), kernel.deflation_maps(c, b)),
+            (pointed._scan_v_task, kernel.deflation_maps(b, a), kernel.inflation_maps(b, c)),
+        ):
+            count, witness = scan((a, b, c, kernel.inflation_maps, kernel.deflation_maps))
+            assert (count, witness) == (len(outer) * len(inner), None)
+            class_maps += len(outer) + len(inner)
+    assert wrapped[0] == class_maps and squares[0] == 0
+    monkeypatch.undo()
+    cospans = [
+        (F1Morphism(w, x, bm), F1Morphism(v, x, rm))
+        for w, x, v in itertools.product(sizes, repeat=3)
+        for bm in kernel.inflation_maps(w, x)
+        for rm in kernel.deflation_maps(v, x)
+    ]
+    spans = [
+        (F1Morphism(u, w, lm), F1Morphism(u, v, tm))
+        for w, u, v in itertools.product(sizes, repeat=3)
+        for lm in kernel.deflation_maps(u, w)
+        for tm in kernel.inflation_maps(u, v)
+    ]
+    assert len(legs["pullback"]) == len(cospans) and len(legs["pushout"]) == len(spans)
+    for b, r in cospans:
+        sq = complete_pullback(b, r)
+        assert legs["pullback"][b.map, r.map, b.src, r.src] == (sq.left.map, sq.top.map)
+    for l, t in spans:
+        sq = complete_pushout(l, t)
+        got = legs["pushout"][l.map, t.map, l.dst, t.dst]
+        assert got == (sq.bottom.map, sq.right.map, sq.right.dst)
+
+
+def test_complete_pushout_reads_the_kernel_legs(monkeypatch):
+    # Newly covers: the pushout leg rule exists once, in the kernel.
+    calls = []
+
+    def pushout_legs(l, t, w_size, v_size):
+        calls.append((l, t, w_size, v_size))
+        return (0, 1), (0, 1, 0), 1
+
+    monkeypatch.setattr(kernel, "pushout_legs", pushout_legs)
+    sq = complete_pushout(F1Morphism.identity(1), F1Morphism(1, 2, (0, 1)))
+    assert calls == [((0, 1), (0, 1), 1, 2)]
+    assert (sq.bottom.map, sq.right.map, sq.right.dst) == ((0, 1), (0, 1, 0), 1)
+
+
+def test_axiom_iii_notes_the_deflations_it_cannot_visit():
+    # Newly covers: with every map a deflation, the maps that miss a point
+    # of their codomain are counted and the first named when axiom iii
+    # passes.  Without inflations it passes having visited no square; with
+    # the honest inflations it fails at its second square, and a failing
+    # report gets no note (the pinned rows above).
+    note = (
+        "axiom iii did not check the squares of %d deflation%s that miss a "
+        "point of their codomain, the first [0,0]:1->1"
+    )
+    for max_size, missed in ((1, 1), (2, 7), (3, 43)):
+        report = axiom_suite(
+            max_size,
+            inflation_maps_of=lambda u, v: (),
+            deflation_maps_of=kernel.hom_maps,
+        )
+        (iii,) = [c for c in report.checks if c.name.startswith("axiom iii")]
+        assert (iii.passed, iii.checked) == (True, 0)
+        assert report.notes[0] == note % (missed, "" if missed == 1 else "s")
+        assert len(report.notes) == 2
+    report = axiom_suite(2, deflation_maps_of=kernel.hom_maps)
+    (iii,) = [c for c in report.checks if c.name.startswith("axiom iii")]
+    assert (iii.passed, iii.checked) == (False, 2)
+    assert len(report.notes) == 1
+    for max_size in range(5):
+        assert len(axiom_suite(max_size).notes) == 1
