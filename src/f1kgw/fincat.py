@@ -9,13 +9,12 @@ row per morphism out of it, a column per morphism into it), about one
 pointer per composable pair; ``comp`` is a read-only mapping view of
 the tables.  All certification is by full enumeration over them.
 The unit laws are checked on every morphism, and associativity is
-certified in one of three ways: by ``build_category``, which checks
-every composable triple, each at the cost of a list read; by
-``build_transported``, when its composition is carried from a category
-so certified, through a witness functor checked functorial and faithful
-on every morphism and composable pair; or by ``subcategory``, which
-restricts a category certified either way.  Ties everywhere are broken
-by least id, so construction is deterministic.
+certified in one of two ways: by ``build_category``, which runs Light's
+test over a generating set (``generating_set``), reading every triple
+whose middle is a generator, and checks every composable triple only
+when that test fails; or by ``subcategory``, which restricts a category
+so certified.  Ties everywhere are broken by least id, so construction
+is deterministic.
 The JSON export is text written from the tables one row at a time, in
 the bytes of a sorted, indented ``json.dumps``, with no dict of the
 whole composition in between.
@@ -238,36 +237,24 @@ def build_category(objects, morphisms, compose_data):
     pairs of data compose alike wherever they occur.
 
     The composition tables and the units come from ``_tabulate``.
-    Associativity is then checked on every composable triple, a whole
-    row of f at a time (AssociativityViolation with the least witnessing
-    (f, g, h)).  The tables are the category's composition: ``row``
-    keeps them, and ``comp`` and ``compose`` read them.
+    Associativity is then certified by Light's test: once the unit laws
+    hold and G generates, the category is associative exactly when
+    (h∘g)∘f == h∘(g∘f) for every g in G and every composable f and h
+    (Clifford and Preston, The Algebraic Theory of Semigroups I, §1.2).
+    The middles g that pass include the identities and are closed under
+    composition, so every product of generators passes.  G is
+    ``generating_set(cat)``, and its closure is checked to reach every
+    morphism before the test is trusted.  When either check fails,
+    every triple is checked instead, a whole row of f at a time
+    (AssociativityViolation with the least witnessing (f, g, h)).  The
+    tables are the category's composition: ``row`` keeps them, and
+    ``comp`` and ``compose`` read them.
     """
     cat = _tabulate(objects, morphisms, compose_data)
-    _certify_associativity(cat)
-    return cat
-
-
-def build_transported(objects, morphisms, compose_data, witness):
-    """Assemble a finite category whose composition is transported from
-    a certified one, and certify it through a functor.
-
-    objects, morphisms, compose_data: as for ``build_category``.
-    witness(cat): a functor from the tabulated category into a category
-    that ``build_category`` has certified, usually a ``functor_by_data``.
-
-    The tables and the units come from ``_tabulate``.  When the witness
-    is functorial and faithful, cat is associative without a triple
-    being visited: F sends both bracketings of h, g, f to F(h)∘F(g)∘F(f)
-    in the associative target, and both lie in one hom set, on which F
-    is injective.  Each check costs one read per morphism or composable
-    pair.  When either check returns a witness, every triple is checked
-    as in ``build_category``, so a broken composition raises the same
-    AssociativityViolation, with the same least witness.
-    """
-    cat = _tabulate(objects, morphisms, compose_data)
-    F = witness(cat)
-    if check_functor(F, "functoriality") or check_functor(F, "faithful"):
+    generators, reach = generating_set(cat)
+    if not _generates(cat, generators, reach) or next(
+        _associativity_failures(cat, generators), None
+    ):
         _certify_associativity(cat)
     return cat
 
@@ -347,32 +334,106 @@ def _not_a_morphism(g, f, composite):
     raise ValueError("composite of %d after %d is not a morphism: %r" % (g, f, composite))
 
 
-def _certify_associativity(cat):
-    """Check (h∘g)∘f == h∘(g∘f) on every composable triple.
+def generating_set(cat):
+    """A set of morphisms that generates cat under composition, and
+    how each morphism is first reached from it.
+
+    Returns (generators, reach).  The morphisms are taken largest weight
+    first, the weight of m: a -> b being |into(a)|·|out(b)|, ties by
+    least id; a morphism becomes a generator when the closure of the
+    generators before it misses it.  The closure starts at the
+    identities and grows by composing a generator on the left, reading
+    only the tables.  reach maps each non-identity morphism m to the
+    pair (g, c) by which the closure first reached it, m = g∘c with g a
+    generator, in the order reached, so c is an identity or reached
+    before m; a generator g is reached as g∘id.
+    """
+    row, col, src_k, dst_k, into = cat.row, cat.col, cat.src_k, cat.dst_k, cat.into
+    reached = bytearray(cat.n_morphisms)
+    for e in cat.identities.values():
+        reached[e] = 1
+    weight = [len(into[a]) * len(cat.out_of[b]) for a, b in zip(src_k, dst_k)]
+    generators, reach = [], {}
+    gens_out = [[] for _ in cat.objects]  # object index -> generators out of it
+    for m in sorted(range(cat.n_morphisms), key=weight.__getitem__, reverse=True):
+        if reached[m]:
+            continue
+        generators.append(m)
+        gens_out[src_k[m]].append(m)
+        new = []
+        for c, mc in zip(into[src_k[m]], row[m]):
+            if reached[c] and not reached[mc]:
+                reached[mc] = 1
+                reach[mc] = (m, c)
+                new.append(mc)
+        for c in new:  # grows while read, so each new morphism is composed on
+            cc = col[c]
+            for g in gens_out[dst_k[c]]:
+                gc = row[g][cc]
+                if not reached[gc]:
+                    reached[gc] = 1
+                    reach[gc] = (g, c)
+                    new.append(gc)
+    return tuple(generators), reach
+
+
+def _generates(cat, generators, reach):
+    """Does reach certify that generators generate cat?  Read in its
+    order, each entry m: (g, c) must compose, in the tables, a generator
+    g with an identity or a morphism reached before, and every
+    non-identity morphism must be reached."""
+    row, col, src_k, dst_k = cat.row, cat.col, cat.src_k, cat.dst_k
+    reached = bytearray(cat.n_morphisms)
+    for e in cat.identities.values():
+        reached[e] = 1
+    is_generator = set(generators)
+    for m, (g, c) in reach.items():
+        if (
+            reached[m]
+            or g not in is_generator
+            or not reached[c]
+            or src_k[g] != dst_k[c]
+            or row[g][col[c]] != m
+        ):
+            return False
+        reached[m] = 1
+    return all(reached)
+
+
+def _associativity_failures(cat, middles):
+    """(f, g, h) with (h∘g)∘f != h∘(g∘f), for each g in middles and each
+    h after it that fail: the least such f, by g, then h ascending.
 
     For g: c -> b and h out of b, both sides come as whole rows over the
     f into c: (h∘g)∘f is the row of h∘g as is, and h∘(g∘f) is the row of
-    h read at the columns of g's composites.  On failure the witness is
-    the least (f, g, h), raised as AssociativityViolation(h, g, f).
+    h read at the columns of g's composites.
     """
     row, col, out_of, into = cat.row, cat.col, cat.out_of, cat.into
     src_k, dst_k = cat.src_k, cat.dst_k
-    least = None
-    for g, rg in enumerate(row):
-        cols = [col[gf] for gf in rg]
-        if len(cols) > 1:
-            through_g = itemgetter(*cols)
-        else:
-            through_g = lambda r, c=cols[0]: (r[c],)
+    for g in middles:
+        through_g = _reader([col[gf] for gf in row[g]])
         cg = col[g]
         for h in out_of[dst_k[g]]:
             rh = row[h]
             left, right = row[rh[cg]], through_g(rh)
             if left != right:
                 k = next(k for k, (x, y) in enumerate(zip(left, right)) if x != y)
-                witness = (into[src_k[g]][k], g, h)
-                if least is None or witness < least:
-                    least = witness
+                yield into[src_k[g]][k], g, h
+
+
+def _reader(positions):
+    """The function reading a sequence at the given positions, as a
+    tuple, even when there is only one."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return lambda r, p=positions[0]: (r[p],)
+
+
+def _certify_associativity(cat):
+    """Check (h∘g)∘f == h∘(g∘f) on every composable triple.  On failure
+    the witness is the least (f, g, h), raised as
+    AssociativityViolation(h, g, f)."""
+    least = min(_associativity_failures(cat, range(cat.n_morphisms)), default=None)
     if least is not None:
         f, g, h = least
         raise AssociativityViolation(h, g, f)
@@ -443,13 +504,21 @@ def _functor_witnesses(F, mode):
             if F.mor_map[S.identities[o]] != T.identities[F.obj_map[o]]:
                 yield "identity of %r not preserved" % (o,)
         # reached only when every morphism is mapped with its endpoints,
-        # so the images of a composable pair are composable in T
-        image, row, out_of, dst_k, t_row, t_col = F.mor_map, S.row, S.out_of, S.dst_k, T.row, T.col
-        for f, cf in enumerate(S.col):
-            tcf = t_col[image[f]]
-            for g in out_of[dst_k[f]]:
-                if t_row[image[g]][tcf] != image[row[g][cf]]:
-                    yield "composition broken at (g=%d, f=%d)" % (g, f)
+        # so the images of a composable pair are composable in T.  Row g
+        # of S against T's row of F(g), read at the columns of the F(f);
+        # the witness is the least (f, g) over the rows that differ.
+        image, into, t_row, t_col = F.mor_map, S.into, T.row, T.col
+        at_images = [_reader([t_col[image[f]] for f in fs]) for fs in into]
+        least = None
+        for g, (rg, k) in enumerate(zip(S.row, S.src_k)):
+            left, right = at_images[k](t_row[image[g]]), _reader(rg)(image)
+            if left != right:
+                c = next(c for c, (x, y) in enumerate(zip(left, right)) if x != y)
+                if least is None or (into[k][c], g) < least:
+                    least = (into[k][c], g)
+        if least is not None:
+            f, g = least
+            yield "composition broken at (g=%d, f=%d)" % (g, f)
     elif mode in ("full", "faithful"):
         for a in S.objects:
             for b in S.objects:

@@ -15,10 +15,9 @@ Four constructions share this module:
   stabilizing isomorphisms.
 
 Every category is built from its (src, dst, data) morphisms and the
-rule composing their data, and certified at build time: by
-``fincat.build_category``, triple by triple, or, for the conflation
-category, by ``fincat.build_transported`` through the faithful functor
-to ``pointed_set_category`` that keeps the middle map.  The fibers and
+rule composing their data, and certified at build time by
+``fincat.build_category``: the unit laws on every morphism, and
+associativity by Light's test over a generating set.  The fibers and
 components taken by ``subcategory`` restrict a category so certified.
 Morphism data tells the morphisms of a hom set apart, and
 ``FiniteCategory.find`` maps it back to the id:
@@ -26,7 +25,6 @@ Morphism data tells the morphisms of a hom set apart, and
 * span category: the canonical QSpan;
 * hermitian span category: the underlying QSpan;
 * conflation category: the map tuple of the middle inflation;
-* pointed sets: the map tuple;
 * isomorphism and hyperbolic groupoids: the map, as an F1Morphism;
 * group-completion category: (v, alpha, beta) in canonical form.
 
@@ -52,7 +50,6 @@ from functools import lru_cache, partial
 
 from .fincat import (
     build_category,
-    build_transported,
     check_functor,
     comma_category,
     full_subcategory,
@@ -413,22 +410,13 @@ def _quotient_parts(src, dst, bmap):
     return c1, qmap
 
 
-def pointed_set_category(n):
-    """The category of the pointed sets 0..n and all maps between them,
-    partial injections as kernel map tuples, composed by
-    ``kernel.compose`` and certified triple by triple."""
-    objects = range(n + 1)
-    morphisms = [(a, b, f) for a in objects for b in objects for f in kernel.hom_maps(a, b)]
-    return build_category(objects, morphisms, kernel.compose)
-
-
 def conflation_category(max_size):
     """The category of conflations with total object of size <=
     max_size; morphism data is the map tuple of the middle inflation.
 
-    Composition is that of the middle maps, so the category is certified
-    through the functor X ↦ X.total, b ↦ b into
-    ``pointed_set_category(max_size)``, checked functorial and faithful.
+    Composition is that of the middle maps, by ``kernel.compose``, and
+    ``build_category`` certifies it like any other: the units, then
+    Light's test over a generating set.
     """
     objects = list(all_conflations(max_size))
     morphisms = []
@@ -437,13 +425,7 @@ def conflation_category(max_size):
             for bmap in kernel.inflation_maps(src.total, dst.total):
                 if _quotient_parts(src, dst, bmap) is not None:
                     morphisms.append((src, dst, bmap))
-    P = pointed_set_category(max_size)
-    return build_transported(
-        objects,
-        morphisms,
-        kernel.compose,
-        lambda E: functor_by_data(E, P, {X: X.total for X in E.objects}, E.data),
-    )
+    return build_category(objects, morphisms, kernel.compose)
 
 
 def quotient_fibration(E, q):
@@ -800,10 +782,13 @@ def stabilization_equivalence_suite(target_size=3, domain_size=2, hermitian_span
 
     The domain is the product of the split form's automorphism
     groupoid with the fixed-point-free full subcategory at
-    domain_size; the functor adds the split summand to objects and
-    spans alike.  The image has size domain_size + 1, so target_size
-    must be at least that.  hermitian_spans is qh_category(target_size)
-    when the caller has built it already; otherwise the suite builds it.
+    domain_size, taken from the target: the forms of size <=
+    domain_size are a prefix of its objects, so that full subcategory is
+    qh_category(domain_size), ids included.  The functor adds the split
+    summand to objects and spans alike.  The image has size
+    domain_size + 1, so target_size must be at least that.
+    hermitian_spans is qh_category(target_size) when the caller has
+    built it already; otherwise the suite builds it.
     """
     if target_size < domain_size + 1:
         raise ValueError(
@@ -814,12 +799,11 @@ def stabilization_equivalence_suite(target_size=3, domain_size=2, hermitian_span
     auts = isometries(S_form, S_form)
     checks = []
     BG = one_object_groupoid(auts, compose, F1Morphism.identity(1), label=S_form)
-    QHd = qh_category(domain_size)
+    QHt = qh_category(target_size) if hermitian_spans is None else hermitian_spans
     dom_f0 = full_subcategory(
-        QHd, [Mo for Mo in QHd.objects if not Mo.fixed_points()]
+        QHt, [Mo for Mo in QHt.objects if Mo.size <= domain_size and not Mo.fixed_points()]
     )
     dom = product_category(BG, dom_f0)
-    QHt = qh_category(target_size) if hermitian_spans is None else hermitian_spans
     component = None
     for comp in pi0(QHt):
         if S_form in comp:
@@ -851,7 +835,7 @@ def stabilization_equivalence_suite(target_size=3, domain_size=2, hermitian_span
     def hom_counts():
         for (s1, M) in dom.objects:
             for (s2, N) in dom.objects:
-                want = len(auts) * len(QHd.hom(M, N))
+                want = len(auts) * len(dom_f0.hom(M, N))
                 got = len(target.hom(obj_map[(s1, M)], obj_map[(s2, N)]))
                 yield "" if want == got else "hom count %s -> %s: %d vs %d" % (M, N, want, got)
 

@@ -24,7 +24,6 @@ from f1kgw.fincat import (
     UnknownObject,
     abelianize,
     build_category,
-    build_transported,
     category_from_json,
     category_to_dot,
     category_to_json,
@@ -32,6 +31,7 @@ from f1kgw.fincat import (
     comma_category,
     full_subcategory,
     functor_by_data,
+    generating_set,
     one_object_groupoid,
     pi0,
     pi1_presentation,
@@ -49,7 +49,6 @@ from f1kgw.qcat import (
     graph_of_isometries,
     hyperbolic_groupoid,
     iso_groupoid,
-    pointed_set_category,
     q_category,
     q_compose,
     qh_category,
@@ -120,13 +119,6 @@ def test_build_category_rejects_a_bad_composite_id():
         build_category([0, 1], morphisms, lambda g, f: wrong[(g, f)])
 
 
-def _to_pointed_sets(n, data):
-    """The witness that conflation_category(n) is certified through: X to
-    its total object, each morphism to the middle map data(m)."""
-    P = pointed_set_category(n)
-    return lambda E: functor_by_data(E, P, {X: X.total for X in E.objects}, data)
-
-
 def _triple_loop_verdict(cat, comp):
     """Reference verdict on a possibly corrupted table: unit search by
     dict lookups, then associativity triple by triple over comp in its
@@ -156,17 +148,12 @@ def _triple_loop_verdict(cat, comp):
     [(q_category, 3, 160), (completion_category, 2, 100), (conflation_category, 2, 100)],
 )
 def test_associativity_witness_matches_the_triple_loop(build, size, trials):
-    """Both builders, on ids as data composed through a corrupted table.
-    The transported build's witness reads the honest data, into pointed
-    sets for conflations and into the honest category otherwise, so it
-    fails wherever the table was changed and the build falls back to
-    the triples."""
+    """build_category on ids as data composed through a corrupted table:
+    the verdict and witness of the triple loop.  Light's test on the
+    tabulated table, over its own generating set, fails exactly when the
+    triple loop finds a witness."""
     cat = build(size)
     morphisms = by_ids(zip(cat.mor_src, cat.mor_dst))
-    if build is conflation_category:
-        witness = _to_pointed_sets(size, cat.data)
-    else:
-        witness = lambda S: functor_by_data(S, cat, {o: o for o in cat.objects}, cat.data)
     # pairs whose hom set offers another composite with the same endpoints
     pairs = [
         (g, f)
@@ -181,15 +168,20 @@ def test_associativity_witness_matches_the_triple_loop(build, size, trials):
         comp = dict(cat.comp)
         comp[(g, f)] = rng.choice([m for m in hom if m != comp[(g, f)]])
         want = _triple_loop_verdict(cat, comp)
-        for builder, *witnessed in ((build_category,), (build_transported, witness)):
-            try:
-                builder(cat.objects, morphisms, lambda g, f: comp[(g, f)], *witnessed)
-                got = "ok"
-            except UnitViolation:
-                got = "units"
-            except AssociativityViolation as exc:
-                got = exc.witness
-            assert got == want, (builder.__name__, g, f)
+        try:
+            build_category(cat.objects, morphisms, lambda g, f: comp[(g, f)])
+            got = "ok"
+        except UnitViolation:
+            got = "units"
+        except AssociativityViolation as exc:
+            got = exc.witness
+        assert got == want, (g, f)
+        if want != "units":
+            table = fincat._tabulate(cat.objects, morphisms, lambda g, f: comp[(g, f)])
+            generators, reach = generating_set(table)
+            assert fincat._generates(table, generators, reach)
+            light = next(fincat._associativity_failures(table, generators), None)
+            assert (light is None) == (want == "ok"), (g, f)
         witnesses += isinstance(want, tuple)
     assert witnesses >= trials // 4
 
@@ -197,39 +189,13 @@ def test_associativity_witness_matches_the_triple_loop(build, size, trials):
 def test_build_category_keeps_its_three_positional_parameters():
     # perfbench/layers.py traces every build through a wrapper that takes
     # exactly (objects, morphisms, comp_rule), so a fourth parameter would
-    # make a traced pass raise TypeError; build_transported takes the
-    # witness instead
+    # make a traced pass raise TypeError
     assert [
         (p.name, p.kind, p.default) for p in inspect.signature(build_category).parameters.values()
     ] == [
         (name, inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
         for name in ("objects", "morphisms", "compose_data")
     ]
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_transported_conflation_category_is_the_exhaustive_build(n):
-    cat = conflation_category(n)
-    exhaustive = build_category(
-        cat.objects, zip(cat.mor_src, cat.mor_dst, cat.mor_data), kernel.compose
-    )
-    assert cat.row == exhaustive.row
-    assert cat.col == exhaustive.col
-    assert cat.identities == exhaustive.identities
-
-
-def test_conflation_category_is_certified_without_visiting_triples(monkeypatch):
-    P = pointed_set_category(3)  # the target, certified triple by triple
-
-    def refuse(cat):
-        raise AssertionError("%r certified triple by triple" % cat)
-
-    monkeypatch.setattr(qcat, "pointed_set_category", lambda n: P)
-    monkeypatch.setattr(fincat, "_certify_associativity", refuse)
-    cat = conflation_category(3)
-    assert (cat.n_morphisms, len(cat.comp)) == (2221, 121339)
-    with pytest.raises(AssertionError, match="triple by triple"):
-        build_category(cat.objects, zip(cat.mor_src, cat.mor_dst, cat.mor_data), kernel.compose)
 
 
 @pytest.mark.parametrize(
@@ -348,20 +314,21 @@ def _group_categories():
     ]
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: [(q_category(n), q_compose) for n in range(5)],
-        lambda: [(qh_category(n), q_compose) for n in range(5)],
-        lambda: [(completion_category(n), completion_compose) for n in range(4)],
-        lambda: [(conflation_category(n), kernel.compose) for n in range(4)],
-        lambda: [(iso_groupoid(3), compose), (hyperbolic_groupoid(4), compose)],
-        lambda: _comma_categories(3),
-        _product_categories,
-        _group_categories,
-    ],
-    ids=["q", "qh", "completion", "conflation", "groupoids", "comma", "product", "one_object"],
-)
+# every honest category the tests build, each with the rule composing
+# its data
+_HONEST_BUILDS = {
+    "q": lambda: [(q_category(n), q_compose) for n in range(5)],
+    "qh": lambda: [(qh_category(n), q_compose) for n in range(5)],
+    "completion": lambda: [(completion_category(n), completion_compose) for n in range(4)],
+    "conflation": lambda: [(conflation_category(n), kernel.compose) for n in range(4)],
+    "groupoids": lambda: [(iso_groupoid(3), compose), (hyperbolic_groupoid(4), compose)],
+    "comma": lambda: _comma_categories(3),
+    "product": _product_categories,
+    "one_object": _group_categories,
+}
+
+
+@pytest.mark.parametrize("build", list(_HONEST_BUILDS.values()), ids=list(_HONEST_BUILDS))
 def test_compose_by_data_builds_what_per_pair_composition_builds(build):
     """Independent oracle: every composable pair, and only those, is
     composed, each on its own, and its composite is the morphism that
@@ -377,6 +344,124 @@ def test_compose_by_data_builds_what_per_pair_composition_builds(build):
                 cat.mor_src[f], cat.mor_dst[g], compose_data(cat.data(g), cat.data(f))
             )
             assert want is not None and cat.comp[(g, f)] == want, (g, f)
+
+
+@pytest.mark.parametrize("build", list(_HONEST_BUILDS.values()), ids=list(_HONEST_BUILDS))
+def test_light_test_certifies_what_the_full_walk_certifies(build, monkeypatch):
+    """Every honest category is built with the full walk refused.  On
+    each, the generating set's closure reaches every non-identity
+    morphism, and Light's test and the full walk both find nothing."""
+    full_walk = fincat._certify_associativity
+
+    def refuse(cat):
+        raise AssertionError("%r certified by the full walk" % cat)
+
+    monkeypatch.setattr(fincat, "_certify_associativity", refuse)
+    for cat, _ in build():
+        generators, reach = generating_set(cat)
+        identities = set(cat.identities.values())
+        assert identities.isdisjoint(generators)
+        assert set(reach) == set(range(cat.n_morphisms)) - identities
+        assert all(reach[g] == (g, cat.identities[cat.mor_src[g]]) for g in generators)
+        assert fincat._generates(cat, generators, reach)
+        assert next(fincat._associativity_failures(cat, generators), None) is None
+        full_walk(cat)
+
+
+def test_generating_set_sizes():
+    sizes = {
+        (q_category, 4): 17,
+        (qh_category, 4): 35,
+        (completion_category, 3): 34,
+        (conflation_category, 3): 67,
+        (q_category, 5): 30,
+        (qh_category, 5): 93,
+    }
+    for (build, n), want in sizes.items():
+        assert len(generating_set(build(n))[0]) == want, (build.__name__, n)
+
+
+def test_a_generating_set_cut_short_is_refused(monkeypatch):
+    cat = conflation_category(2)
+    generators, reach = generating_set(cat)
+    entries = list(reach.items())
+    (m1, p1), (m2, p2) = entries[-2:]
+    cut = {
+        "the closure stops one short": (generators, dict(entries[:-1])),
+        "the last generator dropped": (generators[:-1], reach),
+        "read in reverse": (generators, dict(reversed(entries))),
+        "two composites swapped": (generators, {**reach, m1: p2, m2: p1}),
+        "an identity reached": (generators, {**reach, cat.identities[cat.objects[0]]: p1}),
+    }
+    assert fincat._generates(cat, generators, reach)
+    calls = []
+    full_walk = fincat._certify_associativity
+    monkeypatch.setattr(fincat, "_certify_associativity", lambda c: calls.append(c) or full_walk(c))
+    morphisms = list(zip(cat.mor_src, cat.mor_dst, cat.mor_data))
+    assert build_category(cat.objects, morphisms, kernel.compose).row == cat.row
+    assert calls == []
+    for case, (gens, r) in cut.items():
+        assert not fincat._generates(cat, gens, r), case
+        monkeypatch.setattr(fincat, "generating_set", lambda c, gens=gens, r=r: (gens, r))
+        # refused, so the build falls back to the full walk
+        assert build_category(cat.objects, morphisms, kernel.compose).row == cat.row
+        assert len(calls) == 1, case
+        calls.clear()
+
+
+def _pair_loop_functoriality(F):
+    """Reference: the first functoriality witness, with composition
+    checked pair by pair, f ascending, then g."""
+    S, T, image = F.source, F.target, F.mor_map
+    for o in S.objects:
+        if o not in F.obj_map:
+            return "object %r unmapped" % (o,)
+        if F.obj_map[o] not in T.obj_index:
+            return "object %r maps outside the target" % (o,)
+    for m in range(S.n_morphisms):
+        if m not in image:
+            return "morphism %d unmapped" % m
+        if (T.mor_src[image[m]], T.mor_dst[image[m]]) != (
+            F.obj_map[S.mor_src[m]],
+            F.obj_map[S.mor_dst[m]],
+        ):
+            return "morphism %d endpoints broken" % m
+    for o in S.objects:
+        if image[S.identities[o]] != T.identities[F.obj_map[o]]:
+            return "identity of %r not preserved" % (o,)
+    for f in range(S.n_morphisms):
+        for g in range(S.n_morphisms):
+            if S.mor_src[g] == S.mor_dst[f]:
+                if T.compose(image[g], image[f]) != image[S.compose(g, f)]:
+                    return "composition broken at (g=%d, f=%d)" % (g, f)
+    return ""
+
+
+def test_row_wise_functoriality_matches_the_pair_loop(monkeypatch):
+    """One image corrupted at random, in the quotient fibration and in
+    every functor that comma_tau_suite(4) checks: within its hom set
+    where that has another morphism, else anywhere in the target."""
+    functors = [quotient_fibration(conflation_category(2), q_category(2))]
+    check = qcat.check_functor
+    monkeypatch.setattr(qcat, "check_functor", lambda F, mode: functors.append(F) or check(F, mode))
+    assert qcat.comma_tau_suite(4).ok
+    assert len(functors) == 4
+    rng = random.Random(21)
+    witnesses = collections.Counter()
+    for F in functors:
+        assert check_functor(F, "functoriality") == _pair_loop_functoriality(F) == ""
+        S, T = F.source, F.target
+        for _ in range(40):
+            m = rng.randrange(S.n_morphisms)
+            fm = F.mor_map[m]
+            rivals = [x for x in T.hom(T.mor_src[fm], T.mor_dst[fm]) if x != fm]
+            rivals = rivals or [x for x in range(T.n_morphisms) if x != fm]
+            broken = Functor(S, T, F.obj_map, {**F.mor_map, m: rng.choice(rivals)})
+            want = _pair_loop_functoriality(broken)
+            assert check_functor(broken, "functoriality") == want, m
+            kinds = ("composition", "identity", "endpoints")
+            witnesses[next((k for k in kinds if k in want), want)] += 1
+    assert witnesses["composition"] >= 60 and witnesses["identity"] and witnesses["endpoints"]
 
 
 def _counting(compose_data):

@@ -11,7 +11,15 @@ import pytest
 
 from f1kgw import qcat
 from f1kgw._backend import kernel
-from f1kgw.fincat import abelianize, check_functor, full_subcategory, pi0, pi1_presentation
+from f1kgw.fincat import (
+    abelianize,
+    build_category,
+    check_functor,
+    full_subcategory,
+    functor_by_data,
+    pi0,
+    pi1_presentation,
+)
 from f1kgw.forms import (
     enumerate_forms,
     hyperbolic,
@@ -34,7 +42,6 @@ from f1kgw.qcat import (
     hyperbolic_groupoid,
     is_reductive_span,
     iso_groupoid,
-    pointed_set_category,
     q_category,
     q_compose,
     q_span_morphisms,
@@ -300,6 +307,25 @@ def test_quotient_fibration_sends_each_morphism_to_its_quotient_parts():
         assert quotient(m) == q.find(X.quotient, Y.quotient, QSpan(X.quotient, Y.quotient, *parts))
 
 
+def pointed_set_category(n):
+    """Oracle: the category of the pointed sets 0..n and all maps
+    between them, partial injections as kernel map tuples, composed by
+    ``kernel.compose``."""
+    objects = range(n + 1)
+    morphisms = [(a, b, f) for a in objects for b in objects for f in kernel.hom_maps(a, b)]
+    return build_category(objects, morphisms, kernel.compose)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_conflation_category_composes_as_pointed_sets(n):
+    """X ↦ X.total, b ↦ b is a faithful functor into the pointed sets:
+    conflations compose by their middle maps."""
+    E = conflation_category(n)
+    F = functor_by_data(E, pointed_set_category(n), {X: X.total for X in E.objects}, E.data)
+    assert len(F.mor_map) == E.n_morphisms
+    assert check_functor(F, "functoriality") == check_functor(F, "faithful") == ""
+
+
 def test_pointed_set_category_counts_partial_injections():
     sizes = []
     for n in range(5):
@@ -505,6 +531,23 @@ def test_stabilization_equivalence_suite():
     report = stabilization_equivalence_suite(3, 2)
     assert report.ok
     assert "result: ALL PASS" in report.render()
+
+
+def test_small_forms_of_the_hermitian_span_category_are_the_smaller_build():
+    """The full subcategory on the forms of size <= d, which
+    stabilization_equivalence_suite takes as its domain, is
+    qh_category(d): the same objects, hom sets, span data and
+    composition."""
+    QH = qh_category(4)
+    for d in range(4):
+        sub = full_subcategory(QH, [M for M in QH.objects if M.size <= d])
+        ref = qh_category(d)
+        assert sub.objects == ref.objects
+        assert sub.homs == ref.homs
+        for (a, b), ms in ref.homs.items():
+            assert [sub.data(m) for m in sub.hom(a, b)] == [ref.data(m) for m in ms], (a, b)
+        assert sub.comp == ref.comp
+        assert sub.identities == ref.identities
 
 
 # ------------------------------------------------------------ completion
