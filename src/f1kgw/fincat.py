@@ -161,13 +161,13 @@ class FiniteCategory:
     def inverse(self, mid):
         """Id of the two-sided inverse, or None."""
         if self._inverses is None:
-            row, col, ids = self.row, self.col, self.identities
+            row, col, hom_index = self.row, self.col, self._hom_index
+            unit = [self.identities[o] for o in self.objects]
             inv = {}
-            for m in range(self.n_morphisms):
-                a, b = self.mor_src[m], self.mor_dst[m]
+            for m, (a, b) in enumerate(zip(self.src_k, self.dst_k)):
                 rm, cm = row[m], col[m]
-                for n in self.hom(b, a):
-                    if row[n][cm] == ids[a] and rm[col[n]] == ids[b]:
+                for n in hom_index.get((b, a), {}).values():
+                    if row[n][cm] == unit[a] and rm[col[n]] == unit[b]:
                         inv[m] = n
                         break
             self._inverses = inv
@@ -458,12 +458,26 @@ def functor_by_data(S, T, obj_map, image_data):
     """The functor S -> T with the given object map that sends each
     morphism m to the morphism obj_map[src m] -> obj_map[dst m] of T
     carrying image_data(m).  A morphism with no such image is left
-    unmapped, and ``check_functor`` reports it."""
+    unmapped, and ``check_functor`` reports it; so is every morphism at
+    an object that obj_map misses, and image_data is not called for it.
+
+    Each source object is looked up in T once, to its object index, and
+    each morphism's image is read from the hom index of that pair of
+    indices, so obj_map may name T's objects by equal values."""
+    index, hom_index, data_id = T.obj_index, T._hom_index, T._data_id
+    unmapped = object()
+    ks = [index.get(obj_map[o]) if o in obj_map else unmapped for o in S.objects]
     mor_map = {}
-    for m in range(S.n_morphisms):
-        image = T.find(obj_map[S.mor_src[m]], obj_map[S.mor_dst[m]], image_data(m))
-        if image is not None:
-            mor_map[m] = image
+    for m, (a, b) in enumerate(zip(S.src_k, S.dst_k)):
+        ka, kb = ks[a], ks[b]
+        if ka is unmapped or kb is unmapped:
+            continue
+        data = image_data(m)
+        ids = hom_index.get((ka, kb))
+        if ids is not None:
+            image = ids.get(data_id.get(data))
+            if image is not None:
+                mor_map[m] = image
     return Functor(S, T, obj_map, mor_map)
 
 
@@ -487,18 +501,22 @@ def _functor_witnesses(F, mode):
     """Witnesses that F lacks the property mode, in a fixed order."""
     S, T = F.source, F.target
     if mode == "functoriality":
+        ks = []  # per source object, the index of its image in T, or None
         for o in S.objects:
+            k = None
             if o not in F.obj_map:
                 yield "object %r unmapped" % (o,)
-            elif F.obj_map[o] not in T.obj_index:
-                yield "object %r maps outside the target" % (o,)
-        for m in range(S.n_morphisms):
+            else:
+                k = T.obj_index.get(F.obj_map[o])
+                if k is None:
+                    yield "object %r maps outside the target" % (o,)
+            ks.append(k)
+        t_src, t_dst = T.src_k, T.dst_k
+        for m, (a, b) in enumerate(zip(S.src_k, S.dst_k)):
             fm = F.mor_map.get(m)
             if fm is None:
                 yield "morphism %d unmapped" % m
-            elif T.mor_src[fm] != F.obj_map[S.mor_src[m]] or T.mor_dst[fm] != F.obj_map[
-                S.mor_dst[m]
-            ]:
+            elif t_src[fm] != ks[a] or t_dst[fm] != ks[b]:
                 yield "morphism %d endpoints broken" % m
         for o in S.objects:
             if F.mor_map[S.identities[o]] != T.identities[F.obj_map[o]]:
@@ -621,12 +639,13 @@ def subcategory(cat, objects, mids):
     stray = {m for m in keep if m not in range(cat.n_morphisms)}
     if stray:
         raise ValueError("not morphism ids: %s" % ", ".join(sorted(map(repr, stray))))
-    objects = [o for o in cat.objects if o in obj_set]
+    chosen = _chosen(cat, obj_set)
+    objects = [o for o, c in zip(cat.objects, chosen) if c]
     for o in objects:
         keep.add(cat.identities[o])
     keep = sorted(keep)
     for m in keep:
-        if cat.mor_src[m] not in obj_set or cat.mor_dst[m] not in obj_set:
+        if not chosen[cat.src_k[m]] or not chosen[cat.dst_k[m]]:
             raise ValueError("morphism %d leaves the chosen objects" % m)
     if len(keep) == cat.n_morphisms:
         return cat
@@ -651,13 +670,21 @@ def subcategory(cat, objects, mids):
 
 
 def full_subcategory(cat, objects):
-    obj_set = set(objects)
-    mids = [
-        m
-        for m in range(cat.n_morphisms)
-        if cat.mor_src[m] in obj_set and cat.mor_dst[m] in obj_set
-    ]
+    objects = list(objects)
+    chosen = _chosen(cat, objects)
+    mids = [m for m, (a, b) in enumerate(zip(cat.src_k, cat.dst_k)) if chosen[a] and chosen[b]]
     return subcategory(cat, objects, mids)
+
+
+def _chosen(cat, objects):
+    """Per object index of cat, 1 when that object is among objects.
+    Objects not in cat are passed over: ``subcategory`` reports them."""
+    chosen = bytearray(len(cat.objects))
+    for o in objects:
+        k = cat.obj_index.get(o)
+        if k is not None:
+            chosen[k] = 1
+    return chosen
 
 
 def pi0(cat):
@@ -675,9 +702,8 @@ def pi0(cat):
             a = parent[a]
         return a
 
-    for m in range(cat.n_morphisms):
-        a = find(cat.obj_index[cat.mor_src[m]])
-        b = find(cat.obj_index[cat.mor_dst[m]])
+    for a, b in zip(cat.src_k, cat.dst_k):
+        a, b = find(a), find(b)
         if a != b:
             if a < b:
                 parent[b] = a
@@ -965,12 +991,8 @@ def category_to_dot(cat, name="category"):
     lines = ["digraph \"%s\" {" % name]
     for k, o in enumerate(cat.objects):
         lines.append('  n%d [label="%s"];' % (k, o))
-    for m in range(cat.n_morphisms):
-        if m in idents:
-            continue
-        lines.append(
-            "  n%d -> n%d [label=\"%d\"];"
-            % (cat.obj_index[cat.mor_src[m]], cat.obj_index[cat.mor_dst[m]], m)
-        )
+    for m, (a, b) in enumerate(zip(cat.src_k, cat.dst_k)):
+        if m not in idents:
+            lines.append("  n%d -> n%d [label=\"%d\"];" % (a, b, m))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -363,16 +363,30 @@ def qh_component_fixed_points(qh):
 
 def _quotient_parts(src, dst, bmap):
     """The quotient span of the conflation morphism src -> dst with
-    middle inflation bmap, as the hit quotient subset c1 of C and the
-    map tuple of the quotient comparison q: C1 ->> C', or None when
-    bmap gives no morphism.
+    middle inflation bmap: B' >-> B, as the hit quotient subset c1 of C
+    and the map tuple of the quotient comparison q: C1 ->> C', or None
+    when bmap gives no morphism.
 
-    Every condition is checked: bmap an inflation, the quotient
-    corestriction pi1: B' ->> C1 a deflation, the pulled-back sub
-    k: A >-> B' an inflation forming a conflation row with it, the sub
-    comparison a: A >-> A' an inflation through which k factors, and
-    the forced quotient comparison q a deflation with q∘pi1 = pi'.
+    Every condition is checked, in two halves.  ``_target_parts`` reads
+    only dst and bmap (B' is the domain of bmap, so src.total is
+    len(bmap) - 1): bmap an inflation, the quotient corestriction
+    pi1: B' ->> C1 a deflation, and the pulled-back sub k: A >-> B' an
+    inflation forming a conflation row with it.  ``_source_parts`` reads
+    src: the sub comparison a: A >-> A' an inflation through which k
+    factors, and the forced quotient comparison q a deflation with
+    q∘pi1 = pi'.
     """
+    if len(bmap) != src.total + 1:
+        return None
+    target = _target_parts(dst, bmap)
+    return None if target is None else _source_parts(src, *target)
+
+
+def _target_parts(dst, bmap):
+    """(c1, pi1, k) of ``_quotient_parts`` for the target dst and the
+    middle map bmap, or None when a condition on them alone fails.  A
+    pure function of (dst, bmap), so one value serves every source of
+    total size len(bmap) - 1."""
     if not kernel.is_injective(bmap):
         return None
     pi_b = kernel.compose(dst.p.map, bmap)
@@ -384,8 +398,15 @@ def _quotient_parts(src, dst, bmap):
     k = kernel.compose(kernel.adjoint(bmap, dst.total), dst.i.map)
     if not kernel.is_injective(k):
         return None
-    if {x for x in range(1, src.total + 1) if pi1[x] == 0} != set(k[1:]):
+    if {x for x in range(1, len(bmap)) if pi1[x] == 0} != set(k[1:]):
         return None
+    return c1, pi1, k
+
+
+def _source_parts(src, c1, pi1, k):
+    """(c1, qmap) of ``_quotient_parts`` from the target half
+    (c1, pi1, k) and the source src, or None when a condition on src
+    fails."""
     a = kernel.compose(kernel.adjoint(src.i.map, src.total), k)
     if not kernel.is_injective(a):
         return None
@@ -414,16 +435,39 @@ def conflation_category(max_size):
     """The category of conflations with total object of size <=
     max_size; morphism data is the map tuple of the middle inflation.
 
+    A candidate src -> dst is each inflation bmap: src.total >-> dst.total,
+    kept when ``_quotient_parts`` accepts it.  Its target half (bmap an
+    inflation, pi1 a deflation, k an inflation forming a row with it)
+    reads only dst and bmap, so it is computed once per (dst, bmap) in
+    this call and shared by every source of total size src.total; only
+    the source half is checked per source.  That is sound because the
+    target half is a pure function of (dst, bmap), so a shared value is
+    the one each source would compute.  A source whose sub misses the
+    image of k is skipped first: a = adj(i)∘k is then not injective.
+    Candidates are read src, then dst, then bmap, so the morphism ids
+    are those of the per-candidate loop.
+
     Composition is that of the middle maps, by ``kernel.compose``, and
     ``build_category`` certifies it like any other: the units, then
     Light's test over a generating set.
     """
     objects = list(all_conflations(max_size))
+    # (src total, dst index) -> [(bmap, target half, image of k)] for
+    # the bmap that pass the target half, in inflation_maps order
+    targets = {}
     morphisms = []
     for src in objects:
-        for dst in objects:
-            for bmap in kernel.inflation_maps(src.total, dst.total):
-                if _quotient_parts(src, dst, bmap) is not None:
+        n, sub_image = src.total, frozenset(src.i.map[1:])
+        for j, dst in enumerate(objects):
+            passing = targets.get((n, j))
+            if passing is None:
+                passing = targets[n, j] = []
+                for bmap in kernel.inflation_maps(n, dst.total):
+                    target = _target_parts(dst, bmap)
+                    if target is not None:
+                        passing.append((bmap, target, frozenset(target[2][1:])))
+            for bmap, target, k_image in passing:
+                if k_image <= sub_image and _source_parts(src, *target) is not None:
                     morphisms.append((src, dst, bmap))
     return build_category(objects, morphisms, kernel.compose)
 

@@ -40,7 +40,7 @@ from f1kgw.fincat import (
     subcategory,
 )
 from f1kgw.forms import hyperbolic, identity_form
-from f1kgw.pointed import compose
+from f1kgw.pointed import Conflation, F1Morphism, all_conflations, compose
 from f1kgw.qcat import (
     QSpan,
     completion_category,
@@ -798,6 +798,70 @@ def test_partial_functor_is_reported_by_every_mode():
     assert check_functor(G, "full") == "object 1 unmapped"
     assert check_functor(G, "ess_surjective") == "object 1 unmapped"
 
+
+
+def test_functor_by_data_leaves_the_morphisms_at_an_unmapped_object_unmapped():
+    """An object that obj_map misses is reported by check_functor, not
+    raised as a KeyError; image_data is not asked for its morphisms, and
+    what image_data raises still propagates."""
+    two = walking_arrow()
+    calls = []
+    F = functor_by_data(two, two, {0: 0}, lambda m: calls.append(m) or two.data(m))
+    assert F.mor_map == {0: 0} and calls == [0]
+    assert check_functor(F, "functoriality") == check_functor(F, "equivalence") == "object 1 unmapped"
+
+    def raising(m):
+        raise ZeroDivisionError(m)
+
+    for obj_map in ({0: 0, 1: 1}, {0: 0}):
+        with pytest.raises(ZeroDivisionError):
+            functor_by_data(two, two, obj_map, raising)
+    E = conflation_category(2)
+    X = E.objects[3]
+    F = functor_by_data(E, E, {Y: Y for Y in E.objects if Y != X}, E.data)
+    assert F.mor_map == {
+        m: m for m in range(E.n_morphisms) if X not in (E.mor_src[m], E.mor_dst[m])
+    }
+    assert check_functor(F, "functoriality") == "object %r unmapped" % (X,)
+
+
+def _fresh(X):
+    """A conflation equal to X that shares neither itself nor its maps
+    with X."""
+    return Conflation(
+        F1Morphism(X.sub, X.total, tuple(list(X.i.map))),
+        F1Morphism(X.total, X.quotient, tuple(list(X.p.map))),
+    )
+
+
+def test_functor_by_data_reads_equal_objects_as_the_targets_own():
+    E = conflation_category(2)
+    fresh = {X: _fresh(X) for X in E.objects}
+    assert all(fresh[X] == X and fresh[X] is not X for X in E.objects)
+    own = functor_by_data(E, E, {X: X for X in E.objects}, E.data)
+    other = functor_by_data(E, E, fresh, E.data)
+    assert own.mor_map == other.mor_map == {m: m for m in range(E.n_morphisms)}
+    assert check_functor(other, "equivalence") == ""
+
+
+def test_endpoint_witnesses_on_conflations_are_those_of_the_pair_loop():
+    """Objects and endpoints compared by object index give the witnesses
+    that comparing the conflations themselves gives."""
+    E = conflation_category(2)
+    fresh = {X: _fresh(X) for X in E.objects}
+    identity = {m: m for m in range(E.n_morphisms)}
+    X = E.objects[4]
+    outside = next(Y for Y in all_conflations(3) if Y.total == 3)
+    F = Functor(E, E, {**fresh, X: outside}, identity)
+    want = "object %r maps outside the target" % (X,)
+    assert check_functor(F, "functoriality") == _pair_loop_functoriality(F) == want
+    m = next(m for m in range(E.n_morphisms) if m not in E.identities.values())
+    rival = next(
+        x for x in range(E.n_morphisms) if (E.mor_src[x], E.mor_dst[x]) != (E.mor_src[m], E.mor_dst[m])
+    )
+    F = Functor(E, E, fresh, {**identity, m: rival})
+    want = "morphism %d endpoints broken" % m
+    assert check_functor(F, "functoriality") == _pair_loop_functoriality(F) == want
 
 def test_comma_category_of_walking_arrow():
     two = walking_arrow()

@@ -307,6 +307,77 @@ def test_quotient_fibration_sends_each_morphism_to_its_quotient_parts():
         assert quotient(m) == q.find(X.quotient, Y.quotient, QSpan(X.quotient, Y.quotient, *parts))
 
 
+
+def _quotient_parts_single_pass(src, dst, bmap):
+    """Oracle: ``_quotient_parts`` as one pass over src, dst and bmap."""
+    if not kernel.is_injective(bmap):
+        return None
+    pi_b = kernel.compose(dst.p.map, bmap)
+    c1 = tuple(sorted(set(pi_b[1:]) - {0}))
+    pos = {c: k + 1 for k, c in enumerate(c1)}
+    pi1 = tuple(0 if m == 0 else pos[m] for m in pi_b)
+    if not kernel.is_surjective(pi1, len(c1)):
+        return None
+    k = kernel.compose(kernel.adjoint(bmap, dst.total), dst.i.map)
+    if not kernel.is_injective(k):
+        return None
+    if {x for x in range(1, src.total + 1) if pi1[x] == 0} != set(k[1:]):
+        return None
+    a = kernel.compose(kernel.adjoint(src.i.map, src.total), k)
+    if not kernel.is_injective(a):
+        return None
+    if kernel.compose(src.i.map, a) != k:
+        return None
+    qmap = [0] * (len(c1) + 1)
+    for x in range(1, src.total + 1):
+        c = pi1[x]
+        want = src.p.map[x]
+        if c == 0:
+            if want != 0:
+                return None
+        elif qmap[c] == 0:
+            qmap[c] = want
+        elif qmap[c] != want:
+            return None
+    qmap = tuple(qmap)
+    if not kernel.is_valid_map(qmap, src.quotient):
+        return None
+    if not kernel.is_surjective(qmap, src.quotient):
+        return None
+    return c1, qmap
+
+
+def _candidates(n):
+    """Every (src, dst, bmap) that conflation_category(n) reads, in its
+    order."""
+    objects = all_conflations(n)
+    return [
+        (src, dst, bmap)
+        for src in objects
+        for dst in objects
+        for bmap in kernel.inflation_maps(src.total, dst.total)
+    ]
+
+
+def test_split_quotient_parts_agree_with_the_single_pass():
+    candidates = _candidates(3)
+    assert len(candidates) == 4597
+    accepted = 0
+    for src, dst, bmap in candidates:
+        want = _quotient_parts_single_pass(src, dst, bmap)
+        assert _quotient_parts(src, dst, bmap) == want, (src, dst, bmap)
+        accepted += want is not None
+    assert accepted == 2221
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_conflation_category_is_the_per_candidate_loop(n):
+    """Target halves shared per (dst, bmap) and sources skipped early
+    keep the morphisms, and their order, of one call per candidate."""
+    E = conflation_category(n)
+    want = [c for c in _candidates(n) if _quotient_parts(*c) is not None]
+    assert list(zip(E.mor_src, E.mor_dst, E.mor_data)) == want
+
 def pointed_set_category(n):
     """Oracle: the category of the pointed sets 0..n and all maps
     between them, partial injections as kernel map tuples, composed by
