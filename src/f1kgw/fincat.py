@@ -459,25 +459,24 @@ def functor_by_data(S, T, obj_map, image_data):
     morphism m to the morphism obj_map[src m] -> obj_map[dst m] of T
     carrying image_data(m).  A morphism with no such image is left
     unmapped, and ``check_functor`` reports it; so is every morphism at
-    an object that obj_map misses, and image_data is not called for it.
+    an object that obj_map misses or sends outside T, and image_data is
+    not called for it.
 
     Each source object is looked up in T once, to its object index, and
     each morphism's image is read from the hom index of that pair of
     indices, so obj_map may name T's objects by equal values."""
     index, hom_index, data_id = T.obj_index, T._hom_index, T._data_id
-    unmapped = object()
-    ks = [index.get(obj_map[o]) if o in obj_map else unmapped for o in S.objects]
+    ks = [index.get(obj_map[o]) if o in obj_map else None for o in S.objects]
     mor_map = {}
     for m, (a, b) in enumerate(zip(S.src_k, S.dst_k)):
         ka, kb = ks[a], ks[b]
-        if ka is unmapped or kb is unmapped:
-            continue
-        data = image_data(m)
-        ids = hom_index.get((ka, kb))
-        if ids is not None:
-            image = ids.get(data_id.get(data))
-            if image is not None:
-                mor_map[m] = image
+        if ka is not None and kb is not None:
+            data = image_data(m)
+            ids = hom_index.get((ka, kb))
+            if ids is not None:
+                image = ids.get(data_id.get(data))
+                if image is not None:
+                    mor_map[m] = image
     return Functor(S, T, obj_map, mor_map)
 
 

@@ -365,7 +365,7 @@ def _quotient_parts(src, dst, bmap):
     """The quotient span of the conflation morphism src -> dst with
     middle inflation bmap: B' >-> B, as the hit quotient subset c1 of C
     and the map tuple of the quotient comparison q: C1 ->> C', or None
-    when bmap gives no morphism.
+    when bmap gives no morphism.  B' is src.total.
 
     Every condition is checked, in two halves.  ``_target_parts`` reads
     only dst and bmap (B' is the domain of bmap, so src.total is
@@ -376,8 +376,6 @@ def _quotient_parts(src, dst, bmap):
     factors, and the forced quotient comparison q a deflation with
     q∘pi1 = pi'.
     """
-    if len(bmap) != src.total + 1:
-        return None
     target = _target_parts(dst, bmap)
     return None if target is None else _source_parts(src, *target)
 
