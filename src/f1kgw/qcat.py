@@ -365,7 +365,7 @@ def _quotient_parts(src, dst, bmap):
     """The quotient span of the conflation morphism src -> dst with
     middle inflation bmap: B' >-> B, as the hit quotient subset c1 of C
     and the map tuple of the quotient comparison q: C1 ->> C', or None
-    when bmap gives no morphism.  B' is src.total.
+    when bmap gives no morphism.
 
     Every condition is checked, in two halves.  ``_target_parts`` reads
     only dst and bmap (B' is the domain of bmap, so src.total is
