@@ -510,17 +510,22 @@ def _functor_witnesses(F, mode):
                 if k is None:
                     yield "object %r maps outside the target" % (o,)
             ks.append(k)
-        t_src, t_dst = T.src_k, T.dst_k
+        # an object unmapped or outside T breaks its identity below too
+        t_src, t_dst, broken = T.src_k, T.dst_k, False
         for m, (a, b) in enumerate(zip(S.src_k, S.dst_k)):
             fm = F.mor_map.get(m)
             if fm is None:
+                broken = True
                 yield "morphism %d unmapped" % m
             elif t_src[fm] != ks[a] or t_dst[fm] != ks[b]:
+                broken = True
                 yield "morphism %d endpoints broken" % m
+        if broken:
+            return
+        # from here every morphism is mapped with its endpoints
         for o in S.objects:
             if F.mor_map[S.identities[o]] != T.identities[F.obj_map[o]]:
                 yield "identity of %r not preserved" % (o,)
-        # reached only when every morphism is mapped with its endpoints,
         # so the images of a composable pair are composable in T.  Row g
         # of S against T's row of F(g), read at the columns of the F(f);
         # the witness is the least (f, g) over the rows that differ.

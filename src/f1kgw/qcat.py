@@ -363,127 +363,72 @@ def qh_component_fixed_points(qh):
 
 def _quotient_parts(src, dst, bmap):
     """The quotient span of the conflation morphism src -> dst with
-    middle inflation bmap: B' >-> B, as the hit quotient subset c1 of C
-    and the map tuple of the quotient comparison q: C1 ->> C', or None
-    when bmap gives no morphism.
+    middle map bmap, as the hit subset c1 of the target quotient and
+    the map tuple of the quotient comparison q: C1 ->> C onto the
+    source quotient, or None when bmap gives no morphism.
 
-    Every condition is checked, in two halves.  ``_target_parts`` reads
-    only dst and bmap (B' is the domain of bmap, so src.total is
-    len(bmap) - 1): bmap an inflation, the quotient corestriction
-    pi1: B' ->> C1 a deflation, and the pulled-back sub k: A >-> B' an
-    inflation forming a conflation row with it.  ``_source_parts`` reads
-    src: the sub comparison a: A >-> A' an inflation through which k
-    factors, and the forced quotient comparison q a deflation with
-    q∘pi1 = pi'.
+    Write src = (A >-i-> B -p->> C), dst = (A' >-i'-> B' -p'->> C').
+    An injective b: B -> B' gives a morphism exactly when
+    i'(A') ⊆ b(i(A)), so that inclusion is the one condition checked:
+
+    * k = adj(b)∘i': A' -> B is injective iff i'(A') ⊆ b(B);
+    * a = adj(i)∘k: A' -> A is injective with i∘a = k iff
+      image(k) = b⁻¹(i'(A')) ⊆ i(A);
+    * the rest holds by construction.  p'∘b corestricted to its hit
+      set C1 is a deflation pi1, as p' is one and b is injective, and
+      ker pi1 = b⁻¹(i'(A')) = image(k).  Each c in C1 is hit by one x,
+      so q(c) = p(x) is a well-defined deflation, and q∘pi1 = p since
+      p vanishes on image(k) ⊆ i(A).  q is onto C, because x ∉ i(A)
+      iff p(x) ≠ 0, and such an x lies outside image(k), so
+      p'(b(x)) ≠ 0.
+
+    So (c1, qmap) are read off p'∘b in one pass.
     """
-    target = _target_parts(dst, bmap)
-    return None if target is None else _source_parts(src, *target)
-
-
-def _target_parts(dst, bmap):
-    """(c1, pi1, k) of ``_quotient_parts`` for the target dst and the
-    middle map bmap, or None when a condition on them alone fails.  A
-    pure function of (dst, bmap), so one value serves every source of
-    total size len(bmap) - 1."""
     if not kernel.is_injective(bmap):
         return None
-    pi_b = kernel.compose(dst.p.map, bmap)
-    c1 = tuple(sorted(set(pi_b[1:]) - {0}))
-    pos = {c: k + 1 for k, c in enumerate(c1)}
-    pi1 = tuple(0 if m == 0 else pos[m] for m in pi_b)
-    if not kernel.is_surjective(pi1, len(c1)):
+    if not set(dst.i.map[1:]) <= {bmap[a] for a in src.i.map[1:]}:
         return None
-    k = kernel.compose(kernel.adjoint(bmap, dst.total), dst.i.map)
-    if not kernel.is_injective(k):
-        return None
-    if {x for x in range(1, len(bmap)) if pi1[x] == 0} != set(k[1:]):
-        return None
-    return c1, pi1, k
-
-
-def _source_parts(src, c1, pi1, k):
-    """(c1, qmap) of ``_quotient_parts`` from the target half
-    (c1, pi1, k) and the source src, or None when a condition on src
-    fails."""
-    a = kernel.compose(kernel.adjoint(src.i.map, src.total), k)
-    if not kernel.is_injective(a):
-        return None
-    if kernel.compose(src.i.map, a) != k:
-        return None
-    qmap = [0] * (len(c1) + 1)
-    for x in range(1, src.total + 1):
-        c = pi1[x]
-        want = src.p.map[x]
-        if c == 0:
-            if want != 0:
-                return None
-        elif qmap[c] == 0:
-            qmap[c] = want
-        elif qmap[c] != want:
-            return None
-    qmap = tuple(qmap)
-    if not kernel.is_valid_map(qmap, src.quotient):
-        return None
-    if not kernel.is_surjective(qmap, src.quotient):
-        return None
-    return c1, qmap
+    hit = sorted((c, x) for c, x in zip(kernel.compose(dst.p.map, bmap), src.p.map) if c)
+    return tuple(c for c, _ in hit), (0,) + tuple(x for _, x in hit)
 
 
 def conflation_category(max_size):
     """The category of conflations with total object of size <=
     max_size; morphism data is the map tuple of the middle inflation.
 
-    A candidate src -> dst is each inflation bmap: src.total >-> dst.total,
-    kept when ``_quotient_parts`` accepts it.  Its target half (bmap an
-    inflation, pi1 a deflation, k an inflation forming a row with it)
-    reads only dst and bmap, so it is computed once per (dst, bmap) in
-    this call and shared by every source of total size src.total; only
-    the source half is checked per source.  That is sound because the
-    target half is a pure function of (dst, bmap), so a shared value is
-    the one each source would compute.  A source whose sub misses the
-    image of k is skipped first: a = adj(i)∘k is then not injective.
-    Candidates are read src, then dst, then bmap, so the morphism ids
-    are those of the per-candidate loop.
+    A candidate src -> dst is each inflation b: src.total >-> dst.total,
+    kept when it carries the sub of dst into that of src,
+    i'(A') ⊆ b(i(A)): the criterion ``_quotient_parts`` proves.
+    Candidates are read src, then dst, then b, which fixes the morphism
+    ids.
 
     Composition is that of the middle maps, by ``kernel.compose``, and
     ``build_category`` certifies it like any other: the units, then
     Light's test over a generating set.
     """
     objects = list(all_conflations(max_size))
-    # (src total, dst index) -> [(bmap, target half, image of k)] for
-    # the bmap that pass the target half, in inflation_maps order
-    targets = {}
-    morphisms = []
-    for src in objects:
-        n, sub_image = src.total, frozenset(src.i.map[1:])
-        for j, dst in enumerate(objects):
-            passing = targets.get((n, j))
-            if passing is None:
-                passing = targets[n, j] = []
-                for bmap in kernel.inflation_maps(n, dst.total):
-                    target = _target_parts(dst, bmap)
-                    if target is not None:
-                        passing.append((bmap, target, frozenset(target[2][1:])))
-            for bmap, target, k_image in passing:
-                if k_image <= sub_image and _source_parts(src, *target) is not None:
-                    morphisms.append((src, dst, bmap))
+    subs = [set(X.i.map[1:]) for X in objects]
+    morphisms = [
+        (src, dst, bmap)
+        for src in objects
+        for dst, sub in zip(objects, subs)
+        for bmap in kernel.inflation_maps(src.total, dst.total)
+        if sub <= {bmap[a] for a in src.i.map[1:]}
+    ]
     return build_category(objects, morphisms, kernel.compose)
 
 
 def quotient_fibration(E, q):
-    """The functor from conflations to spans taking quotients.
-
-    The quotient span of b: X -> Y is C <<- C1 >-> C', where C1 is the
-    image of p'∘b and the deflation sends p'∘b(x) to p(x).  Every
-    morphism of E passed ``_quotient_parts``, so that value is well
-    defined; ``QSpan`` and ``check_functor`` still validate the span.
+    """The functor from conflations to spans taking quotients: b: X -> Y
+    goes to the span C <<- C1 >-> C' that ``_quotient_parts`` reads off
+    it.  A datum it refuses leaves its morphism unmapped, and
+    ``QSpan`` and ``check_functor`` still validate each span.
     """
 
     def quotient_span(m):
         src, dst = E.mor_src[m], E.mor_dst[m]
-        value = dict(zip(kernel.compose(dst.p.map, E.data(m)), src.p.map))
-        image = sorted(value)
-        return QSpan(src.quotient, dst.quotient, image[1:], [value[c] for c in image])
+        parts = _quotient_parts(src, dst, E.data(m))
+        return None if parts is None else QSpan(src.quotient, dst.quotient, *parts)
 
     return functor_by_data(E, q, {X: X.quotient for X in E.objects}, quotient_span)
 

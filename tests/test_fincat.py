@@ -825,6 +825,24 @@ def test_functor_by_data_leaves_the_morphisms_at_an_unmapped_object_unmapped():
     assert check_functor(F, "functoriality") == "object %r unmapped" % (X,)
 
 
+def test_functoriality_witnesses_stop_where_a_morphism_is_unmapped_or_misplaced():
+    """Read past the first witness, the functoriality check lists the
+    objects and morphisms that are unmapped or misplaced, and stops:
+    identities and composition are read only when every morphism is
+    mapped with its endpoints."""
+    two = walking_arrow()
+    for obj_map, first in (
+        ({0: 0, 1: 7}, "object 1 maps outside the target"),
+        ({0: 0}, "object 1 unmapped"),
+    ):
+        F = functor_by_data(two, two, obj_map, two.data)
+        witnesses = list(fincat._functor_witnesses(F, "functoriality"))
+        assert witnesses == [first, "morphism 1 unmapped", "morphism 2 unmapped"]
+        assert check_functor(F, "functoriality") == first
+    F = Functor(two, two, {0: 0, 1: 1}, {0: 0, 1: 1, 2: 0})
+    assert list(fincat._functor_witnesses(F, "functoriality")) == ["morphism 2 endpoints broken"]
+
+
 def _fresh(X):
     """A conflation equal to X that shares neither itself nor its maps
     with X."""

@@ -4,6 +4,7 @@ group-completion category."""
 
 import collections
 import itertools
+import random
 import re
 from math import comb, factorial
 
@@ -372,11 +373,42 @@ def test_split_quotient_parts_agree_with_the_single_pass():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_conflation_category_is_the_per_candidate_loop(n):
-    """Target halves shared per (dst, bmap) and sources skipped early
-    keep the morphisms, and their order, of one call per candidate."""
+    """One inclusion test per candidate keeps the morphisms, and their
+    order, of one ``_quotient_parts`` call per candidate."""
     E = conflation_category(n)
     want = [c for c in _candidates(n) if _quotient_parts(*c) is not None]
     assert list(zip(E.mor_src, E.mor_dst, E.mor_data)) == want
+
+
+def test_conflation_category_finds_the_window_4_morphisms(monkeypatch):
+    """The filter alone at window 4, without the composition tables."""
+    monkeypatch.setattr(qcat, "build_category", lambda objects, morphisms, compose: morphisms)
+    assert len(conflation_category(4)) == 184717
+
+
+def test_quotient_parts_agree_with_the_single_pass_on_a_window_4_sample():
+    candidates = _candidates(4)
+    assert len(candidates) == 429037
+    accepted = 0
+    for src, dst, bmap in random.Random(2304).sample(candidates, 20000):
+        want = _quotient_parts_single_pass(src, dst, bmap)
+        assert _quotient_parts(src, dst, bmap) == want, (src, dst, bmap)
+        accepted += want is not None
+    assert 0 < accepted < 20000
+
+
+def test_quotient_fibration_leaves_a_refused_datum_unmapped():
+    """X = 0 >-> 1 ->> 1 and Y = 1 >-> 1 ->> 0 with a morphism X -> Y
+    whose middle map misses Y's sub: the quotient functor leaves it
+    unmapped, and check_functor says so."""
+    X = Conflation(F1Morphism(0, 1, (0,)), F1Morphism(1, 1, (0, 1)))
+    Y = Conflation(F1Morphism(1, 1, (0, 1)), F1Morphism(1, 0, (0, 0)))
+    one = (0, 1)
+    E = build_category([X, Y], [(X, X, one), (Y, Y, one), (X, Y, one)], kernel.compose)
+    assert _quotient_parts(X, Y, one) is None
+    F = quotient_fibration(E, q_category(1))
+    assert F.mor_map.keys() == {0, 1}
+    assert check_functor(F, "functoriality") == "morphism 2 unmapped"
 
 def pointed_set_category(n):
     """Oracle: the category of the pointed sets 0..n and all maps
