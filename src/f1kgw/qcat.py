@@ -397,7 +397,7 @@ def conflation_category(max_size):
     max_size; morphism data is the map tuple of the middle inflation.
 
     A candidate src -> dst is each inflation b: src.total >-> dst.total,
-    kept when it carries the sub of dst into that of src,
+    kept when b maps the sub of src onto a superset of the sub of dst,
     i'(A') ⊆ b(i(A)): the criterion ``_quotient_parts`` proves.
     Candidates are read src, then dst, then b, which fixes the morphism
     ids.

@@ -399,8 +399,8 @@ def test_quotient_parts_agree_with_the_single_pass_on_a_window_4_sample():
 
 def test_quotient_fibration_leaves_a_refused_datum_unmapped():
     """X = 0 >-> 1 ->> 1 and Y = 1 >-> 1 ->> 0 with a morphism X -> Y
-    whose middle map misses Y's sub: the quotient functor leaves it
-    unmapped, and check_functor says so."""
+    whose middle map does not reach Y's sub from X's empty one: the
+    quotient functor leaves it unmapped, and check_functor says so."""
     X = Conflation(F1Morphism(0, 1, (0,)), F1Morphism(1, 1, (0, 1)))
     Y = Conflation(F1Morphism(1, 1, (0, 1)), F1Morphism(1, 0, (0, 0)))
     one = (0, 1)
@@ -409,6 +409,7 @@ def test_quotient_fibration_leaves_a_refused_datum_unmapped():
     F = quotient_fibration(E, q_category(1))
     assert F.mor_map.keys() == {0, 1}
     assert check_functor(F, "functoriality") == "morphism 2 unmapped"
+
 
 def pointed_set_category(n):
     """Oracle: the category of the pointed sets 0..n and all maps
