@@ -12,14 +12,7 @@ from functools import lru_cache
 
 from ._backend import kernel
 from .fincat import abelian_group
-from .pointed import (
-    F1Morphism,
-    TypeMismatch,
-    compose,
-    direct_sum,
-    dualize,
-    is_inflation,
-)
+from .pointed import F1Morphism, TypeMismatch, compose, direct_sum, is_inflation
 
 
 class NotAnInvolution(ValueError):
@@ -186,16 +179,17 @@ def enumerate_forms(n):
 
 
 def is_isometry(phi, M, N):
-    """Is φ: M -> N an isomorphism with φ^ad ∘ ψ_N ∘ φ = ψ_M?"""
-    if phi.src != M.size or phi.dst != N.size:
+    """Is φ: M -> N an isomorphism with φ^ad ∘ ψ_N ∘ φ = ψ_M?  Decided
+    on the map tuples, so no derived morphism is built and re-validated."""
+    if phi.src != M.size or phi.dst != N.size or phi.src != phi.dst:
         return False
-    if not is_inflation(phi) or phi.src != phi.dst:
+    if not is_inflation(phi):
         return False
-    back = dualize(phi)
-    return compose(back, compose(N.morphism, phi)).map == M.psi
+    back = kernel.adjoint(phi.map, phi.dst)
+    return kernel.compose(back, kernel.compose(N.psi, phi.map)) == M.psi
 
 
-def _isometry_maps(M, N):
+def isometry_maps(M, N):
     """Yield the map tuples of the bijections φ with φ∘ψ_M = ψ_N∘φ, in
     lexicographic order, by a depth-first search.
 
@@ -231,7 +225,7 @@ def _isometry_maps(M, N):
 
 def _verified_isometries(M, N):
     """Each map of the search as an F1Morphism, checked by is_isometry."""
-    for m in _isometry_maps(M, N):
+    for m in isometry_maps(M, N):
         phi = F1Morphism(M.size, N.size, m)
         if not is_isometry(phi, M, N):
             raise AssertionError("isometry search produced %s" % (phi,))
@@ -241,7 +235,7 @@ def _verified_isometries(M, N):
 def isometries(M, N):
     """All isometries M -> N, in lexicographic map order.
 
-    A depth-first search that respects ψ (see _isometry_maps) lists every
+    A depth-first search that respects ψ (see isometry_maps) lists every
     candidate, and each one is verified by is_isometry before it is kept.
     """
     return list(_verified_isometries(M, N))
@@ -298,16 +292,17 @@ class IsotropicInflation:
 
 def isotropic_subobjects(N):
     """All isotropic inflations into N with ascending canonical maps,
-    one per isotropic subset T (including T = ∅), by size then lex."""
+    one per isotropic subset T (including T = ∅), by size then lex.
+
+    An isotropic prefix grows by t exactly when ψt ∉ prefix + (t,), as
+    t ∈ ψ(prefix) iff ψt ∈ prefix; ``IsotropicInflation`` checks each."""
     subsets = [()]
     points = list(range(1, N.size + 1))
 
     def extend(prefix, start):
         for k in range(start, len(points)):
-            t = points[k]
-            pt = N.psi[t]
-            cand = prefix + (t,)
-            if pt in cand or any(N.psi[u] in cand for u in cand):
+            cand = prefix + (points[k],)
+            if N.psi[points[k]] in cand:
                 continue
             subsets.append(cand)
             extend(cand, k + 1)
@@ -323,16 +318,18 @@ def isotropic_subobjects(N):
 
 def isotropic_reduction(iso):
     """The reduced form N//U on the carrier U^⊥ ∖ T, relabelled
-    ascending.  ψ restricts because ψ maps U^⊥∖T into itself."""
+    ascending.
+
+    ψ maps U^⊥∖T into itself.  Take k in U^⊥∖T, so k ∉ ψT and k ∉ T.
+    Then ψk ∉ T, because k ∉ ψT, and ψk ∉ ψT, because k ∉ T.  So ψk
+    lies in U^⊥, the complement of ψT, and outside T.  ``SymmetricForm``
+    checks the restricted involution."""
     T = set(iso.morphism.image)
     carrier = [k for k in iso.perp() if k not in T]
     relabel = {k: j + 1 for j, k in enumerate(carrier)}
     psi = [0] * (len(carrier) + 1)
     for k in carrier:
-        pk = iso.form.psi[k]
-        if pk not in relabel:
-            raise NotIsotropic("psi does not restrict to the reduced carrier")
-        psi[relabel[k]] = relabel[pk]
+        psi[relabel[k]] = relabel[iso.form.psi[k]]
     return SymmetricForm(len(carrier), tuple(psi))
 
 

@@ -42,11 +42,14 @@ pulls back along the first, which is already the canonical composite.
 composites ``q_compose`` builds from spans already validated, and
 F1Morphism is the boundary type of ``QSpan.to_morphisms`` and
 ``QSpan.from_morphisms``.  The hermitian span category enumerates the
-isotropic reductions of each target form once per build.
+isotropic reductions of each target form once per build, takes each
+isometry onto the source straight from ``forms.isometry_maps``, and
+checks each span once, by ``is_reductive_span``.  Nothing is cached
+between calls.
 """
 
 import math
-from functools import lru_cache, partial
+from functools import partial
 
 from .fincat import (
     build_category,
@@ -67,6 +70,7 @@ from .forms import (
     hyperbolic_on_morphism,
     identity_form,
     isometries,
+    isometry_maps,
     isotropic_reduction,
     isotropic_subobjects,
 )
@@ -81,7 +85,6 @@ from .pointed import (
     direct_sum,
     dualize,
     inc_right,
-    is_deflation,
     is_inflation,
     isos,
     proj_left,
@@ -151,8 +154,6 @@ class QSpan:
             raise TypeMismatch("span legs must share the middle object")
         if not is_inflation(j):
             raise ValueError("the incoming leg must be an inflation")
-        if not is_deflation(p):
-            raise ValueError("the outgoing leg must be a deflation")
         return cls(p.dst, j.dst, *_by_image(p.map, j.map))
 
     @classmethod
@@ -286,8 +287,12 @@ def _reductions(N):
 
 def _spans_through_reductions(M, N, reductions):
     """The spans M -> N of ``reductive_spans``, one per reduction of N
-    in ``_reductions(N)`` order and isometry of it onto M, each checked
-    by ``is_reductive_span``."""
+    in ``_reductions(N)`` order and map h of the isometry search from it
+    onto M.
+
+    ``is_reductive_span`` is the one check of each span: it decides that
+    h∘relabel intertwines ψ_N with ψ_M and is onto M, so h is taken
+    straight from ``isometry_maps`` and not verified apart."""
     out = []
     for iso, red in reductions:
         if red.size != M.size:
@@ -296,10 +301,10 @@ def _spans_through_reductions(M, N, reductions):
         perp = iso.perp()
         carrier = [k for k in perp if k not in T]
         relabel = {k: j + 1 for j, k in enumerate(carrier)}
-        for h in isometries(red, M):
+        for h in isometry_maps(red, M):
             pmap = [0]
             for k in perp:
-                pmap.append(0 if k in T else h.map[relabel[k]])
+                pmap.append(0 if k in T else h[relabel[k]])
             span = QSpan(M.size, N.size, perp, tuple(pmap))
             if not is_reductive_span(M, N, span):
                 raise AssertionError(
@@ -459,11 +464,10 @@ def _id_sum(c, fmap):
     return kernel.block_sum(kernel.identity(c), fmap, c)
 
 
-@lru_cache(maxsize=None)
 def scalar_action_object(c, X):
     """C·X: the conflation C⊕A >-> C⊕B ->> C' (quotient unchanged),
-    with inflation id_C ⊕ i and deflation 0 ⊕ p = p∘proj_right.  Built
-    once per (c, X): every morphism at X reads it."""
+    with inflation id_C ⊕ i and deflation 0 ⊕ p = p∘proj_right.  A
+    functor over X's category reads it once, into its object map."""
     return Conflation(
         F1Morphism(c + X.sub, c + X.total, _id_sum(c, X.i.map)),
         F1Morphism(
@@ -472,13 +476,11 @@ def scalar_action_object(c, X):
     )
 
 
-@lru_cache(maxsize=None)
 def _zero_quotient(n):
     """The conflation N >-> N ->> 0."""
     return Conflation(F1Morphism.identity(n), F1Morphism.zero(n, 0))
 
 
-@lru_cache(maxsize=None)
 def _extension(c, X):
     """A >-> C⊕B ->> C for the conflation X = (A >-> B ->> 0)."""
     return Conflation(compose(inc_right(c, X.total), X.i), proj_left(c, X.total))
@@ -517,7 +519,6 @@ def conflation_suite(max_size, fiber_sizes=None):
     checks.append(
         CheckResult(
             "object census matches (x+1)*x! per total size",
-            len(E.objects) == expected,
             len(E.objects),
             "" if len(E.objects) == expected else "got %d want %d" % (len(E.objects), expected),
         )
@@ -525,9 +526,7 @@ def conflation_suite(max_size, fiber_sizes=None):
     q = q_category(max_size)
     quotient = quotient_fibration(E, q)
     w = check_functor(quotient, "functoriality")
-    checks.append(
-        CheckResult("quotient functor to the span category", not w, E.n_morphisms, w)
-    )
+    checks.append(CheckResult("quotient functor to the span category", E.n_morphisms, w))
     if w:
         note = "fiber checks skipped: the fibers are taken over the quotient functor, which failed"
         return SuiteReport(title, max_size, checks, notes=[note])
@@ -544,7 +543,6 @@ def conflation_suite(max_size, fiber_sizes=None):
         checks.append(
             CheckResult(
                 "fiber embedding at quotient size %d is an equivalence" % c,
-                not w,
                 S.n_morphisms + fiber.n_morphisms,
                 w,
             )
@@ -584,7 +582,7 @@ def conflation_suite(max_size, fiber_sizes=None):
         ):
             w = check_functor(F, "functoriality")
             S = F.source
-            checks.append(CheckResult(name % c, not w, S.n_morphisms + len(S.comp), w))
+            checks.append(CheckResult(name % c, S.n_morphisms + len(S.comp), w))
         checks.append(
             CheckResult.first_failure(
                 "action = extension after restriction on the fiber (size %d)" % c,
@@ -724,9 +722,7 @@ def comma_tau_suite(max_size, hermitian_spans=None):
     tau = graph_of_isometries(SH, QH)
     checks = []
     w = check_functor(tau, "functoriality")
-    checks.append(
-        CheckResult("isometries embed into hermitian spans", not w, SH.n_morphisms, w)
-    )
+    checks.append(CheckResult("isometries embed into hermitian spans", SH.n_morphisms, w))
     bases = [M for M in (identity_form(0), hyperbolic(1)) if M.size <= max_size]
     for M in bases:
         comma = comma_category(tau, M)
@@ -741,7 +737,7 @@ def comma_tau_suite(max_size, hermitian_spans=None):
         def stabilized(m):
             """The id in SH of id_M ⊕ H(phi): the data of phi's image."""
             phi = S.data(m)
-            g = direct_sum(M.morphism.identity(M.size), hyperbolic_on_morphism(phi))
+            g = direct_sum(F1Morphism.identity(M.size), hyperbolic_on_morphism(phi))
             N = obj_map[phi.src][0]
             return SH.find(N, N, g)
 
@@ -749,7 +745,6 @@ def comma_tau_suite(max_size, hermitian_spans=None):
         checks.append(
             CheckResult(
                 "stabilization under %s is an equivalence" % M,
-                not w,
                 len(comma.objects) + comma.n_morphisms,
                 w,
             )
@@ -813,7 +808,6 @@ def stabilization_equivalence_suite(target_size=3, domain_size=2, hermitian_span
     checks.append(
         CheckResult(
             "adding a split point is an equivalence onto its component",
-            not w,
             dom.n_morphisms + target.n_morphisms,
             w,
         )

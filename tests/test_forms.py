@@ -32,7 +32,14 @@ from f1kgw.forms import (
     split_off_form,
     witt_monoid,
 )
-from f1kgw.pointed import F1Morphism, compose, dualize, inflations
+from f1kgw.pointed import (
+    F1Morphism,
+    compose,
+    dualize,
+    hom_morphisms,
+    inflations,
+    is_inflation,
+)
 
 
 def brute_involution_count(n):
@@ -101,6 +108,33 @@ def test_isotropic_subobjects_match_subset_filter(form):
     assert len(isotropic_subobjects(form)) == brute
 
 
+def test_isotropic_subobjects_are_the_isotropic_subsets_in_order():
+    """Every isotropic subset T, by size then lex, each as the inflation
+    with ascending map (0,) + T, for every form of size <= 6."""
+    for n in range(7):
+        for N in enumerate_forms(n):
+            want = [
+                T
+                for r in range(n + 1)
+                for T in itertools.combinations(range(1, n + 1), r)
+                if not set(T) & {N.psi[t] for t in T}
+            ]
+            got = isotropic_subobjects(N)
+            assert [iso.morphism.map for iso in got] == [(0,) + T for T in want]
+            assert all(iso.morphism.src == len(T) and iso.form is N for iso, T in zip(got, want))
+
+
+def test_psi_maps_each_reduced_carrier_into_itself():
+    """The proof in isotropic_reduction's docstring, over the census of
+    forms of size <= 6: the reduced carrier U^⊥ ∖ T is closed under ψ."""
+    for n in range(7):
+        for N in enumerate_forms(n):
+            for iso in isotropic_subobjects(N):
+                carrier = set(iso.perp()) - set(iso.image)
+                assert {N.psi[k] for k in carrier} == carrier
+                assert isotropic_reduction(iso).size == len(carrier)
+
+
 def test_perp_and_reduction():
     N = hyperbolic(2)
     iso = next(i for i in isotropic_subobjects(N) if i.image == (1,))
@@ -165,6 +199,30 @@ def test_isometry_search_matches_brute_force_filter():
             expected = brute_isometries(A, B)
             assert isometries(A, B) == expected
             assert are_isometric(A, B) == bool(expected)
+
+
+def _composed_is_isometry(phi, M, N):
+    """The oracle: φ^ad ∘ ψ_N ∘ φ = ψ_M by F1Morphism composition."""
+    if phi.src != M.size or phi.dst != N.size:
+        return False
+    if not is_inflation(phi) or phi.src != phi.dst:
+        return False
+    return compose(dualize(phi), compose(N.morphism, phi)).map == M.psi
+
+
+def test_is_isometry_agrees_with_the_composed_formula():
+    """Every map of size <= 4, bijection or not, against every pair of
+    forms of size <= 4, sizes that do not match included."""
+    fs = [form for n in range(5) for form in enumerate_forms(n)]
+    maps = [phi for a in range(5) for b in range(5) for phi in hom_morphisms(a, b)]
+    hits = 0
+    for M in fs:
+        for N in fs:
+            for phi in maps:
+                verdict = is_isometry(phi, M, N)
+                assert verdict == _composed_is_isometry(phi, M, N), (phi, M, N)
+                hits += verdict
+    assert hits == sum(len(isometries(M, N)) for M in fs for N in fs) > 0
 
 
 def test_isometry_search_verifies_only_isometries(monkeypatch):

@@ -134,6 +134,29 @@ def test_conflation_census_counts():
     assert len(all_conflations(5)) == 873
 
 
+def _filtered_conflations(max_total):
+    """The oracle: each inflation i paired with every deflation of its
+    hom set whose kernel is image(i), read in map order."""
+    out = []
+    for x in range(max_total + 1):
+        for u in range(x + 1):
+            for imap in kernel.inflation_maps(u, x):
+                image = set(imap[1:])
+                for pmap in kernel.deflation_maps(x, x - u):
+                    if all((pmap[e] == 0) == (e in image) for e in range(1, x + 1)):
+                        out.append(
+                            Conflation(F1Morphism(u, x, imap), F1Morphism(x, x - u, pmap))
+                        )
+    return tuple(out)
+
+
+def test_all_conflations_is_the_filtered_deflation_loop_in_order():
+    want = _filtered_conflations(6)
+    assert len(want) == 5913
+    for n in range(7):
+        assert all_conflations(n) == tuple(X for X in want if X.total <= n)
+
+
 def test_conflation_rejects_mismatched_kernel():
     i = inc_left(1, 1)
     p = proj_left(1, 1)  # kills the second point, but i hits the first
@@ -429,6 +452,16 @@ def test_suite_and_span_category_build_morphisms_only_at_the_boundary(monkeypatc
     calls[0] = 0
     q_category(3)
     assert calls[0] == 0
+
+
+def test_check_result_passes_exactly_when_it_has_no_witness():
+    passing, failing = CheckResult("c", 3), CheckResult("c", 4, "bad")
+    assert (passing.passed, passing.line()) == (True, "%-38s pass  (3 checked)" % "c")
+    assert (failing.passed, failing.line()) == (
+        False,
+        "%-38s FAIL  (4 checked)\n    witness: bad" % "c",
+    )
+    assert CheckResult.first_failure("c", iter(["", "bad", ""])).checked == 2
 
 
 def test_ds2_reports_a_summed_square_outside_the_classes(monkeypatch):

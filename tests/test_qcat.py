@@ -72,6 +72,14 @@ def test_span_validation_and_round_trip():
         QSpan(2, 2, (1, 2), (0, 0, 0))  # pmap not a deflation
 
 
+def test_from_morphisms_refuses_a_leg_that_is_not_a_deflation():
+    """QSpan's own check decides it on the relabelled deflation map."""
+    p = F1Morphism(2, 2, (0, 0, 1))  # misses the point 2
+    j = F1Morphism(2, 3, (0, 3, 1))
+    with pytest.raises(ValueError, match="^the outgoing leg must be a deflation$"):
+        QSpan.from_morphisms(p, j)
+
+
 def test_span_canonical_form_is_middle_relabelling_invariant():
     # same span presented with the middle enumerated in a different
     # order lands on one canonical representative
@@ -235,6 +243,15 @@ def test_qh_category_lists_the_per_pair_morphisms_in_order(max_size):
         for M in objects:
             for N in objects:
                 assert reductive_spans(M, N) == _per_pair_reductive_spans(M, N)
+
+
+def test_qh_category_refuses_a_search_map_that_is_not_an_isometry(monkeypatch):
+    """The maps of the isometry search are not verified apart, so the
+    census check of each span is what refuses the identity of
+    (1)(2) -> (1 2)."""
+    monkeypatch.setattr(qcat, "isometry_maps", lambda M, N: iter([kernel.identity(M.size)]))
+    with pytest.raises(AssertionError, match="^constructed span fails the reduction census: "):
+        qh_category(2)
 
 
 def test_qh_category_enumerates_isotropic_subobjects_once_per_form(monkeypatch):
@@ -486,15 +503,9 @@ def test_conflation_suite_rejects_fiber_sizes_outside_the_window():
 @pytest.fixture
 def corrupt(monkeypatch):
     """Replace a helper of the conflation suite for one test.  The
-    cached helpers are emptied around it, so that none answers from
-    what it built with the honest helper or keeps what it built with
-    the corrupted one."""
-    cached = (qcat.scalar_action_object, qcat._extension, qcat._zero_quotient)
-    for helper in cached:
-        helper.cache_clear()
+    helpers cache nothing, so no value built with the honest helper
+    answers for the corrupted one, and none outlives the test."""
     yield lambda name, helper: monkeypatch.setattr(qcat, name, helper)
-    for helper in cached:
-        helper.cache_clear()
 
 
 def _failures(report):
@@ -567,6 +578,36 @@ def test_a_broken_scalar_action_fails_the_action_and_the_natural_iso(corrupt):
     assert failures["scalar action by size 1 is functorial"] == (12, "morphism 3 unmapped")
     _, witness = failures["action = restriction after extension over the zero fiber (size 1)"]
     assert re.fullmatch(r"comparison at .* is not a morphism", witness)
+
+
+_honest_extension = qcat._extension
+_honest_identity = F1Morphism.identity
+
+
+def _extension_to_2(c, X):
+    """The extension of a total-1 object replaced by 2 >-> 2 ->> 0."""
+    return qcat._zero_quotient(2) if (c, X.total) == (1, 1) else _honest_extension(c, X)
+
+
+def _swapped_identity(cls, n):
+    """The identity of 2 replaced by the swap, so that 2 >-> 2 ->> 0 is
+    built on it."""
+    return cls(2, 2, (0, 2, 1)) if n == 2 else _honest_identity(n)
+
+
+@pytest.mark.parametrize(
+    "owner, name, broken",
+    [(qcat, "_extension", _extension_to_2), (F1Morphism, "identity", classmethod(_swapped_identity))],
+    ids=["extension", "identity"],
+)
+def test_a_corrupted_run_leaves_nothing_for_the_next(monkeypatch, owner, name, broken):
+    """A run with a corrupted helper fails, and the honest run after it
+    passes: no conflation built in the first run answers in the second."""
+    with monkeypatch.context() as m:
+        m.setattr(owner, name, broken)
+        assert not conflation_suite(2).ok
+    report = conflation_suite(2)
+    assert report.ok and report.render().endswith("result: ALL PASS")
 
 
 def test_a_partial_quotient_functor_ends_the_suite_with_a_note(monkeypatch):
