@@ -149,7 +149,8 @@ class QSpan:
 
     @classmethod
     def from_morphisms(cls, p, j):
-        """Canonicalize the span given by p: E ->> src and j: E >-> dst."""
+        """Canonicalize the span given by p: E ->> src and j: E >-> dst.
+        ``__init__`` refuses a p that is not a deflation."""
         if p.src != j.src:
             raise TypeMismatch("span legs must share the middle object")
         if not is_inflation(j):
@@ -291,8 +292,8 @@ def _spans_through_reductions(M, N, reductions):
     onto M.
 
     ``is_reductive_span`` is the one check of each span: it decides that
-    h∘relabel intertwines ψ_N with ψ_M and is onto M, so h is taken
-    straight from ``isometry_maps`` and not verified apart."""
+    the deflation, h after the relabelling, intertwines ψ_N with ψ_M and
+    is onto M, so h is taken straight from ``isometry_maps``."""
     out = []
     for iso, red in reductions:
         if red.size != M.size:

@@ -247,8 +247,8 @@ def test_qh_category_lists_the_per_pair_morphisms_in_order(max_size):
 
 def test_qh_category_refuses_a_search_map_that_is_not_an_isometry(monkeypatch):
     """The maps of the isometry search are not verified apart, so the
-    census check of each span is what refuses the identity of
-    (1)(2) -> (1 2)."""
+    census check of each span is what refuses the identity from the
+    reduction (1 2) of N = (1 2) onto M = (1)(2)."""
     monkeypatch.setattr(qcat, "isometry_maps", lambda M, N: iter([kernel.identity(M.size)]))
     with pytest.raises(AssertionError, match="^constructed span fails the reduction census: "):
         qh_category(2)
