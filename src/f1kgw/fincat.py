@@ -23,7 +23,8 @@ whole composition in between.
 import json
 from collections import deque
 from collections.abc import ItemsView, Mapping
-from operator import itemgetter
+
+from ._backend import kernel
 
 
 class AssociativityViolation(Exception):
@@ -411,7 +412,7 @@ def _associativity_failures(cat, middles):
     row, col, out_of, into = cat.row, cat.col, cat.out_of, cat.into
     src_k, dst_k = cat.src_k, cat.dst_k
     for g in middles:
-        through_g = _reader([col[gf] for gf in row[g]])
+        through_g = kernel.reader([col[gf] for gf in row[g]])
         cg = col[g]
         for h in out_of[dst_k[g]]:
             rh = row[h]
@@ -419,14 +420,6 @@ def _associativity_failures(cat, middles):
             if left != right:
                 k = next(k for k, (x, y) in enumerate(zip(left, right)) if x != y)
                 yield into[src_k[g]][k], g, h
-
-
-def _reader(positions):
-    """The function reading a sequence at the given positions, as a
-    tuple, even when there is only one."""
-    if len(positions) > 1:
-        return itemgetter(*positions)
-    return lambda r, p=positions[0]: (r[p],)
 
 
 def _certify_associativity(cat):
@@ -530,10 +523,10 @@ def _functor_witnesses(F, mode):
         # of S against T's row of F(g), read at the columns of the F(f);
         # the witness is the least (f, g) over the rows that differ.
         image, into, t_row, t_col = F.mor_map, S.into, T.row, T.col
-        at_images = [_reader([t_col[image[f]] for f in fs]) for fs in into]
+        at_images = [kernel.reader([t_col[image[f]] for f in fs]) for fs in into]
         least = None
         for g, (rg, k) in enumerate(zip(S.row, S.src_k)):
-            left, right = at_images[k](t_row[image[g]]), _reader(rg)(image)
+            left, right = at_images[k](t_row[image[g]]), kernel.reader(rg)(image)
             if left != right:
                 c = next(c for c, (x, y) in enumerate(zip(left, right)) if x != y)
                 if least is None or (into[k][c], g) < least:

@@ -616,6 +616,10 @@ def _commuting_squares(max_size, infl, defl):
     is a valid everywhere-injective map by construction and is not
     re-checked.
 
+    Each composition reads through a kernel reader that fixes its right
+    leg: d = r∘t through one reader of t, shared by every r, and
+    b = d∘l^ad through one reader of l^ad per l.
+
     A corrupted deflation class can hold an l that misses a point of W.
     Its commuting squares, whose b is free on the missed points, are
     never visited, so axiom iii does not check them.  Checking them
@@ -628,16 +632,18 @@ def _commuting_squares(max_size, infl, defl):
             for l in defl(u, w):
                 key = _support(l)
                 if sum(key) == w:
-                    by_support.setdefault(key, []).append((l, kernel.adjoint(l, w)))
+                    through_back = kernel.reader(kernel.adjoint(l, w))
+                    by_support.setdefault(key, []).append((l, through_back))
         for v in range(u, max_size + 1):
             for t in infl(u, v):
+                through_t = kernel.reader(t)
                 for x in range(max_size + 1):
                     for r in defl(v, x):
-                        d = kernel.compose(r, t)
+                        d = through_t(r)
                         key = _support(d)
                         w = sum(key)
-                        for l, back in by_support.get(key, ()):
-                            yield l, t, kernel.compose(d, back), r, u, v, w, x
+                        for l, through_back in by_support.get(key, ()):
+                            yield l, t, through_back(d), r, u, v, w, x
 
 
 def _deflations_missing_a_point(max_size, defl):
@@ -743,6 +749,13 @@ def _scan_v_task(args):
     return count, None
 
 
+def _scan_task(task):
+    """Run one task of axiom iv or v, given as (scan, size triple), so
+    that both scans go to one pool."""
+    scan, triple = task
+    return scan(triple)
+
+
 def _zero_maps(max_size, infl, defl):
     """(i) 0 -> U is an inflation and U -> 0 a deflation."""
     for u in range(max_size + 1):
@@ -810,29 +823,33 @@ def _exact_bifunctor(max_size):
 
     Every composable pair of pairs is compared.  A block sum is a pure
     function of (f, g, f_dst), and the 27,556 comparisons, the same at
-    every window >= 2, need only 220 distinct ones, so each is computed
-    once, on first use, in a dict that lives for this call.
+    every window >= 2, need only 220 distinct ones: every map (f, f_dst)
+    of the window as the left summand and every map tuple g as the
+    right one.  So each is computed once, up front, into one dict per
+    left factor, (f, f_dst) -> {g: f ⊕ g}, that lives for this call.
+    The outer pair fixes the left factors gf1, g1 and f1, and the inner
+    loop reads its three sums from their three dicts.
     """
     small = min(2, max_size)
+    lefts = [
+        (f, b)
+        for a, b in product(range(small + 1), repeat=2)
+        for f in kernel.hom_maps(a, b)
+    ]
+    rights = {f for f, _ in lefts}
+    sums = {(f, b): {g: kernel.block_sum(f, g, b) for g in rights} for f, b in lefts}
     composable = [
         (b, c, f, g, kernel.compose(g, f))
         for a, b, c in product(range(small + 1), repeat=3)
         for f in kernel.hom_maps(a, b)
         for g in kernel.hom_maps(b, c)
     ]
-    sums = {}
-
-    def block_sum(f, g, f_dst):
-        key = (f, g, f_dst)
-        s = sums.get(key)
-        if s is None:
-            s = sums[key] = kernel.block_sum(f, g, f_dst)
-        return s
-
-    for (b1, c1, f1, g1, gf1), (_, _, f2, g2, gf2) in product(composable, repeat=2):
-        lhs = block_sum(gf1, gf2, c1)
-        rhs = kernel.compose(block_sum(g1, g2, c1), block_sum(f1, f2, b1))
-        yield "" if lhs == rhs else "⊕ not functorial"
+    for b1, c1, f1, g1, gf1 in composable:
+        with_gf, with_g, with_f = sums[gf1, c1], sums[g1, c1], sums[f1, b1]
+        for _, _, f2, g2, gf2 in composable:
+            lhs = with_gf[gf2]
+            rhs = kernel.compose(with_g[g2], with_f[f2])
+            yield "" if lhs == rhs else "⊕ not functorial"
     for u, v in product(range(max_size + 1), repeat=2):
         ok = is_inflation(inc_left(u, v)) and is_inflation(inc_right(u, v))
         yield "" if ok else "block inclusion not an inflation at (%d,%d)" % (u, v)
@@ -868,15 +885,17 @@ def _summed_square_ok(s1, s2):
 
 def _restriction_injective(max_size):
     """DS3: restriction along the block inclusions (dually, corestriction
-    along the block projections) is injective."""
+    along the block projections) is injective.  The restrictions m∘il
+    and m∘ir read m through one reader of il and one of ir per (u, v)."""
     sizes = range(max_size + 1)
     for u, v in product(sizes, repeat=2):
-        il, ir = inc_left(u, v).map, inc_right(u, v).map
+        at_il = kernel.reader(inc_left(u, v).map)
+        at_ir = kernel.reader(inc_right(u, v).map)
         pl, pr = proj_left(u, v).map, proj_right(u, v).map
         for w in sizes:
             seen = set()
             for m in kernel.hom_maps(u + v, w):
-                key = (kernel.compose(m, il), kernel.compose(m, ir))
+                key = (at_il(m), at_ir(m))
                 clash = key in seen
                 yield "restriction collision out of %d⊕%d" % (u, v) if clash else ""
                 seen.add(key)
@@ -957,10 +976,11 @@ def axiom_suite(max_size, jobs=1, inflation_maps_of=None, deflation_maps_of=None
     """Exhaustively certify the exact-structure axioms up to max_size.
 
     Every check stops at its first failing case and reports it as the
-    witness.  Axioms iv and v scan each size triple as a separate task
-    (so that workers can share them): each task stops at its first
-    failing case, the witness is that of the first failing triple, and
-    the cases of every triple are counted.
+    witness.  Axioms iv and v scan each size triple as a separate task,
+    and the tasks of both go to one parallel_map call (so that workers
+    can share them): each task stops at its first failing case, the
+    witness of an axiom is that of its first failing triple, and the
+    cases of every triple are counted.
 
     Completions and small squares additionally get the pullback/pushout
     universal property checked against every test object of size <=
@@ -1003,18 +1023,22 @@ def axiom_suite(max_size, jobs=1, inflation_maps_of=None, deflation_maps_of=None
         )
 
     # (iv) cospan and (v) span completion to a bicartesian square, one
-    # task per size triple, read as (w, x, v) for iv and (w, u, v) for v
-    tasks = [
+    # task per size triple, read as (w, x, v) for iv and (w, u, v) for v;
+    # both scans share one pool, and their results are split back
+    triples = [
         (a, b, c, infl, defl)
         for a, b, c in product(range(max_size + 1), repeat=3)
     ]
-    for name, scan in (
+    scans = (
         ("axiom iv: pullback completion", _scan_iv_task),
         ("axiom v: pushout completion", _scan_v_task),
-    ):
-        results = _parallel.parallel_map(scan, tasks, workers)
-        bad = next((wit for _, wit in results if wit), "")
-        add(CheckResult(name, sum(c for c, _ in results), bad))
+    )
+    tasks = [(scan, triple) for _, scan in scans for triple in triples]
+    results = _parallel.parallel_map(_scan_task, tasks, workers)
+    for k, (name, _) in enumerate(scans):
+        part = results[k * len(triples) : (k + 1) * len(triples)]
+        bad = next((wit for _, wit in part if wit), "")
+        add(CheckResult(name, sum(c for c, _ in part), bad))
 
     add(
         run(

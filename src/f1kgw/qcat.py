@@ -118,8 +118,12 @@ class QSpan:
 
     @classmethod
     def _trusted(cls, src, dst, sub, pmap):
-        """The span of canonical tuples that the kernel has built from
-        valid spans, stored without ``__init__``'s checks."""
+        """A span of canonical tuples stored without ``__init__``'s
+        checks.  Two callers build such tuples: ``q_compose``, whose
+        pullback of valid spans is again a span, and
+        ``_spans_through_reductions``, whose ``perp()`` is ascending by
+        construction and whose deflation ``is_reductive_span`` decides
+        to be a valid map onto M before the span is kept."""
         span = object.__new__(cls)
         span._store(src, dst, sub, pmap)
         return span
@@ -293,7 +297,8 @@ def _spans_through_reductions(M, N, reductions):
 
     ``is_reductive_span`` is the one check of each span: it decides that
     the deflation, h after the relabelling, intertwines ψ_N with ψ_M and
-    is onto M, so h is taken straight from ``isometry_maps``."""
+    is onto M, so h is taken straight from ``isometry_maps`` and the span
+    is stored through ``QSpan._trusted``."""
     out = []
     for iso, red in reductions:
         if red.size != M.size:
@@ -306,7 +311,7 @@ def _spans_through_reductions(M, N, reductions):
             pmap = [0]
             for k in perp:
                 pmap.append(0 if k in T else h[relabel[k]])
-            span = QSpan(M.size, N.size, perp, tuple(pmap))
+            span = QSpan._trusted(M.size, N.size, perp, tuple(pmap))
             if not is_reductive_span(M, N, span):
                 raise AssertionError(
                     "constructed span fails the reduction census: %s" % span

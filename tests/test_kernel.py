@@ -57,24 +57,82 @@ def looped_is_injective(f):
     return all(v != 0 for v in f[1:])
 
 
+def looped_is_valid_map(f, dst):
+    """is_valid_map as it was before it asked min, max and set, kept as
+    the oracle."""
+    if not f or f[0] != 0:
+        return False
+    seen = set()
+    for v in f[1:]:
+        if v < 0 or v > dst:
+            return False
+        if v != 0:
+            if v in seen:
+                return False
+            seen.add(v)
+    return True
+
+
+def looped_is_surjective(f, dst):
+    """is_surjective as it was before it counted the zeros, kept as the
+    oracle."""
+    hit = 0
+    for v in f[1:]:
+        if v != 0:
+            hit += 1
+    return hit == dst
+
+
+def looped_block_sum(f, g, f_dst):
+    """block_sum as it was before it gathered through a shift map, kept
+    as the oracle."""
+    return f + tuple(v + f_dst if v != 0 else 0 for v in g[1:])
+
+
 def test_rewritten_kernel_functions_match_their_former_bodies():
     hom_maps = _corepy.hom_maps
-    maps = [m for a, b in itertools.product(range(5), repeat=2) for m in hom_maps(a, b)]
+    sized = [(m, b) for a, b in itertools.product(range(5), repeat=2) for m in hom_maps(a, b)]
+    maps = [m for m, _ in sized]
     assert len(maps) == 499
     # not maps: a nonzero slot 0, repeated values, negative values, empty
     malformed = [(1, 0, 2), (2, 2), (0, 1, 1, 0), (0, 0, 0), (0, -1, 2), (3,), ()]
+    verdicts = set()
     for f in maps + malformed:
         assert _corepy.is_injective(f) == looped_is_injective(f), f
+        # every codomain a slot can name, and one below and above them
+        for dst in range(-1, 6):
+            valid = looped_is_valid_map(f, dst)
+            onto = looped_is_surjective(f, dst)
+            assert _corepy.is_valid_map(f, dst) == valid, (f, dst)
+            assert _corepy.is_surjective(f, dst) == onto, (f, dst)
+            verdicts.add((f in malformed, valid, onto))
     assert {looped_is_injective(f) for f in malformed} == {True, False}
+    # among the maps and among the malformed tuples, which hold the map
+    # (0, 0, 0), every pair of verdicts occurs
+    assert len(verdicts) == 8
+    # block_sum reads g through the shift map of f_dst, so g's values
+    # must be points: the malformed g with a negative value is left out
+    summands = sorted(set(maps)) + [g for g in malformed if min(g, default=0) >= 0]
+    for f, f_dst in sized:
+        for g in summands:
+            assert _corepy.block_sum(f, g, f_dst) == looped_block_sum(f, g, f_dst), (f, g)
     pairs = 0
     for a, b, c in itertools.product(range(4), repeat=3):
         for f in hom_maps(a, b):
+            through_f = _corepy.reader(f)
             for g in hom_maps(b, c):
-                assert _corepy.compose(g, f) == generator_compose(g, f)
+                want = generator_compose(g, f)
+                assert _corepy.compose(g, f) == through_f(g) == want
                 pairs += 1
     assert pairs == 3396
-    for g, f in ((malformed[0], (0, 2, 2, 1)), ((0, 3, 1), malformed[1]), ((4, 5), (1, 1, 0))):
-        assert _corepy.compose(g, f) == generator_compose(g, f)
+    odd = ((malformed[0], (0, 2, 2, 1)), ((0, 3, 1), malformed[1]), ((4, 5), (1, 1, 0)))
+    # f with one slot or none: still a tuple, where itemgetter alone
+    # would return a value or refuse
+    short = (((0, 2), (0,)), ((7, 8), (1,)), ((0, 1), ()), ((), ()))
+    for g, f in odd + short:
+        want = generator_compose(g, f)
+        assert _corepy.compose(g, f) == _corepy.reader(f)(g) == want
+        assert type(_corepy.compose(g, f)) is type(_corepy.reader(f)(g)) is tuple
 
 
 def former_pushout_legs(l, t, w_size, v_size):
