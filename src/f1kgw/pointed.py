@@ -828,7 +828,9 @@ def _exact_bifunctor(max_size):
     right one.  So each is computed once, up front, into one dict per
     left factor, (f, f_dst) -> {g: f ⊕ g}, that lives for this call.
     The outer pair fixes the left factors gf1, g1 and f1, and the inner
-    loop reads its three sums from their three dicts.
+    loop reads its three sums from their three dicts.  The sum f1 ⊕ f2
+    is the leg that (g1 ⊕ g2)∘(f1 ⊕ f2) reads at, so its dict holds the
+    sum's reader, one per sum.
     """
     small = min(2, max_size)
     lefts = [
@@ -838,6 +840,7 @@ def _exact_bifunctor(max_size):
     ]
     rights = {f for f, _ in lefts}
     sums = {(f, b): {g: kernel.block_sum(f, g, b) for g in rights} for f, b in lefts}
+    readers = {key: {g: kernel.reader(s) for g, s in row.items()} for key, row in sums.items()}
     composable = [
         (b, c, f, g, kernel.compose(g, f))
         for a, b, c in product(range(small + 1), repeat=3)
@@ -845,11 +848,10 @@ def _exact_bifunctor(max_size):
         for g in kernel.hom_maps(b, c)
     ]
     for b1, c1, f1, g1, gf1 in composable:
-        with_gf, with_g, with_f = sums[gf1, c1], sums[g1, c1], sums[f1, b1]
+        with_gf, with_g, through_f = sums[gf1, c1], sums[g1, c1], readers[f1, b1]
         for _, _, f2, g2, gf2 in composable:
-            lhs = with_gf[gf2]
-            rhs = kernel.compose(with_g[g2], with_f[f2])
-            yield "" if lhs == rhs else "⊕ not functorial"
+            ok = with_gf[gf2] == through_f[f2](with_g[g2])
+            yield "" if ok else "⊕ not functorial"
     for u, v in product(range(max_size + 1), repeat=2):
         ok = is_inflation(inc_left(u, v)) and is_inflation(inc_right(u, v))
         yield "" if ok else "block inclusion not an inflation at (%d,%d)" % (u, v)
@@ -886,7 +888,8 @@ def _summed_square_ok(s1, s2):
 def _restriction_injective(max_size):
     """DS3: restriction along the block inclusions (dually, corestriction
     along the block projections) is injective.  The restrictions m∘il
-    and m∘ir read m through one reader of il and one of ir per (u, v)."""
+    and m∘ir read m through one reader of il and one of ir per (u, v),
+    and the corestrictions pl∘m and pr∘m read through one reader of m."""
     sizes = range(max_size + 1)
     for u, v in product(sizes, repeat=2):
         at_il = kernel.reader(inc_left(u, v).map)
@@ -901,7 +904,8 @@ def _restriction_injective(max_size):
                 seen.add(key)
             seen = set()
             for m in kernel.hom_maps(w, u + v):
-                key = (kernel.compose(pl, m), kernel.compose(pr, m))
+                at_m = kernel.reader(m)
+                key = (at_m(pl), at_m(pr))
                 clash = key in seen
                 yield "corestriction collision into %d⊕%d" % (u, v) if clash else ""
                 seen.add(key)
