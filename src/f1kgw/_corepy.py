@@ -3,9 +3,9 @@
 A map n -> m is a tuple t of length n+1 with t[0] = 0, values in 0..m,
 and distinct nonzero values (injective outside the fibre over 0).
 
-Composition is a gather: g∘f reads g at the slots of f, so compose,
-reader and block_sum hand the reading to ``operator.itemgetter`` and
-loop over no slot in Python.
+Composition is a gather: g∘f reads g at the slots of f, so compose and
+reader hand the reading to ``operator.itemgetter`` and loop over no slot
+in Python.
 """
 
 from collections import Counter
@@ -17,15 +17,17 @@ BACKEND = "py"
 
 
 def is_valid_map(f, dst):
-    """Is f a map to dst: slot 0 is 0, every other value lies in 0..dst,
-    and the nonzero values are distinct?  Slot 0 holds 0, so with another
-    slot max(f) <= dst bounds the values, min(f) >= 0 says none is
-    negative, and the distinct values are the nonzero slots and 0."""
     if not f or f[0] != 0:
         return False
-    return len(f) == 1 or (
-        min(f) >= 0 and max(f) <= dst and len(set(f)) + f.count(0) == len(f) + 1
-    )
+    seen = set()
+    for v in f[1:]:
+        if v < 0 or v > dst:
+            return False
+        if v != 0:
+            if v in seen:
+                return False
+            seen.add(v)
+    return True
 
 
 def identity(n):
@@ -64,17 +66,8 @@ def adjoint(f, dst):
 
 
 def block_sum(f, g, f_dst):
-    """f ⊕ g: the blocks of g follow those of f, shifted past f_dst.
-    The shifted values are g read through the shift map of f_dst, so
-    g's values must be points (>= 0)."""
-    return f + compose(_shift(f_dst, max(g, default=0)), g)[1:]
-
-
-@lru_cache(maxsize=None)
-def _shift(f_dst, top):
-    """The map 0..top -> 0..f_dst+top fixing 0 and adding f_dst to the
-    other points."""
-    return (0,) + tuple(range(f_dst + 1, f_dst + top + 1))
+    """f ⊕ g: the blocks of g follow those of f, shifted past f_dst."""
+    return f + tuple([v + f_dst if v != 0 else 0 for v in g[1:]])
 
 
 def pullback_legs(b, r, w_size, v_size):

@@ -823,14 +823,14 @@ def _exact_bifunctor(max_size):
 
     Every composable pair of pairs is compared.  A block sum is a pure
     function of (f, g, f_dst), and the 27,556 comparisons, the same at
-    every window >= 2, need only 220 distinct ones: every map (f, f_dst)
-    of the window as the left summand and every map tuple g as the
-    right one.  So each is computed once, up front, into one dict per
-    left factor, (f, f_dst) -> {g: f ⊕ g}, that lives for this call.
-    The outer pair fixes the left factors gf1, g1 and f1, and the inner
-    loop reads its three sums from their three dicts.  The sum f1 ⊕ f2
-    is the leg that (g1 ⊕ g2)∘(f1 ⊕ f2) reads at, so its dict holds the
-    sum's reader, one per sum.
+    every window >= 2, need only 220 distinct ones: each map (f, f_dst)
+    with sizes <= 2 as the left summand, each such map tuple g as the
+    right one.  Each is computed once, up front, into one dict per left
+    factor, (f, f_dst) -> {g: f ⊕ g}, that lives for this call; the
+    outer pair fixes the left factors gf1, g1 and f1, and the inner loop
+    reads its sums from their dicts.  The composite
+    (g1 ⊕ g2)∘(f1 ⊕ f2) reads through a reader that fixes its right leg
+    f1 ⊕ f2, one reader per sum.
     """
     small = min(2, max_size)
     lefts = [
