@@ -88,6 +88,7 @@ def test_rewritten_kernel_functions_match_their_former_bodies():
             assert _corepy.is_surjective(f, dst) == onto, (f, dst)
             verdicts.add((f in malformed, onto))
     assert {looped_is_injective(f) for f in malformed} == {True, False}
+    # both verdicts occur among the maps and among the malformed tuples
     assert len(verdicts) == 4
     summands = sorted(set(maps)) + malformed
     for f, f_dst in sized:

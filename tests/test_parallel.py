@@ -49,3 +49,15 @@ def test_one_worker_runs_in_process(monkeypatch):
     assert _parallel.parallel_map(_square, range(5), 1) == [0, 1, 4, 9, 16]
     assert _parallel.parallel_map(_square, [], 8) == []
     assert sizes == []
+
+
+def test_axioms_iv_and_v_share_one_pool(monkeypatch):
+    # Both completion scans go to one pool, and the results split back
+    # into the same counts and witnesses as a one-worker run.
+    from f1kgw.pointed import axiom_suite
+
+    serial = [(c.name, c.checked, c.witness) for c in axiom_suite(2).checks]
+    sizes = _fake_pools(monkeypatch, cpus=2)
+    pooled = [(c.name, c.checked, c.witness) for c in axiom_suite(2, jobs=2).checks]
+    assert sizes == [2]
+    assert pooled == serial
