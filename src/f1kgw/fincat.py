@@ -1,5 +1,6 @@
 """Explicit finite categories: exhaustive validation, functor checks,
-comma constructions, and low-dimensional invariants of the nerve.
+comma constructions, and low-dimensional invariants of the nerve: π₀
+(``pi0``) and π₁ᵃᵇ (``h1``, presented over the generating set).
 
 Morphisms are dense integer ids; every table is index-based.  Each
 morphism carries hashable data that tells it apart within its hom set,
@@ -21,7 +22,6 @@ whole composition in between.
 """
 
 import json
-from collections import deque
 from collections.abc import ItemsView, Mapping
 
 from ._backend import kernel
@@ -715,92 +715,56 @@ def pi0(cat):
     return tuple(out)
 
 
-class GroupPresentation:
-    """Generators with relator words; words are tuples of nonzero ints,
-    ±(i+1) meaning generator i or its inverse, which is what
-    ``abelian_group`` takes."""
+def h1(cat, basepoint):
+    """π₁ᵃᵇ of the nerve at the basepoint, as an AbelianGroupSNF,
+    presented over the generating set.
 
-    __slots__ = ("generators", "relations")
-
-    def __init__(self, generators, relations):
-        self.generators = generators
-        self.relations = relations
-
-    def __str__(self):
-        def word(w):
-            if not w:
-                return "1"
-            parts = []
-            for s in w:
-                name = str(self.generators[abs(s) - 1])
-                parts.append(name if s > 0 else name + "^-1")
-            return "·".join(parts)
-
-        return "< %s | %s >" % (
-            ", ".join(str(g) for g in self.generators),
-            ", ".join(word(w) for w in self.relations),
-        )
-
-
-def pi1_presentation(cat, basepoint):
-    """Fundamental group of the nerve's 2-skeleton at the basepoint.
-
-    Generators are the non-identity morphisms of the basepoint's
-    component; relations kill a BFS spanning tree (built in least-id
-    order over the underlying undirected graph) and impose one triangle
-    word f·g·(g∘f)⁻¹ per composable pair.  Identity morphisms are left
-    out: their triangles are trivial once the degenerate edges are
-    collapsed.
+    (generators, reach) come from ``generating_set``, and ``_generates``
+    must certify them (ValueError otherwise).  The letters are the
+    generators in the basepoint's component.  Each morphism m there has
+    the word w(m) = g·w(c) of its first reach m = g∘c, and an identity
+    the empty word.  The generators on a spanning forest of generator
+    edges, taken in generator order, are killed, and each generator g
+    and each c into its source give the relation w(g∘c) = g·w(c).  With
+    associativity certified, induction on the length of w(h) gives
+    w(h∘f) = w(h)·w(f) for every composable pair, so these relations
+    present the fundamental groupoid (Reidemeister–Schreier: Magnus,
+    Karrass and Solitar, Combinatorial Group Theory, ch. 2).
     """
     if basepoint not in cat.obj_index:
         raise UnknownObject(repr(basepoint))
-    component = None
-    for comp in pi0(cat):
-        if basepoint in comp:
-            component = set(comp)
-            break
-    idents = set(cat.identities.values())
-    mids = [
-        m
-        for m in range(cat.n_morphisms)
-        if cat.mor_src[m] in component and m not in idents
-    ]
-    gen_index = {m: k for k, m in enumerate(mids)}
+    generators, reach = generating_set(cat)
+    if not _generates(cat, generators, reach):
+        raise ValueError("the generating set is not certified by its reach")
+    src_k, dst_k = cat.src_k, cat.dst_k
+    parent = list(range(len(cat.objects)))
 
-    neighbors = {}
-    for m in mids:
-        neighbors.setdefault(cat.mor_src[m], []).append((cat.mor_dst[m], m))
-        neighbors.setdefault(cat.mor_dst[m], []).append((cat.mor_src[m], m))
-    for o in neighbors:
-        neighbors[o].sort(key=lambda t: (cat.obj_index[t[0]], t[1]))
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
 
-    tree = set()
-    visited = {basepoint}
-    queue = deque([basepoint])
-    while queue:
-        o = queue.popleft()
-        for other, m in neighbors.get(o, ()):
-            if other not in visited:
-                visited.add(other)
-                tree.add(m)
-                queue.append(other)
-
-    def word(m):
-        if m in idents:
-            return ()
-        return (gen_index[m] + 1,)
-
-    relations = [word(m) for m in sorted(tree)]
-    for g, rg in enumerate(cat.row):  # (g, f) ascending
-        if g in idents or cat.mor_src[g] not in component:
-            continue
-        for f, gf in zip(cat.into[cat.src_k[g]], rg):
-            if f not in idents:
-                relations.append(word(f) + word(g) + tuple(-s for s in reversed(word(gf))))
-    return GroupPresentation(
-        generators=tuple(mids),
-        relations=tuple(relations),
-    )
+    tree = []
+    for g in generators:
+        a, b = find(src_k[g]), find(dst_k[g])
+        if a != b:
+            parent[a] = b
+            tree.append(g)
+    base = find(cat.obj_index[basepoint])
+    letter = {}  # generator of the component -> its letter, 1, 2, ...
+    for g in generators:
+        if find(src_k[g]) == base:
+            letter[g] = len(letter) + 1
+    words = [()] * cat.n_morphisms
+    for m, (g, c) in reach.items():  # c is reached before m
+        if g in letter:
+            words[m] = (letter[g],) + words[c]
+    relations = [(letter[g],) for g in tree if g in letter]
+    for g, k in letter.items():
+        for c, gc in zip(cat.into[src_k[g]], cat.row[g]):
+            relations.append((k,) + words[c] + tuple(-s for s in words[gc]))
+    return abelian_group(relations, len(letter))
 
 
 class AbelianGroupSNF:
@@ -887,8 +851,8 @@ def abelian_group(relations, ngens):
     words, as an AbelianGroupSNF.
 
     A word is a tuple of nonzero ints, ±(i+1) meaning generator i or its
-    inverse (GroupPresentation's convention), and says that its letters
-    sum to zero.  This is the one place where relations become rows.
+    inverse, and says that its letters sum to zero.  This is the one
+    place where relations become rows.
     """
     rows = []
     for w in relations:
@@ -901,11 +865,6 @@ def abelian_group(relations, ngens):
         rank=ngens - len(invariants),
         torsion=tuple(d for d in invariants if d > 1),
     )
-
-
-def abelianize(pres):
-    """Abelianization of a presentation as an AbelianGroupSNF."""
-    return abelian_group(pres.relations, len(pres.generators))
 
 
 # ---------------------------------------------------------------------------
@@ -961,24 +920,6 @@ def category_to_json(cat):
         )
     )
     return "".join(parts)
-
-
-def category_from_json(text):
-    """Rebuild a category from the exported text; identities are
-    re-detected."""
-    data = json.loads(text)
-    objects = list(data["objects"])
-    n = 0
-    mor_src, mor_dst = {}, {}
-    for key, ms in data["homs"].items():
-        a, b = (int(x) for x in key.split(","))
-        for m in ms:
-            mor_src[m] = objects[a]
-            mor_dst[m] = objects[b]
-            n = max(n, m + 1)
-    comp = data["comp"]
-    morphisms = [(mor_src[m], mor_dst[m], m) for m in range(n)]
-    return build_category(objects, morphisms, lambda g, f: comp["%d,%d" % (g, f)])
 
 
 def category_to_dot(cat, name="category"):

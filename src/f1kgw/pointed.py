@@ -195,11 +195,6 @@ def proj_right(u, v):
     return F1Morphism(u + v, v, [0] * (u + 1) + list(range(1, v + 1)))
 
 
-def hom_morphisms(src, dst):
-    """All morphisms src -> dst (lexicographic in the map tuple)."""
-    return tuple(F1Morphism(src, dst, m) for m in kernel.hom_maps(src, dst))
-
-
 def inflations(src, dst):
     return tuple(F1Morphism(src, dst, m) for m in kernel.inflation_maps(src, dst))
 

@@ -278,12 +278,6 @@ def is_reductive_span(M, N, span):
     return sorted(survivors) == list(range(1, M.size + 1))
 
 
-def reductive_spans(M, N):
-    """All hermitian morphisms M -> N, built from the census of
-    (isotropic subobject U of N, isometry of N//U onto M) pairs."""
-    return _spans_through_reductions(M, N, _reductions(N))
-
-
 def _reductions(N):
     """(U, N//U) for every isotropic subobject U of N: the part of the
     hermitian morphisms into N that does not depend on their source."""
@@ -291,9 +285,10 @@ def _reductions(N):
 
 
 def _spans_through_reductions(M, N, reductions):
-    """The spans M -> N of ``reductive_spans``, one per reduction of N
-    in ``_reductions(N)`` order and map h of the isometry search from it
-    onto M.
+    """All hermitian morphisms M -> N, built from the census of
+    (isotropic subobject U of N, isometry of N//U onto M) pairs: one span
+    per reduction of N in ``_reductions(N)`` order and map h of the
+    isometry search from it onto M.
 
     ``is_reductive_span`` is the one check of each span: it decides that
     the deflation, h after the relabelling, intertwines ψ_N with ψ_M and
@@ -325,7 +320,7 @@ def qh_category(max_size):
 
     Objects are SymmetricForms; morphism data is the underlying QSpan.
     The reductions of each target form are enumerated once per build,
-    and each hom set M -> N is ``reductive_spans(M, N)`` read through
+    and each hom set M -> N is ``_spans_through_reductions`` read through
     them.  Composition is span composition; a composite that is not
     among the reductive spans of its hom set, which
     ``is_reductive_span`` has checked, is refused by ``build_category``.
@@ -536,6 +531,7 @@ def conflation_suite(max_size, fiber_sizes=None):
     if w:
         note = "fiber checks skipped: the fibers are taken over the quotient functor, which failed"
         return SuiteReport(title, max_size, checks, notes=[note])
+    zero_quotient = {n: _zero_quotient(n) for n in range(max_size + 1)}
     fibers = {}
     for c in fiber_sizes:
         over_identity = q.find(c, c, QSpan.identity(c))
@@ -573,13 +569,14 @@ def conflation_suite(max_size, fiber_sizes=None):
         fitting = [X for X in E.objects if c + X.total <= max_size]
         zero = full_subcategory(E, [X for X in fitting if X.quotient == 0])
         on_fiber = full_subcategory(fiber, [X for X in fitting if X.quotient == c])
-        action = partial(scalar_action_object, c)
+        # C·X once per object, for the action and both natural isos
+        action = {X: scalar_action_object(c, X) for X in fitting}.__getitem__
         for name, F in (
             ("restriction to the zero fiber (quotient size %d)",
-             functor_by_data(fiber, E, {X: _zero_quotient(X.sub) for X in fiber.objects}, on_subs)),
+             functor_by_data(fiber, E, {X: zero_quotient[X.sub] for X in fiber.objects}, on_subs)),
             ("total-object functor to the zero fiber (quotient size %d)",
              functor_by_data(
-                 fiber, E, {X: _zero_quotient(X.total) for X in fiber.objects}, fiber.data
+                 fiber, E, {X: zero_quotient[X.total] for X in fiber.objects}, fiber.data
              )),
             ("extension from the zero fiber (quotient size %d)",
              id_sum_functor(zero, c, partial(_extension, c))),
@@ -594,7 +591,7 @@ def conflation_suite(max_size, fiber_sizes=None):
                 "action = extension after restriction on the fiber (size %d)" % c,
                 _natural_iso(
                     id_sum_functor(on_fiber, c, action),
-                    id_sum_functor(on_fiber, c, lambda X: _extension(c, _zero_quotient(X.total))),
+                    id_sum_functor(on_fiber, c, lambda X: _extension(c, zero_quotient[X.total])),
                     partial(_sorted_comparison, c),
                 ),
             )
@@ -604,8 +601,9 @@ def conflation_suite(max_size, fiber_sizes=None):
                 "action = restriction after extension over the zero fiber (size %d)" % c,
                 _natural_iso(
                     id_sum_functor(zero, c, action),
-                    id_sum_functor(zero, c, lambda X: _zero_quotient(c + X.total)),
-                    partial(_identity_comparison, c),
+                    id_sum_functor(zero, c, lambda X: zero_quotient[c + X.total]),
+                    # the identity of C⊕B, from C·X onto C⊕B >-> C⊕B ->> 0
+                    lambda X: (zero_quotient[c + X.total], tuple(range(c + X.total + 1))),
                 ),
             )
         )
@@ -637,13 +635,6 @@ def _sorted_comparison(c, X):
     for cc in range(1, c + 1):
         bmap[cc] = c + pi_fiber[cc]
     return canonical_extension(c, bsize), tuple(bmap)
-
-
-def _identity_comparison(c, X):
-    """Target and totals map of the identity comparison from C·X to the
-    zero-quotient conflation on C⊕B."""
-    total = c + X.total
-    return _zero_quotient(total), tuple(range(total + 1))
 
 
 def _natural_iso(action, round_trip, comparison):

@@ -13,8 +13,8 @@ import pytest
 import f1kgw
 from f1kgw import cli, qcat
 from f1kgw.cli import main
-from f1kgw.fincat import category_from_json
 from f1kgw.qcat import completion_category
+from test_fincat import category_from_json
 
 
 def run(argv, capsys):

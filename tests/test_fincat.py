@@ -1,5 +1,6 @@
-"""Finite-category toolkit: certified builds, functor checks,
-fundamental-group presentations, and exact Smith reduction."""
+"""Finite-category toolkit: certified builds, functor checks, π₁ᵃᵇ by
+``h1`` over the generating set against the all-pairs presentation as
+its oracle, and exact Smith reduction."""
 
 import collections
 import gc
@@ -19,12 +20,10 @@ from f1kgw.fincat import (
     AbelianGroupSNF,
     AssociativityViolation,
     Functor,
-    GroupPresentation,
     UnitViolation,
     UnknownObject,
-    abelianize,
+    abelian_group,
     build_category,
-    category_from_json,
     category_to_dot,
     category_to_json,
     check_functor,
@@ -32,9 +31,9 @@ from f1kgw.fincat import (
     full_subcategory,
     functor_by_data,
     generating_set,
+    h1,
     one_object_groupoid,
     pi0,
-    pi1_presentation,
     product_category,
     smith_invariants,
     subcategory,
@@ -54,6 +53,80 @@ from f1kgw.qcat import (
     qh_category,
     quotient_fibration,
 )
+
+
+def category_from_json(text):
+    """Rebuild a category from the exported text; identities are
+    re-detected, and each morphism carries its id as data."""
+    data = json.loads(text)
+    objects = list(data["objects"])
+    n = 0
+    mor_src, mor_dst = {}, {}
+    for key, ms in data["homs"].items():
+        a, b = (int(x) for x in key.split(","))
+        for m in ms:
+            mor_src[m] = objects[a]
+            mor_dst[m] = objects[b]
+            n = max(n, m + 1)
+    comp = data["comp"]
+    morphisms = [(mor_src[m], mor_dst[m], m) for m in range(n)]
+    return build_category(objects, morphisms, lambda g, f: comp["%d,%d" % (g, f)])
+
+
+AllPairs = collections.namedtuple("AllPairs", "generators relations")
+
+
+def all_pairs_presentation(cat, basepoint):
+    """π₁ of the nerve's 2-skeleton at the basepoint, one relation per
+    composable pair: the oracle for ``h1``.
+
+    The generators are the non-identity morphisms of the basepoint's
+    component.  The relations, as {generator: coefficient} rows, kill a
+    BFS spanning tree (built in least-id order over the underlying
+    undirected graph) and impose f + g − g∘f for each composable pair of
+    non-identities.  Identities are left out: their triangles are
+    trivial once the degenerate edges are collapsed.
+    """
+    component = next(set(comp) for comp in pi0(cat) if basepoint in comp)
+    idents = set(cat.identities.values())
+    mids = [m for m in range(cat.n_morphisms) if cat.mor_src[m] in component and m not in idents]
+
+    neighbors = {}
+    for m in mids:
+        neighbors.setdefault(cat.mor_src[m], []).append((cat.mor_dst[m], m))
+        neighbors.setdefault(cat.mor_dst[m], []).append((cat.mor_src[m], m))
+    for o in neighbors:
+        neighbors[o].sort(key=lambda t: (cat.obj_index[t[0]], t[1]))
+    tree = set()
+    visited = {basepoint}
+    queue = collections.deque([basepoint])
+    while queue:
+        for other, m in neighbors.get(queue.popleft(), ()):
+            if other not in visited:
+                visited.add(other)
+                tree.add(m)
+                queue.append(other)
+
+    relations = [{m: 1} for m in sorted(tree)]
+    for g, rg in enumerate(cat.row):  # (g, f) ascending
+        if g in idents or cat.mor_src[g] not in component:
+            continue
+        for f, gf in zip(cat.into[cat.src_k[g]], rg):
+            if f not in idents:
+                row = collections.Counter((f, g))
+                if gf not in idents:
+                    row[gf] -= 1
+                relations.append(row)
+    return AllPairs(tuple(mids), relations)
+
+
+def all_pairs_h1(cat, basepoint):
+    """π₁ᵃᵇ by the all-pairs presentation, reduced by ``smith_invariants``."""
+    pres = all_pairs_presentation(cat, basepoint)
+    invariants = smith_invariants(pres.relations)
+    return AbelianGroupSNF(
+        len(pres.generators) - len(invariants), tuple(d for d in invariants if d > 1)
+    )
 
 
 def walking_arrow():
@@ -78,8 +151,6 @@ def test_build_category_units_and_lookup():
     assert two.hom(0, 1) == (2,)
     assert two.compose(1, 2) == 2
     assert two.hom(0, 7) == ()  # absent hom sets are empty, not errors
-    with pytest.raises(UnknownObject):
-        pi1_presentation(two, 7)
     with pytest.raises(UnknownObject):
         build_category([0], [(0, 1, "a")], lambda g, f: g)
 
@@ -502,10 +573,31 @@ def test_groupoid_inverses():
     assert bz2.objects_isomorphic("*", "*")
 
 
+def test_h1_rejects_an_unknown_basepoint():
+    with pytest.raises(UnknownObject):
+        h1(walking_arrow(), 7)
+
+
+def test_h1_refuses_a_generating_set_that_does_not_generate(monkeypatch):
+    """The words are read off reach, so reach must be certified first."""
+    honest = fincat.generating_set
+
+    def dropping_the_last(cat):
+        generators, reach = honest(cat)
+        return generators[:-1], reach
+
+    cat = q_category(2)
+    assert h1(cat, 0) == AbelianGroupSNF(1, ())
+    monkeypatch.setattr(fincat, "generating_set", dropping_the_last)
+    with pytest.raises(ValueError, match="not certified by its reach"):
+        h1(cat, 0)
+
+
 def test_pi1_of_two_element_group_is_the_group():
     bz2 = one_object_groupoid([0, 1], lambda a, b: (a + b) % 2, 0)
-    ab = abelianize(pi1_presentation(bz2, "*"))
+    ab = h1(bz2, "*")
     assert str(ab) == "Z/2"
+    assert ab == all_pairs_h1(bz2, "*")
 
 
 def test_pi1_of_idempotent_monoid_is_trivial():
@@ -513,7 +605,8 @@ def test_pi1_of_idempotent_monoid_is_trivial():
         return 1 if (g == 1 or f == 1) else 0
 
     idem = build_category(["*"], [("*", "*", 0), ("*", "*", 1)], comp)
-    assert str(abelianize(pi1_presentation(idem, "*"))) == "0"
+    assert str(h1(idem, "*")) == "0"
+    assert h1(idem, "*") == all_pairs_h1(idem, "*")
 
 
 def test_pi1_of_parallel_pair_is_infinite_cyclic():
@@ -526,12 +619,13 @@ def test_pi1_of_parallel_pair_is_infinite_cyclic():
         raise AssertionError("no composable non-identity pairs")
 
     par = build_category([0, 1], by_ids([(0, 0), (1, 1), (0, 1), (0, 1)]), comp)
-    assert str(abelianize(pi1_presentation(par, 0))) == "Z"
+    assert str(h1(par, 0)) == "Z"
+    assert h1(par, 0) == all_pairs_h1(par, 0)
 
 
 def test_presentation_abelianization():
-    pres = GroupPresentation(("a", "b"), ((1, 2, -1, -2), (1, 1, -2, -2, -2, -2)))
-    ab = abelianize(pres)
+    # a·b·a⁻¹·b⁻¹ and a²·b⁻⁴ on the generators a, b
+    ab = abelian_group(((1, 2, -1, -2), (1, 1, -2, -2, -2, -2)), 2)
     assert ab == AbelianGroupSNF(1, (2,))
     assert str(ab) == "Z x Z/2"
     assert ab.to_json() == {"rank": 1, "torsion": [2]}
@@ -709,8 +803,9 @@ def test_sparse_smith_invariants_match_the_dense_reduction():
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_cyclic_group_abelianization(n):
     B = one_object_groupoid(list(range(n)), lambda a, b: (a + b) % n, 0)
-    ab = abelianize(pi1_presentation(B, "*"))
+    ab = h1(B, "*")
     assert ab == AbelianGroupSNF(0, (n,))
+    assert ab == all_pairs_h1(B, "*")
 
 
 @pytest.mark.parametrize("n,want", [(3, (2,)), (4, (2,)), (5, (2,))])
@@ -718,8 +813,9 @@ def test_symmetric_group_abelianization(n, want):
     elems = list(itertools.permutations(range(n)))
     comp = lambda a, b: tuple(a[b[i]] for i in range(n))
     B = one_object_groupoid(elems, comp, tuple(range(n)))
-    ab = abelianize(pi1_presentation(B, "*"))
+    ab = h1(B, "*")
     assert ab == AbelianGroupSNF(0, want)
+    assert ab == all_pairs_h1(B, "*")
 
 
 def test_product_category_counts():

@@ -32,11 +32,11 @@ from f1kgw.forms import (
     split_off_form,
     witt_monoid,
 )
+from f1kgw._backend import kernel
 from f1kgw.pointed import (
     F1Morphism,
     compose,
     dualize,
-    hom_morphisms,
     inflations,
     is_inflation,
 )
@@ -214,7 +214,9 @@ def test_is_isometry_agrees_with_the_composed_formula():
     """Every map of size <= 4, bijection or not, against every pair of
     forms of size <= 4, sizes that do not match included."""
     fs = [form for n in range(5) for form in enumerate_forms(n)]
-    maps = [phi for a in range(5) for b in range(5) for phi in hom_morphisms(a, b)]
+    maps = [
+        F1Morphism(a, b, m) for a in range(5) for b in range(5) for m in kernel.hom_maps(a, b)
+    ]
     hits = 0
     for M in fs:
         for N in fs:

@@ -25,7 +25,6 @@ from f1kgw.pointed import (
     direct_sum,
     dualize,
     fill_conflation_morphism,
-    hom_morphisms,
     inc_left,
     inc_right,
     inflations,
@@ -43,6 +42,11 @@ from f1kgw.pointed import (
 )
 from f1kgw._backend import kernel
 from f1kgw.qcat import q_category
+
+
+def hom_morphisms(src, dst):
+    """All morphisms src -> dst (lexicographic in the map tuple)."""
+    return tuple(F1Morphism(src, dst, m) for m in kernel.hom_maps(src, dst))
 
 
 def test_morphism_literal_round_trip():

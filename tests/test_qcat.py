@@ -13,13 +13,12 @@ import pytest
 from f1kgw import qcat
 from f1kgw._backend import kernel
 from f1kgw.fincat import (
-    abelianize,
     build_category,
     check_functor,
     full_subcategory,
     functor_by_data,
+    h1,
     pi0,
-    pi1_presentation,
 )
 from f1kgw.forms import (
     enumerate_forms,
@@ -50,10 +49,10 @@ from f1kgw.qcat import (
     qh_component_fixed_points,
     qh_forgetful,
     quotient_fibration,
-    reductive_spans,
     stabilization_equivalence_suite,
     standard_stabilization,
 )
+from test_fincat import all_pairs_h1, all_pairs_presentation
 
 
 # ---------------------------------------------------------------- spans
@@ -156,16 +155,23 @@ def test_span_category_hom_counts():
 
 def test_span_category_fundamental_group_regression():
     # recorded regression values, not identities: the loop structure of
-    # the span category stays infinite cyclic at windows 2, 3 and 4
-    p2 = pi1_presentation(q_category(2), 0)
+    # the span category stays infinite cyclic at windows 2, 3 and 4; the
+    # sizes are those of the all-pairs oracle
+    Q2, Q3, Q4 = q_category(2), q_category(3), q_category(4)
+    p2 = all_pairs_presentation(Q2, 0)
     assert (len(p2.generators), len(p2.relations)) == (11, 19)
-    assert str(abelianize(p2)) == "Z"
-    p3 = pi1_presentation(q_category(3), 0)
+    assert str(h1(Q2, 0)) == "Z" and h1(Q2, 0) == all_pairs_h1(Q2, 0)
+    p3 = all_pairs_presentation(Q3, 0)
     assert (len(p3.generators), len(p3.relations)) == (48, 337)
-    assert str(abelianize(p3)) == "Z"
-    p4 = pi1_presentation(q_category(4), 0)
+    assert str(h1(Q3, 0)) == "Z" and h1(Q3, 0) == all_pairs_h1(Q3, 0)
+    p4 = all_pairs_presentation(Q4, 0)
     assert (len(p4.generators), len(p4.relations)) == (215, 6451)
-    assert str(abelianize(p4)) == "Z"
+    assert str(h1(Q4, 0)) == "Z" and h1(Q4, 0) == all_pairs_h1(Q4, 0)
+
+
+def test_span_category_h1_at_window_5():
+    # the Baseline value, past the all-pairs route's reach in Tier-1
+    assert str(h1(q_category(5), 0)) == "Z"
 
 
 # ------------------------------------------------------------ hermitian
@@ -180,6 +186,11 @@ def test_hermitian_span_recognition():
     assert not is_reductive_span(z, h1, bad)
     # identity span on a form is always reductive
     assert is_reductive_span(h1, h1, QSpan.identity(2))
+
+
+def reductive_spans(M, N):
+    """All hermitian morphisms M -> N, as qh_category reads them."""
+    return qcat._spans_through_reductions(M, N, qcat._reductions(N))
 
 
 def qh_census_counts(max_size):
@@ -288,13 +299,16 @@ def test_hermitian_fundamental_group_regression():
     QH3 = qh_category(3)
     comp = [M for M in QH3.objects if not M.fixed_points()]
     sub = full_subcategory(QH3, comp)
-    ab = abelianize(pi1_presentation(sub, identity_form(0)))
+    ab = h1(sub, identity_form(0))
     assert str(ab) == "Z/2"
+    assert ab == all_pairs_h1(sub, identity_form(0))
     # at window 4 the component of forms with two fixed points has two
     QH4 = qh_category(4)
     comp = [M for M in QH4.objects if len(M.fixed_points()) == 2]
-    ab = abelianize(pi1_presentation(full_subcategory(QH4, comp), comp[0]))
+    sub = full_subcategory(QH4, comp)
+    ab = h1(sub, comp[0])
     assert str(ab) == "Z/2 x Z/2"
+    assert ab == all_pairs_h1(sub, comp[0])
 
 
 # ----------------------------------------------------------- conflations
@@ -789,6 +803,9 @@ def test_completion_fundamental_group_regression():
     # the loop group at the zero object, windows 2 and 3
     C2 = completion_category(2)
     base = next(o for o in C2.objects if o == (0, 0))
-    ab = abelianize(pi1_presentation(C2, base))
+    ab = h1(C2, base)
     assert str(ab) == "Z/2"
-    assert str(abelianize(pi1_presentation(completion_category(3), (0, 0)))) == "Z/2"
+    assert ab == all_pairs_h1(C2, base)
+    C3 = completion_category(3)
+    assert str(h1(C3, (0, 0))) == "Z/2"
+    assert h1(C3, (0, 0)) == all_pairs_h1(C3, (0, 0))
