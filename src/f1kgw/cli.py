@@ -230,7 +230,7 @@ def cmd_suites(args):
     spans = qh_category(args.max_size)
     reports += [
         comma_tau_suite(args.max_size, spans),
-        stabilization_equivalence_suite(args.max_size, max(args.max_size - 1, 0), spans),
+        stabilization_equivalence_suite(args.max_size, spans),
     ]
     text = "\n\n".join(r.render() for r in reports)
     ok = all(r.ok for r in reports)

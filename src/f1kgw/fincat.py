@@ -684,6 +684,14 @@ def _chosen(cat, objects):
     return chosen
 
 
+def _find(parent, a):
+    """The root of a in the union-find forest parent, halving its path."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
+
+
 def pi0(cat):
     """Connected components of the underlying graph.
 
@@ -692,15 +700,8 @@ def pi0(cat):
     representative.
     """
     parent = list(range(len(cat.objects)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     for a, b in zip(cat.src_k, cat.dst_k):
-        a, b = find(a), find(b)
+        a, b = _find(parent, a), _find(parent, b)
         if a != b:
             if a < b:
                 parent[b] = a
@@ -708,7 +709,7 @@ def pi0(cat):
                 parent[a] = b
     groups = {}
     for k in range(len(cat.objects)):
-        groups.setdefault(find(k), []).append(k)
+        groups.setdefault(_find(parent, k), []).append(k)
     out = []
     for root in sorted(groups):
         out.append(tuple(cat.objects[k] for k in sorted(groups[root])))
@@ -738,23 +739,16 @@ def h1(cat, basepoint):
         raise ValueError("the generating set is not certified by its reach")
     src_k, dst_k = cat.src_k, cat.dst_k
     parent = list(range(len(cat.objects)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     tree = []
     for g in generators:
-        a, b = find(src_k[g]), find(dst_k[g])
+        a, b = _find(parent, src_k[g]), _find(parent, dst_k[g])
         if a != b:
             parent[a] = b
             tree.append(g)
-    base = find(cat.obj_index[basepoint])
+    base = _find(parent, cat.obj_index[basepoint])
     letter = {}  # generator of the component -> its letter, 1, 2, ...
     for g in generators:
-        if find(src_k[g]) == base:
+        if _find(parent, src_k[g]) == base:
             letter[g] = len(letter) + 1
     words = [()] * cat.n_morphisms
     for m, (g, c) in reach.items():  # c is reached before m

@@ -310,33 +310,30 @@ class BicartesianSquare:
     def is_pullback(self):
         """Comparison with the canonical elementwise pullback is bijective.
 
-        Requires the top leg to be a genuine inflation (guaranteed by the
-        constructor unless class checks were disabled by a corrupted
-        classifier); the left leg may be arbitrary.
+        Requires the top leg to be a genuine inflation (checked by the
+        constructor unless check_classes is False, as complete_pullback
+        and complete_pushout pass); the left leg may be arbitrary.
         """
         return kernel.is_pullback(*self._maps())
 
     def is_pushout(self):
         """Comparison from the canonical elementwise pushout is bijective.
 
-        Sound when the left leg is a genuine deflation (enforced by the
-        constructor unless class checks were disabled); the calibration
-        check in the axiom suite compares this criterion against the
-        universal property directly.
+        Sound when the left leg is a genuine deflation (checked likewise);
+        the calibration check in the axiom suite compares this criterion
+        against the universal property directly.
         """
         return kernel.is_pushout(*self._maps())
 
     def is_bicartesian(self):
         return self.is_pullback() and self.is_pushout()
 
-    def verify(self, universal_bound=None):
-        """Intrinsic bicartesian check; optionally also the universal
-        property against every test object of size <= universal_bound."""
-        if not self.is_bicartesian():
-            return False
-        if universal_bound is None:
-            return True
-        return kernel.universal_square_ok(*self._maps(), universal_bound)
+    def verify(self):
+        """The intrinsic bicartesian check, then the universal property
+        against every test object of size <= UNIVERSAL_BOUND."""
+        return self.is_bicartesian() and kernel.universal_square_ok(
+            *self._maps(), UNIVERSAL_BOUND
+        )
 
 
 def complete_pullback(b, r):
@@ -660,14 +657,6 @@ def _square_text(l, t, b, r, u, v, w, x):
     return repr(tuple(F1Morphism(*leg) for leg in legs))
 
 
-def _default_infl(u, v):
-    return kernel.inflation_maps(u, v)
-
-
-def _default_defl(u, v):
-    return kernel.deflation_maps(u, v)
-
-
 def _bicartesian(l, t, b, r, u, v, w, x):
     """Does the square commute and is it a pullback and a pushout, by
     the intrinsic criteria and against every test object of size <=
@@ -681,21 +670,21 @@ def _bicartesian(l, t, b, r, u, v, w, x):
 
 
 def _scan_iv_task(args):
-    """Verify completions of all cospans W >--> X <<-- V for one size
-    triple; returns (checked, first failure or None).  A leg that the
-    completion refuses counts as a failure, not an error.
+    """Verify completions of all cospans W >-b-> X <<-r- V for one size
+    triple, given as (w, x, v, the b, the r); returns (checked, first
+    failure or None).  A refused leg counts as a failure, not an error.
 
     Each square is completed and checked on map tuples, as
     complete_pullback would complete it and BicartesianSquare.verify
     check it: its new legs l, t are valid maps, it commutes and is
-    bicartesian, and l is a deflation and t an inflation.  The class
+    bicartesian, and l is a deflation and t an inflation.  The given
     maps are wrapped once per task, for their validation and to print
     a witness.
     """
-    w, x, v, infl, defl = args
-    rs = [F1Morphism(v, x, m) for m in defl(v, x)]
+    w, x, v, bmaps, rmaps = args
+    rs = [F1Morphism(v, x, m) for m in rmaps]
     count = 0
-    for b in [F1Morphism(w, x, m) for m in infl(w, x)]:
+    for b in [F1Morphism(w, x, m) for m in bmaps]:
         if rs and not is_inflation(b):
             return count + 1, "cospan b=%s r=%s: %s" % (b, rs[0], _refusal("cospan", b))
         for r in rs:
@@ -715,18 +704,18 @@ def _scan_iv_task(args):
 
 
 def _scan_v_task(args):
-    """Verify completions of all spans W <<-- U >--> V for one size
-    triple; returns (checked, first failure or None).  A leg that the
-    completion refuses counts as a failure, not an error.
+    """Verify completions of all spans W <<-l- U >-t-> V for one size
+    triple, given as (w, u, v, the l, the t); returns (checked, first
+    failure or None).  A refused leg counts as a failure, not an error.
 
     As in _scan_iv_task, on map tuples: the new legs b, r of each square,
     as complete_pushout builds them, are valid maps, the square commutes
     and is bicartesian, and r is a deflation and b an inflation.
     """
-    w, u, v, infl, defl = args
-    ts = [F1Morphism(u, v, m) for m in infl(u, v)]
+    w, u, v, lmaps, tmaps = args
+    ts = [F1Morphism(u, v, m) for m in tmaps]
     count = 0
-    for l in [F1Morphism(u, w, m) for m in defl(u, w)]:
+    for l in [F1Morphism(u, w, m) for m in lmaps]:
         for t in ts:
             count += 1
             if not is_inflation(t):
@@ -745,10 +734,10 @@ def _scan_v_task(args):
 
 
 def _scan_task(task):
-    """Run one task of axiom iv or v, given as (scan, size triple), so
+    """Run one task of axiom iv or v, given as (scan, its arguments), so
     that both scans go to one pool."""
-    scan, triple = task
-    return scan(triple)
+    scan, args = task
+    return scan(args)
 
 
 def _zero_maps(max_size, infl, defl):
@@ -788,7 +777,7 @@ def _cartesian_iff_cocartesian(max_size, infl, defl):
 def _calibration(max_size):
     """The intrinsic bicartesian criterion agrees with the universal
     property on every commuting square with corners <= 2."""
-    for sq in _commuting_squares(min(2, max_size), _default_infl, _default_defl):
+    for sq in _commuting_squares(min(2, max_size), kernel.inflation_maps, kernel.deflation_maps):
         intrinsic = kernel.is_pullback(*sq) and kernel.is_pushout(*sq)
         universal = kernel.universal_square_ok(*sq, CALIBRATION_BOUND)
         if intrinsic != universal:
@@ -854,7 +843,7 @@ def _exact_bifunctor(max_size):
         yield "" if ok else "block projection not a deflation at (%d,%d)" % (u, v)
     bicart_small = [
         sq
-        for sq in _commuting_squares(small, _default_infl, _default_defl)
+        for sq in _commuting_squares(small, kernel.inflation_maps, kernel.deflation_maps)
         if kernel.is_pullback(*sq) and kernel.is_pushout(*sq)
     ]
     for s1, s2 in product(bicart_small, repeat=2):
@@ -967,7 +956,7 @@ def _block_squares(max_size):
                 bottom=j,
                 right=proj_left(v, w),
             )
-            ok = sq.verify(UNIVERSAL_BOUND)
+            ok = sq.verify()
             yield "" if ok else "block square for j=%s, W=%d not bicartesian" % (j, w)
 
 
@@ -986,20 +975,18 @@ def axiom_suite(max_size, jobs=1, inflation_maps_of=None, deflation_maps_of=None
     UNIVERSAL_BOUND (the intrinsic elementwise criterion is always
     checked, at every size).
 
-    inflation_maps_of/deflation_maps_of can replace the morphism-class
-    enumerations, for corruption experiments; the default classes are
-    the honest ones.  When axiom iii passes although the deflation class
-    holds maps that miss a point of their codomain, whose squares it
-    cannot visit (see _commuting_squares), a note names the first and
-    counts them.
+    inflation_maps_of/deflation_maps_of replace kernel.inflation_maps and
+    kernel.deflation_maps, for corruption experiments.  The tasks of
+    axioms iv and v carry hom sets, not these functions, so every class
+    runs on jobs workers.  When axiom iii passes although the deflation
+    class holds maps that miss a point of their codomain, whose squares
+    it cannot visit (see _commuting_squares), a note names the first
+    and counts them.
     """
     from . import _parallel
 
-    infl = inflation_maps_of or _default_infl
-    defl = deflation_maps_of or _default_defl
-    # corrupted classes may be lambdas, which cannot cross to a worker
-    honest = infl is _default_infl and defl is _default_defl
-    workers = jobs if honest else 1
+    infl = inflation_maps_of or kernel.inflation_maps
+    defl = deflation_maps_of or kernel.deflation_maps
     report = SuiteReport(title="exact structure axiom suite", max_size=max_size)
     add = report.checks.append
     run = CheckResult.first_failure
@@ -1022,19 +1009,13 @@ def axiom_suite(max_size, jobs=1, inflation_maps_of=None, deflation_maps_of=None
         )
 
     # (iv) cospan and (v) span completion to a bicartesian square, one
-    # task per size triple, read as (w, x, v) for iv and (w, u, v) for v;
-    # both scans share one pool, and their results are split back
-    triples = [
-        (a, b, c, infl, defl)
-        for a, b, c in product(range(max_size + 1), repeat=3)
-    ]
-    scans = (
-        ("axiom iv: pullback completion", _scan_iv_task),
-        ("axiom v: pushout completion", _scan_v_task),
-    )
-    tasks = [(scan, triple) for _, scan in scans for triple in triples]
-    results = _parallel.parallel_map(_scan_task, tasks, workers)
-    for k, (name, _) in enumerate(scans):
+    # task per size triple with the hom sets its scan reads; both scans
+    # share one pool, and their results are split back
+    triples = list(product(range(max_size + 1), repeat=3))
+    tasks = [(_scan_iv_task, (w, x, v, infl(w, x), defl(v, x))) for w, x, v in triples]
+    tasks += [(_scan_v_task, (w, u, v, defl(u, w), infl(u, v))) for w, u, v in triples]
+    results = _parallel.parallel_map(_scan_task, tasks, jobs)
+    for k, name in enumerate(("axiom iv: pullback completion", "axiom v: pushout completion")):
         part = results[k * len(triples) : (k + 1) * len(triples)]
         bad = next((wit for _, wit in part if wit), "")
         add(CheckResult(name, sum(c for c, _ in part), bad))

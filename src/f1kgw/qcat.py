@@ -487,15 +487,16 @@ def _extension(c, X):
     return Conflation(compose(inc_right(c, X.total), X.i), proj_left(c, X.total))
 
 
-def conflation_suite(max_size, fiber_sizes=None):
+def conflation_suite(max_size):
     """Certify the conflation category's fibration structure.
 
     Within the truncation: the object census, the quotient functor,
     the fiber embeddings (as equivalences), both base changes to and
     from the zero fiber, the scalar action, and the two natural
     isomorphisms comparing the action with extension/restriction
-    round trips.  The fiber sizes default to those of 0, 1, 2 within
-    max_size; one outside 0..max_size raises ValueError.  Each base
+    round trips, at the fiber sizes 0, 1, 2 within max_size.  The
+    groupoids of the fiber embeddings are full subcategories of one
+    iso_groupoid(max_size), equal to the smaller builds.  Each base
     change and the scalar action is a ``functor_by_data`` over its
     domain, certified by ``check_functor``: restriction and total object
     on the fiber over c; extension on the zero fiber and the action on
@@ -504,13 +505,7 @@ def conflation_suite(max_size, fiber_sizes=None):
     over the quotient functor, so when its check fails the report ends
     there, with a note that says so.
     """
-    if fiber_sizes is None:
-        fiber_sizes = tuple(c for c in (0, 1, 2) if c <= max_size)
-    outside = [c for c in fiber_sizes if c not in range(max_size + 1)]
-    if outside:
-        raise ValueError(
-            "fiber sizes outside 0..%d: %s" % (max_size, ", ".join(map(repr, outside)))
-        )
+    quotient_sizes = tuple(c for c in (0, 1, 2) if c <= max_size)
     title = "conflation category fibration suite"
     checks = []
     E = conflation_category(max_size)
@@ -533,14 +528,15 @@ def conflation_suite(max_size, fiber_sizes=None):
         return SuiteReport(title, max_size, checks, notes=[note])
     zero_quotient = {n: _zero_quotient(n) for n in range(max_size + 1)}
     fibers = {}
-    for c in fiber_sizes:
+    isos_upto = iso_groupoid(max_size)
+    for c in quotient_sizes:
         over_identity = q.find(c, c, QSpan.identity(c))
         fibers[c] = fiber = subcategory(
             E,
             [X for X in E.objects if X.quotient == c],
             [m for m in range(E.n_morphisms) if quotient(m) == over_identity],
         )
-        S = iso_groupoid(max_size - c)
+        S = full_subcategory(isos_upto, range(max_size - c + 1))
         w = check_functor(fiber_embedding(S, fiber, c), "equivalence")
         checks.append(
             CheckResult(
@@ -556,7 +552,7 @@ def conflation_suite(max_size, fiber_sizes=None):
             S, E, {X: obj(X) for X in S.objects}, lambda m: _id_sum(c, S.data(m))
         )
 
-    for c in fiber_sizes:
+    for c in quotient_sizes:
         fiber = fibers[c]
 
         def on_subs(m):
@@ -608,12 +604,12 @@ def conflation_suite(max_size, fiber_sizes=None):
             )
         )
 
-    notes = ["fiber sizes exercised: %s" % (tuple(fiber_sizes),)]
+    notes = ["fiber sizes exercised: %s" % (quotient_sizes,)]
     notes += [
         "action = extension after restriction on the fiber (size %d) has no case:"
         " an object with quotient %d has total >= %d, so %d + total > %d"
         % (c, c, c, c, max_size)
-        for c in fiber_sizes
+        for c in quotient_sizes
         if 2 * c > max_size
     ]
     return SuiteReport(title, max_size, checks, notes=notes)
@@ -710,9 +706,10 @@ def comma_tau_suite(max_size, hermitian_spans=None):
     For each base M (the zero form and the rank-one hyperbolic form, as
     far as they fit in max_size), the comma category of hermitian spans
     out of M into fixed-point-free forms is equivalent to the
-    isomorphism groupoid, via V -> (M ⊕ H(V), projection span).
-    hermitian_spans is qh_category(max_size) when the caller has built
-    it already; otherwise the suite builds it.
+    isomorphism groupoid, via V -> (M ⊕ H(V), projection span), a full
+    subcategory of one iso_groupoid(max_size // 2).  hermitian_spans
+    is qh_category(max_size) when the caller has built it already;
+    otherwise the suite builds it.
     """
     SH = hyperbolic_groupoid(max_size)
     QH = qh_category(max_size) if hermitian_spans is None else hermitian_spans
@@ -721,10 +718,10 @@ def comma_tau_suite(max_size, hermitian_spans=None):
     w = check_functor(tau, "functoriality")
     checks.append(CheckResult("isometries embed into hermitian spans", SH.n_morphisms, w))
     bases = [M for M in (identity_form(0), hyperbolic(1)) if M.size <= max_size]
+    isos_upto = iso_groupoid(max_size // 2)
     for M in bases:
         comma = comma_category(tau, M)
-        vmax = (max_size - M.size) // 2
-        S = iso_groupoid(vmax)
+        S = full_subcategory(isos_upto, range((max_size - M.size) // 2 + 1))
         obj_map = {}
         for v in S.objects:
             N = direct_sum_form(M, hyperbolic(v))
@@ -754,33 +751,30 @@ def comma_tau_suite(max_size, hermitian_spans=None):
     )
 
 
-def stabilization_equivalence_suite(target_size=3, domain_size=2, hermitian_spans=None):
+def stabilization_equivalence_suite(max_size, hermitian_spans=None):
     """Certify that adding a rank-one split summand identifies the
     fixed-point-free block of the hermitian span category with the
     component of the rank-one split form.
 
     The domain is the product of the split form's automorphism
-    groupoid with the fixed-point-free full subcategory at
-    domain_size, taken from the target: the forms of size <=
-    domain_size are a prefix of its objects, so that full subcategory is
-    qh_category(domain_size), ids included.  The functor adds the split
-    summand to objects and spans alike.  The image has size
-    domain_size + 1, so target_size must be at least that.
-    hermitian_spans is qh_category(target_size) when the caller has
-    built it already; otherwise the suite builds it.
+    groupoid with the fixed-point-free full subcategory at size
+    max_size - 1, taken from the target: the forms of size <=
+    max_size - 1 are a prefix of its objects, so that full subcategory
+    is qh_category(max_size - 1), ids included.  The functor adds the
+    split summand to objects and spans alike, so max_size < 1 leaves no
+    room for the point and raises ValueError.  hermitian_spans is
+    qh_category(max_size) when the caller has built it already;
+    otherwise the suite builds it.
     """
-    if target_size < domain_size + 1:
-        raise ValueError(
-            "target_size %d is below domain_size + 1 = %d"
-            % (target_size, domain_size + 1)
-        )
+    if max_size < 1:
+        raise ValueError("max_size %d leaves no room for the split point" % max_size)
     S_form = identity_form(1)
     auts = isometries(S_form, S_form)
     checks = []
     BG = one_object_groupoid(auts, compose, F1Morphism.identity(1), label=S_form)
-    QHt = qh_category(target_size) if hermitian_spans is None else hermitian_spans
+    QHt = qh_category(max_size) if hermitian_spans is None else hermitian_spans
     dom_f0 = full_subcategory(
-        QHt, [Mo for Mo in QHt.objects if Mo.size <= domain_size and not Mo.fixed_points()]
+        QHt, [Mo for Mo in QHt.objects if Mo.size < max_size and not Mo.fixed_points()]
     )
     dom = product_category(BG, dom_f0)
     component = None
@@ -824,9 +818,9 @@ def stabilization_equivalence_suite(target_size=3, domain_size=2, hermitian_span
     )
     return SuiteReport(
         "split-summand stabilization suite",
-        target_size,
+        max_size,
         checks,
-        notes=["domain truncated at size %d" % domain_size],
+        notes=["domain truncated at size %d" % (max_size - 1)],
     )
 
 

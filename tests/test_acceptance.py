@@ -237,7 +237,7 @@ def test_criterion_08_gw0_product():
 
 def test_criterion_09_fiber_equivalences():
     started = time.time()
-    report = conflation_suite(3, fiber_sizes=(0, 1, 2))
+    report = conflation_suite(3)
     _verdict(
         9,
         300,
@@ -261,7 +261,7 @@ def test_criterion_10_comma_equivalence():
 
 def test_criterion_11_stabilization_splitting():
     started = time.time()
-    report = stabilization_equivalence_suite(3, 2)
+    report = stabilization_equivalence_suite(3)
     _verdict(
         11,
         300,

@@ -2,8 +2,10 @@
 
 import multiprocessing
 import os
+import pickle
 
 from f1kgw import _parallel
+from test_pointed import CORRUPTIONS
 
 
 def _square(x):
@@ -11,7 +13,8 @@ def _square(x):
 
 
 def _fake_pools(monkeypatch, cpus):
-    """Replace process pools by in-process fakes that record their size."""
+    """Replace process pools by in-process fakes that record their size.
+    Each task crosses to the fake worker pickled, as to a real one."""
     sizes = []
 
     class FakePool:
@@ -25,7 +28,7 @@ def _fake_pools(monkeypatch, cpus):
             return False
 
         def map(self, func, tasks):
-            return [func(t) for t in tasks]
+            return [func(pickle.loads(pickle.dumps(t))) for t in tasks]
 
     class FakeContext:
         Pool = FakePool
@@ -53,11 +56,14 @@ def test_one_worker_runs_in_process(monkeypatch):
 
 def test_axioms_iv_and_v_share_one_pool(monkeypatch):
     # Both completion scans go to one pool, and the results split back
-    # into the same counts and witnesses as a one-worker run.
+    # into the same counts and witnesses as a one-worker run.  Corrupted
+    # classes, lambdas among them, take the same path: the tasks carry
+    # hom sets, not class functions.
     from f1kgw.pointed import axiom_suite
 
-    serial = [(c.name, c.checked, c.witness) for c in axiom_suite(2).checks]
-    sizes = _fake_pools(monkeypatch, cpus=2)
-    pooled = [(c.name, c.checked, c.witness) for c in axiom_suite(2, jobs=2).checks]
-    assert sizes == [2]
-    assert pooled == serial
+    for given in ({}, *CORRUPTIONS.values()):
+        serial = [(c.name, c.checked, c.witness) for c in axiom_suite(2, **given).checks]
+        sizes = _fake_pools(monkeypatch, cpus=2)
+        pooled = [(c.name, c.checked, c.witness) for c in axiom_suite(2, jobs=2, **given).checks]
+        assert sizes == [2], given
+        assert pooled == serial, given

@@ -210,7 +210,7 @@ def test_wedge_is_not_a_pushout_of_points():
         right=inc_right(1, 1),
         check_classes=False,
     )
-    assert not sq.verify(universal_bound=2)
+    assert not sq.verify()
 
 
 def test_fill_conflation_morphism_unique():
@@ -517,7 +517,8 @@ def test_completion_scans_take_the_legs_of_the_public_completions(monkeypatch):
     # Newly covers: axioms iv and v complete each square on map tuples.
     # Every cospan and span with corners <= 3 gets the legs that
     # complete_pullback and complete_pushout build, and the scans build
-    # no square object and wrap each class map once per size triple.
+    # no square object and wrap each map of the hom sets a task carries
+    # once.
     from f1kgw import pointed
 
     legs = {"pullback": {}, "pushout": {}}
@@ -552,7 +553,7 @@ def test_completion_scans_take_the_legs_of_the_public_completions(monkeypatch):
             (pointed._scan_iv_task, kernel.inflation_maps(a, b), kernel.deflation_maps(c, b)),
             (pointed._scan_v_task, kernel.deflation_maps(b, a), kernel.inflation_maps(b, c)),
         ):
-            count, witness = scan((a, b, c, kernel.inflation_maps, kernel.deflation_maps))
+            count, witness = scan((a, b, c, outer, inner))
             assert (count, witness) == (len(outer) * len(inner), None)
             class_maps += len(outer) + len(inner)
     assert wrapped[0] == class_maps and squares[0] == 0

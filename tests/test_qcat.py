@@ -483,7 +483,7 @@ def test_iso_groupoid_counts():
 
 
 def test_conflation_suite_small():
-    report = conflation_suite(2, fiber_sizes=(0, 1))
+    report = conflation_suite(2)
     assert report.ok
     assert "result: ALL PASS" in report.render()
 
@@ -506,12 +506,6 @@ def test_conflation_suite_names_every_check_without_a_case_in_a_note():
         assert empty == ["action = extension after restriction on the fiber (size %d)" % size]
         for name in empty:
             assert sum(note.startswith(name + " has no case") for note in report.notes) == 1
-
-
-def test_conflation_suite_rejects_fiber_sizes_outside_the_window():
-    for sizes, named in (((3,), "3"), ((-1,), "-1"), ((0, 5, 1, -2), "5, -2")):
-        with pytest.raises(ValueError, match=r"^fiber sizes outside 0\.\.2: %s$" % named):
-            conflation_suite(2, fiber_sizes=sizes)
 
 
 @pytest.fixture
@@ -548,7 +542,7 @@ def test_a_broken_id_sum_fails_the_extension_and_the_action(corrupt):
     """id_C ⊕ id_B sent to id_C ⊕ swap for C = 1, B = 2."""
     honest = qcat._id_sum
     corrupt("_id_sum", lambda c, f: honest(c, (0, 2, 1) if (c, f) == (1, (0, 1, 2)) else f))
-    failures = _failures(conflation_suite(3, fiber_sizes=(1,)))
+    failures = _failures(conflation_suite(3))
     # a failing functor check counts its whole domain, as a passing one does
     checked, witness = failures["extension from the zero fiber (quotient size 1)"]
     assert checked == 44
@@ -567,7 +561,7 @@ def test_a_broken_extension_fails_the_natural_iso(corrupt):
         return qcat._zero_quotient(2) if (c, X.total) == (1, 1) else honest(c, X)
 
     corrupt("_extension", broken)
-    failures = _failures(conflation_suite(2, fiber_sizes=(1,)))
+    failures = _failures(conflation_suite(2))
     assert failures == {
         "action = extension after restriction on the fiber (size 1)":
             (2, "naturality square at morphism 0 does not compose"),
@@ -584,7 +578,7 @@ def test_a_broken_scalar_action_fails_the_action_and_the_natural_iso(corrupt):
         return honest(c, X)
 
     corrupt("scalar_action_object", broken)
-    failures = _failures(conflation_suite(2, fiber_sizes=(1,)))
+    failures = _failures(conflation_suite(2))
     assert set(failures) == {
         "scalar action by size 1 is functorial",
         "action = restriction after extension over the zero fiber (size 1)",
@@ -682,12 +676,12 @@ def test_comma_tau_suite_default_bases_fit_the_window():
 
 
 def test_stabilization_equivalence_suite_needs_room_for_the_point():
-    with pytest.raises(ValueError, match="target_size 2 is below domain_size"):
-        stabilization_equivalence_suite(2, 2)
+    with pytest.raises(ValueError, match="max_size 0 leaves no room"):
+        stabilization_equivalence_suite(0)
 
 
 def test_stabilization_equivalence_suite():
-    report = stabilization_equivalence_suite(3, 2)
+    report = stabilization_equivalence_suite(3)
     assert report.ok
     assert "result: ALL PASS" in report.render()
 
@@ -696,17 +690,29 @@ def test_small_forms_of_the_hermitian_span_category_are_the_smaller_build():
     """The full subcategory on the forms of size <= d, which
     stabilization_equivalence_suite takes as its domain, is
     qh_category(d): the same objects, hom sets, span data and
-    composition."""
-    QH = qh_category(4)
-    for d in range(4):
-        sub = full_subcategory(QH, [M for M in QH.objects if M.size <= d])
-        ref = qh_category(d)
-        assert sub.objects == ref.objects
-        assert sub.homs == ref.homs
-        for (a, b), ms in ref.homs.items():
-            assert [sub.data(m) for m in sub.hom(a, b)] == [ref.data(m) for m in ms], (a, b)
-        assert sub.comp == ref.comp
-        assert sub.identities == ref.identities
+    composition.  The other window towers are nested the same way: the
+    suites read the isomorphism groupoids of smaller windows out of one
+    iso_groupoid build, and the span, conflation and completion
+    categories restrict alike."""
+    towers = (
+        (qh_category, 4, lambda M: M.size),
+        (iso_groupoid, 5, lambda n: n),
+        (q_category, 4, lambda n: n),
+        (conflation_category, 3, lambda X: X.total),
+        (completion_category, 3, max),
+    )
+    for build, top, size in towers:
+        whole = build(top)
+        for d in range(top):
+            sub = full_subcategory(whole, [o for o in whole.objects if size(o) <= d])
+            ref = build(d)
+            where = (build.__name__, d)
+            assert sub.objects == ref.objects, where
+            assert sub.homs == ref.homs, where
+            assert sub.mor_data == ref.mor_data, where
+            assert sub.row == ref.row, where
+            assert sub.comp == ref.comp, where
+            assert sub.identities == ref.identities, where
 
 
 # ------------------------------------------------------------ completion
