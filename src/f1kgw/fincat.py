@@ -606,15 +606,6 @@ def product_category(C, D):
     return build_category(objs, morphisms, compose_data)
 
 
-def one_object_groupoid(elements, compose_fn, identity_element, label="*"):
-    """B(G) for a finite group given by elements and composition."""
-    elements = list(elements)
-    if identity_element not in elements:
-        raise ValueError("identity element missing")
-    morphisms = [(label, label, e) for e in elements]
-    return build_category([label], morphisms, compose_fn)
-
-
 def subcategory(cat, objects, mids):
     """The subcategory on the given objects and morphism ids.
 

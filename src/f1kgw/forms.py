@@ -476,7 +476,7 @@ class CommMonoidPresentation:
 
         rels = ", ".join("%s = %s" % (word(a), word(b)) for a, b in self.relations)
         return "< %s | %s >" % (
-            ", ".join(str(g) for g in self.generators),
+            ", ".join(str(g) for g in self.generators) or "-",
             rels or "-",
         )
 
@@ -495,7 +495,8 @@ def witt_monoid(max_size):
     Classes of forms of size <= max_size under splitting off hyperbolic
     summands: the anisotropic kernels are the identity forms, so the
     classes realizable in the window are id_0 .. id_{max_size}, and the
-    monoid they generate is free on the class of the point form.
+    monoid they generate is free on the class of the point form, or 0
+    at window 0, which does not realize it.
 
     Returns (presentation, classes) where classes maps each reduced
     representative to the list of (t, f) signatures of forms in the
@@ -506,7 +507,7 @@ def witt_monoid(max_size):
         for form in enumerate_forms(n):
             t, f, _ = iso_simple_decomposition(form)
             classes.setdefault(f, []).append((t, f))
-    generators = ["w"]  # class of the point form id_1
+    generators = ["w"] if 1 in classes else []  # class of id_1, if realized
     relations = []  # free: no relations among realizable classes
     pres = CommMonoidPresentation(generators, relations)
     return pres, {f: sorted(set(v)) for f, v in classes.items()}

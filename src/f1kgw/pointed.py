@@ -203,10 +203,6 @@ def deflations(src, dst):
     return tuple(F1Morphism(src, dst, m) for m in kernel.deflation_maps(src, dst))
 
 
-def isos(n):
-    return inflations(n, n)
-
-
 class Conflation:
     """U >--i--> X --p->> V with ker(p) = im(i) away from the base point."""
 

@@ -25,7 +25,8 @@ Morphism data tells the morphisms of a hom set apart, and
 * span category: the canonical QSpan;
 * hermitian span category: the underlying QSpan;
 * conflation category: the map tuple of the middle inflation;
-* isomorphism and hyperbolic groupoids: the map, as an F1Morphism;
+* isomorphism and isometry groupoids: the map tuple, composed by
+  ``kernel.compose``;
 * group-completion category: (v, alpha, beta) in canonical form.
 
 The functors between them (the forgetful functor, the quotient
@@ -57,7 +58,6 @@ from .fincat import (
     comma_category,
     full_subcategory,
     functor_by_data,
-    one_object_groupoid,
     pi0,
     product_category,
     subcategory,
@@ -67,7 +67,6 @@ from .forms import (
     direct_sum_form,
     enumerate_forms,
     hyperbolic,
-    hyperbolic_on_morphism,
     identity_form,
     isometries,
     isometry_maps,
@@ -82,11 +81,8 @@ from .pointed import (
     TypeMismatch,
     all_conflations,
     compose,
-    direct_sum,
-    dualize,
     inc_right,
     is_inflation,
-    isos,
     proj_left,
 )
 
@@ -441,10 +437,10 @@ def quotient_fibration(E, q):
 
 def iso_groupoid(max_size):
     """The groupoid of sizes 0..max_size and isomorphisms; data is the
-    isomorphism."""
+    map tuple of the isomorphism."""
     objects = list(range(max_size + 1))
-    morphisms = [(n, n, phi) for n in objects for phi in isos(n)]
-    return build_category(objects, morphisms, compose)
+    morphisms = [(n, n, phi) for n in objects for phi in kernel.inflation_maps(n, n)]
+    return build_category(objects, morphisms, kernel.compose)
 
 
 def canonical_extension(c, a):
@@ -457,7 +453,7 @@ def fiber_embedding(S, fiber, c):
     """The functor from the isomorphism groupoid into the fiber over
     size c: A goes to the standard extension, phi to id_C ⊕ phi."""
     obj_map = {a: canonical_extension(c, a) for a in S.objects}
-    return functor_by_data(S, fiber, obj_map, lambda m: _id_sum(c, S.data(m).map))
+    return functor_by_data(S, fiber, obj_map, lambda m: _id_sum(c, S.data(m)))
 
 
 def _id_sum(c, fmap):
@@ -668,17 +664,19 @@ def _natural_iso(action, round_trip, comparison):
 # comma construction under the hyperbolic groupoid
 
 
+def isometry_groupoid(forms):
+    """The groupoid of the given forms with isometries as morphisms;
+    data is the map tuple of each isometry that ``isometries`` verifies."""
+    morphisms = [(M, N, phi.map) for M in forms for N in forms for phi in isometries(M, N)]
+    return build_category(forms, morphisms, kernel.compose)
+
+
 def hyperbolic_groupoid(max_size):
-    """The groupoid of fixed-point-free forms of size <= max_size with
-    isometries as morphisms; data is the underlying map."""
-    objects = [
-        M
-        for n in range(max_size + 1)
-        for M in enumerate_forms(n)
-        if not M.fixed_points()
-    ]
-    morphisms = [(M, N, phi) for M in objects for N in objects for phi in isometries(M, N)]
-    return build_category(objects, morphisms, compose)
+    """The isometry groupoid of the fixed-point-free forms of size <=
+    max_size."""
+    return isometry_groupoid(
+        [M for n in range(max_size + 1) for M in enumerate_forms(n) if not M.fixed_points()]
+    )
 
 
 def graph_of_isometries(SH, QH):
@@ -686,8 +684,8 @@ def graph_of_isometries(SH, QH):
     middle is all of N and whose deflation is phi inverted."""
 
     def graph(m):
-        identity = F1Morphism.identity(SH.mor_dst[m].size)
-        return QSpan.from_morphisms(dualize(SH.data(m)), identity)
+        n = SH.mor_dst[m].size
+        return QSpan(n, n, range(1, n + 1), kernel.adjoint(SH.data(m), n))
 
     return functor_by_data(SH, QH, {M: M for M in SH.objects}, graph)
 
@@ -730,10 +728,9 @@ def comma_tau_suite(max_size, hermitian_spans=None):
 
         def stabilized(m):
             """The id in SH of id_M ⊕ H(phi): the data of phi's image."""
-            phi = S.data(m)
-            g = direct_sum(F1Morphism.identity(M.size), hyperbolic_on_morphism(phi))
-            N = obj_map[phi.src][0]
-            return SH.find(N, N, g)
+            phi, v = S.data(m), S.mor_src[m]
+            N = obj_map[v][0]
+            return SH.find(N, N, _id_sum(M.size, kernel.block_sum(phi, phi, v)))
 
         w = check_functor(functor_by_data(S, comma, obj_map, stabilized), "equivalence")
         checks.append(
@@ -769,9 +766,8 @@ def stabilization_equivalence_suite(max_size, hermitian_spans=None):
     if max_size < 1:
         raise ValueError("max_size %d leaves no room for the split point" % max_size)
     S_form = identity_form(1)
-    auts = isometries(S_form, S_form)
     checks = []
-    BG = one_object_groupoid(auts, compose, F1Morphism.identity(1), label=S_form)
+    BG = isometry_groupoid([S_form])
     QHt = qh_category(max_size) if hermitian_spans is None else hermitian_spans
     dom_f0 = full_subcategory(
         QHt, [Mo for Mo in QHt.objects if Mo.size < max_size and not Mo.fixed_points()]
@@ -790,10 +786,9 @@ def stabilization_equivalence_suite(max_size, hermitian_spans=None):
         """The image of the morphism (phi, span) of dom: the span with
         deflation id ⊕ p and inflation phi ⊕ j."""
         mc, md = dom.data(m)
-        p, j = dom_f0.data(md).to_morphisms()
-        return QSpan.from_morphisms(
-            direct_sum(F1Morphism.identity(1), p), direct_sum(BG.data(mc), j)
-        )
+        s = dom_f0.data(md)
+        jmap = kernel.block_sum(BG.data(mc), (0,) + s.sub, 1)
+        return QSpan(s.src + 1, s.dst + 1, *_by_image(_id_sum(1, s.pmap), jmap))
 
     w = check_functor(functor_by_data(dom, target, obj_map, split_sum), "equivalence")
     checks.append(
@@ -807,7 +802,7 @@ def stabilization_equivalence_suite(max_size, hermitian_spans=None):
     def hom_counts():
         for (s1, M) in dom.objects:
             for (s2, N) in dom.objects:
-                want = len(auts) * len(dom_f0.hom(M, N))
+                want = BG.n_morphisms * len(dom_f0.hom(M, N))
                 got = len(target.hom(obj_map[(s1, M)], obj_map[(s2, N)]))
                 yield "" if want == got else "hom count %s -> %s: %d vs %d" % (M, N, want, got)
 

@@ -171,6 +171,21 @@ def test_suites_bytes_are_pinned(capsys, max_size, output, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest()[:16] == digest
 
 
+def test_every_benchmark_pin_holds(capsys, monkeypatch):
+    """Each kgw invocation that the benchmark's cli workload can make,
+    run in process, exits with the code and prints the bytes that
+    perfbench/pins.json holds."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    import workloads
+
+    got = {}
+    for _, key, argv in workloads.cli_commands(workloads.decompose_pool()):
+        rc, out = run(argv, capsys)
+        got[key] = workloads.pin(rc, out.encode("utf-8"))
+    assert got == json.loads((perfbench / "pins.json").read_text())
+
+
 def test_export_to_file(tmp_path, capsys):
     target = tmp_path / "completion.json"
     rc, out = run(

@@ -32,14 +32,13 @@ from f1kgw.fincat import (
     functor_by_data,
     generating_set,
     h1,
-    one_object_groupoid,
     pi0,
     product_category,
     smith_invariants,
     subcategory,
 )
 from f1kgw.forms import hyperbolic, identity_form
-from f1kgw.pointed import Conflation, F1Morphism, all_conflations, compose
+from f1kgw.pointed import Conflation, F1Morphism, all_conflations
 from f1kgw.qcat import (
     QSpan,
     completion_category,
@@ -127,6 +126,15 @@ def all_pairs_h1(cat, basepoint):
     return AbelianGroupSNF(
         len(pres.generators) - len(invariants), tuple(d for d in invariants if d > 1)
     )
+
+
+def one_object_groupoid(elements, compose_fn, identity_element):
+    """B(G) for a finite group given by its elements and composition: the
+    one-object category of the bar route, on the object "*"."""
+    elements = list(elements)
+    if identity_element not in elements:
+        raise ValueError("identity element missing")
+    return build_category(["*"], [("*", "*", e) for e in elements], compose_fn)
 
 
 def walking_arrow():
@@ -392,7 +400,7 @@ _HONEST_BUILDS = {
     "qh": lambda: [(qh_category(n), q_compose) for n in range(5)],
     "completion": lambda: [(completion_category(n), completion_compose) for n in range(4)],
     "conflation": lambda: [(conflation_category(n), kernel.compose) for n in range(4)],
-    "groupoids": lambda: [(iso_groupoid(3), compose), (hyperbolic_groupoid(4), compose)],
+    "groupoids": lambda: [(G, kernel.compose) for G in (iso_groupoid(3), hyperbolic_groupoid(4))],
     "comma": lambda: _comma_categories(3),
     "product": _product_categories,
     "one_object": _group_categories,

@@ -300,6 +300,17 @@ def test_witt_monoid_is_free_on_the_point():
     assert G.rank == 1 and G.torsion == ()
 
 
+def test_witt_monoid_at_window_0_has_no_generator():
+    """Window 0 realizes only the class of id_0, so the class of the
+    point form is no generator and W0 is 0."""
+    pres, classes = witt_monoid(0)
+    assert classes == {0: [(0, 0)]}
+    assert pres.generators == () and pres.relations == ()
+    assert str(pres) == "< - | - >"
+    G = pres.grothendieck_group()
+    assert G.rank == 0 and G.torsion == ()
+
+
 def test_monoid_presentation_group_completion():
     # two generators with a = b: completion collapses to a single Z
     pres = CommMonoidPresentation(("a", "b"), (((0,), (1,)),))

@@ -68,6 +68,7 @@ TEST_ONLY = {
     ("pointed", "section_of_splitting"): PINNED,
     ("forms", "isotropic_splitting"): "the paper's splitting N ≅ H(U) ⊕ N//U by an isotropic U",
     ("forms", "split_off_form"): "the paper's orthogonal splitting along an inflation",
+    ("forms", "hyperbolic_on_morphism"): "the hyperbolic functor H on morphisms",
     ("pointed", "decompose_inflation"): "the paper's splitting of an inflation into a sum",
     ("pointed", "fill_conflation_morphism"): "the paper's unique morphism of conflations",
     ("qcat", "qh_forgetful"): "the functor Q^h -> Q, along which the hermitian sequence runs",

@@ -538,6 +538,17 @@ def test_natural_iso_reports_a_round_trip_that_does_not_compose(corrupt):
     }
 
 
+def test_natural_iso_refuses_a_comparison_that_is_not_invertible():
+    """A comparison that names a morphism with no inverse is refused at
+    its object, before any naturality square is read."""
+    E = conflation_category(1)
+    identity = functor_by_data(E, E, {X: X for X in E.objects}, E.data)
+    # (0,) is the one morphism from 0 >-> 0 ->> 0, the first object, to
+    # 0 >-> 1 ->> 1, the second
+    witnesses = qcat._natural_iso(identity, identity, lambda X: (E.objects[1], (0,)))
+    assert next(witnesses) == "comparison at [0]:0->0 ; [0]:0->0 is not invertible"
+
+
 def test_a_broken_id_sum_fails_the_extension_and_the_action(corrupt):
     """id_C ⊕ id_B sent to id_C ⊕ swap for C = 1, B = 2."""
     honest = qcat._id_sum
@@ -697,6 +708,7 @@ def test_small_forms_of_the_hermitian_span_category_are_the_smaller_build():
     towers = (
         (qh_category, 4, lambda M: M.size),
         (iso_groupoid, 5, lambda n: n),
+        (hyperbolic_groupoid, 4, lambda M: M.size),
         (q_category, 4, lambda n: n),
         (conflation_category, 3, lambda X: X.total),
         (completion_category, 3, max),
