@@ -6,6 +6,15 @@ and distinct nonzero values (injective outside the fibre over 0).
 Composition is a gather: g∘f reads g at the slots of f, so compose and
 reader hand the reading to ``operator.itemgetter`` and loop over no slot
 in Python.
+
+Each square test is split into what it reads of the span
+W <-l- U -t-> V and what it reads of the cospan W -b-> X <-r- V, joined
+by a comparison: is_pullback compares span_key with cospan_key, and
+universal_square_ok joins span_half with cospan_half.  Every part is a
+pure function of the maps and sizes it reads, so a scan that meets a
+span or a cospan in many squares may keep its part for the scan and
+compare it again; the axiom suite does so for one check call or one
+task.  Only what depends on a single map is cached for the process.
 """
 
 from collections import Counter
@@ -139,26 +148,52 @@ def _zero_mask(f):
     return (False,) + tuple(v == 0 for v in f[1:])
 
 
+def span_key(l, t):
+    """What is_pullback reads of the span W <-l- U -t-> V: l's nonzero
+    values ascending, and t at the points l sends to 0, ascending.
+
+    An element of U is named by its W image, or by its V image when that
+    is 0, so the key is the multiset of those names."""
+    return _sorted_values(l), sorted(compress(t, _zero_mask(l)))
+
+
+def cospan_key(b, r, w_size):
+    """What is_pullback reads of the cospan W -b-> X <-r- V: the w whose
+    b(w) is hit by r, ascending, and the kernel of r, ascending.
+
+    These are the names (w, 0) and (0, v) of the elements of the
+    elementwise pullback."""
+    matched = compress(range(w_size + 1), map(_image(r).__contains__, b))
+    return list(matched), _kernel_points(r)
+
+
 def is_pullback(l, t, b, r, u_size, v_size, w_size, x_size):
     """Is the commuting square (shape as in ``universal_square_ok``) a
     pullback, i.e. is its comparison into the elementwise pullback a
     bijection?  Sound when t is injective; l may be arbitrary.
 
-    An element of U is named by its W image, or by its V image when that
-    is 0; the elementwise pullback has the names (w, 0) for the w whose
-    b(w) is hit by r and (0, v) for v in the kernel of r.  So the names
-    agree as multisets exactly when the sorted nonzero l(e) are those w
-    and the sorted t(e) with l(e) = 0 are that kernel.
-
-    What depends on one leg only (r's image and kernel, l's sorted values
-    and zero slots) is a pure function of that map, so it is cached by
-    the map and shared by every square with that leg; each square still
-    compares its own legs.
+    The names of U's elements and those of the elementwise pullback
+    agree as multisets exactly when the span's key is the cospan's.
+    Each key is a pure function of the maps it reads, so a scan that
+    meets a span or a cospan in many squares may keep its key and
+    compare it again.  What depends on one leg only (r's image and
+    kernel, l's sorted values and zero slots) is cached by the map and
+    shared by every square with that leg.
     """
-    matched = compress(range(w_size + 1), map(_image(r).__contains__, b))
-    if _sorted_values(l) != list(matched):
-        return False
-    return sorted(compress(t, _zero_mask(l))) == _kernel_points(r)
+    return span_key(l, t) == cospan_key(b, r, w_size)
+
+
+def missed_images(t, r, v_size):
+    """r at the points of V that t misses, in the order of V: what
+    is_pushout reads of t and r."""
+    missed = filterfalse(_image(t).__contains__, _points(v_size))
+    return tuple(map(r.__getitem__, missed))
+
+
+def covers_once(b, missed, x_size):
+    """Do b's values on W∖0 and the images ``missed`` hit each point of
+    X exactly once?"""
+    return sorted(b[1:] + missed) == _points(x_size)
 
 
 def is_pushout(l, t, b, r, u_size, v_size, w_size, x_size):
@@ -168,10 +203,10 @@ def is_pushout(l, t, b, r, u_size, v_size, w_size, x_size):
 
     t's image and the list 1..x are pure functions of t and of x, cached
     and shared by every square; each square still sorts its own images.
+    The images of the missed points depend on t and r only, so a scan
+    that meets (t, r) in consecutive squares computes them once.
     """
-    missed = filterfalse(_image(t).__contains__, _points(v_size))
-    images = b[1:] + tuple(map(r.__getitem__, missed))
-    return sorted(images) == _points(x_size)
+    return covers_once(b, missed_images(t, r, v_size), x_size)
 
 
 def is_injective(f):
@@ -259,15 +294,57 @@ def _leg_upto(g, src, dst, bound):
     return tables
 
 
-def _bijective(first, second, left, right):
-    """Is m ↦ (first[m], second[m]), over the hom set that first is
-    indexed by, a bijection onto the index pairs (i, j) with
-    left[i] == right[j]?
-    left and right are the tallies of those index tables."""
-    if len(set(zip(first, second))) != len(first):
-        return False
-    # the sum of left[k] * right[k] over the indices k of left
-    return sum(map(mul, left.values(), map(right.__getitem__, left))) == len(first)
+def _half_at(first, second, left, right):
+    """(|hom|, is m ↦ (first[m], second[m]) injective over the hom set
+    that first is indexed by, the number of index pairs (i, j) with
+    left[i] == right[j]), given the tallies left and right of those two
+    index tables: the sum of left[k] * right[k] over the indices k of
+    left."""
+    injective = len(set(zip(first, second))) == len(first)
+    return len(first), injective, sum(map(mul, left.values(), map(right.__getitem__, left)))
+
+
+def span_half(l, t, u_size, v_size, w_size, bound):
+    """What universal_square_ok reads of the span W <-l- U -t-> V: for
+    each test object T = n <= bound, the triple
+
+        (|hom(T, U)|, is m ↦ (l∘m, t∘m) injective on hom(T, U),
+         the number of pairs c: W -> T, d: V -> T with c∘l = d∘t).
+
+    It is a pure function of its arguments, so a scan that meets the
+    span in many squares may keep it."""
+    ls = _leg_upto(l, u_size, w_size, bound)[: bound + 1]
+    ts = _leg_upto(t, u_size, v_size, bound)[: bound + 1]
+    return tuple(
+        _half_at(l_post, t_post, l_pre_tally, t_pre_tally)
+        for (l_post, _, _, l_pre_tally), (t_post, _, _, t_pre_tally) in zip(ls, ts)
+    )
+
+
+def cospan_half(b, r, w_size, v_size, x_size, bound):
+    """The dual of span_half for the cospan W -b-> X <-r- V: for each
+    test object T = n <= bound, the triple
+
+        (|hom(X, T)|, is m ↦ (m∘b, m∘r) injective on hom(X, T),
+         the number of pairs c: T -> W, d: T -> V with b∘c = r∘d)."""
+    bs = _leg_upto(b, w_size, x_size, bound)[: bound + 1]
+    rs = _leg_upto(r, v_size, x_size, bound)[: bound + 1]
+    return tuple(
+        _half_at(b_pre, r_pre, b_post_tally, r_post_tally)
+        for (_, b_post_tally, b_pre, _), (_, r_post_tally, r_pre, _) in zip(bs, rs)
+    )
+
+
+def universal_join(span, cospan):
+    """universal_square_ok from the span half and the cospan half of its
+    square.  At each test object T the pullback comparison
+    hom(T, U) -> {(c, d): b∘c = r∘d} is a bijection exactly when it is
+    injective and |hom(T, U)| is the number of those pairs, and dually
+    for the pushout comparison out of hom(X, T)."""
+    return all(
+        s_injective and c_injective and s_homs == c_pairs and c_homs == s_pairs
+        for (s_homs, s_injective, s_pairs), (c_homs, c_injective, c_pairs) in zip(span, cospan)
+    )
 
 
 def universal_square_ok(l, t, b, r, u_size, v_size, w_size, x_size, bound):
@@ -280,22 +357,12 @@ def universal_square_ok(l, t, b, r, u_size, v_size, w_size, x_size, bound):
     the index of g∘c for every c: T -> src(g), pre_table that of c∘f for
     every c: dst(f) -> T.  A leg's tables and tallies are a pure function
     of that map and its endpoints, so they are computed once per process
-    and shared by every square that has that leg.  The pullback
-    comparison hom(T,U) -> {(c,d): b∘c = r∘d} is a bijection exactly when
-    the (l∘m, t∘m) are pairwise distinct and as many as the matched
-    pairs; dually for the pushout.
+    and shared by every square that has that leg.
+
+    The verdict is the join of two halves: span_half reads only l and t,
+    cospan_half only b and r, and universal_join compares them.
     """
-    ls = _leg_upto(l, u_size, w_size, bound)
-    ts = _leg_upto(t, u_size, v_size, bound)
-    bs = _leg_upto(b, w_size, x_size, bound)
-    rs = _leg_upto(r, v_size, x_size, bound)
-    for n in range(bound + 1):
-        l_post, _, _, l_pre_tally = ls[n]
-        t_post, _, _, t_pre_tally = ts[n]
-        _, b_post_tally, b_pre, _ = bs[n]
-        _, r_post_tally, r_pre, _ = rs[n]
-        if not _bijective(l_post, t_post, b_post_tally, r_post_tally):
-            return False
-        if not _bijective(b_pre, r_pre, l_pre_tally, t_pre_tally):
-            return False
-    return True
+    return universal_join(
+        span_half(l, t, u_size, v_size, w_size, bound),
+        cospan_half(b, r, w_size, v_size, x_size, bound),
+    )

@@ -608,6 +608,11 @@ def _commuting_squares(max_size, infl, defl):
     leg: d = r∘t through one reader of t, shared by every r, and
     b = d∘l^ad through one reader of l^ad per l.
 
+    The squares come in rows of one (t, r), l innermost (4,511 rows of
+    25,827 squares at window 4), and spans and cospans recur across
+    rows, so axiom iii keeps what it reads of each (see
+    _cartesian_iff_cocartesian).
+
     A corrupted deflation class can hold an l that misses a point of W.
     Its commuting squares, whose b is free on the missed points, are
     never visited, so axiom iii does not check them.  Checking them
@@ -653,16 +658,50 @@ def _square_text(l, t, b, r, u, v, w, x):
     return repr(tuple(F1Morphism(*leg) for leg in legs))
 
 
-def _bicartesian(l, t, b, r, u, v, w, x):
+def _bicartesian(l, t, b, r, u, v, w, x, universal):
     """Does the square commute and is it a pullback and a pushout, by
-    the intrinsic criteria and against every test object of size <=
-    UNIVERSAL_BOUND?"""
+    the intrinsic criteria and, through universal (universal_square_ok
+    or a scan's join of kept halves), against every test object of
+    size <= UNIVERSAL_BOUND?  universal reads the legs last, once the
+    square is known to commute."""
     return (
         kernel.compose(b, l) == kernel.compose(r, t)
         and kernel.is_pullback(l, t, b, r, u, v, w, x)
         and kernel.is_pushout(l, t, b, r, u, v, w, x)
-        and kernel.universal_square_ok(l, t, b, r, u, v, w, x, UNIVERSAL_BOUND)
+        and universal(l, t, b, r, u, v, w, x, UNIVERSAL_BOUND)
     )
+
+
+class _Kept(dict):
+    """The values of part, a pure function of its arguments, by argument
+    tuple: kept[args] is part(*args), computed at the first lookup and
+    kept while this dict lives.  A check that makes one per call keeps
+    what it revisits for that call only; nothing outlives it.  Calling
+    it looks up its arguments, so it can stand in for part."""
+
+    __slots__ = ("part",)
+
+    def __init__(self, part):
+        self.part = part
+
+    def __missing__(self, args):
+        value = self[args] = self.part(*args)
+        return value
+
+    def __call__(self, *args):
+        return self[args]
+
+
+def _universal_by_halves(span_half, cospan_half):
+    """universal_square_ok as the join of the halves that span_half and
+    cospan_half give, so that a scan can pass a kept one."""
+
+    def universal(l, t, b, r, u, v, w, x, bound):
+        return kernel.universal_join(
+            span_half(l, t, u, v, w, bound), cospan_half(b, r, w, v, x, bound)
+        )
+
+    return universal
 
 
 def _scan_iv_task(args):
@@ -676,9 +715,15 @@ def _scan_iv_task(args):
     bicartesian, and l is a deflation and t an inflation.  The given
     maps are wrapped once per task, for their validation and to print
     a witness.
+
+    Each cospan occurs once, but the 2,165 cospans of axiom_suite(4)
+    pull back to only 220 spans, so the span half of the universal
+    check is kept per task (see _Kept); the cospan half is computed
+    for each square.
     """
     w, x, v, bmaps, rmaps = args
     rs = [F1Morphism(v, x, m) for m in rmaps]
+    universal = _universal_by_halves(_Kept(kernel.span_half), kernel.cospan_half)
     count = 0
     for b in [F1Morphism(w, x, m) for m in bmaps]:
         if rs and not is_inflation(b):
@@ -691,7 +736,7 @@ def _scan_iv_task(args):
                 len(tm) == u + 1
                 and kernel.is_valid_map(lm, w)
                 and kernel.is_valid_map(tm, v)
-                and _bicartesian(lm, tm, b.map, r.map, u, v, w, x)
+                and _bicartesian(lm, tm, b.map, r.map, u, v, w, x, universal)
                 and kernel.is_surjective(lm, w)
                 and kernel.is_injective(tm)
             ):
@@ -706,10 +751,13 @@ def _scan_v_task(args):
 
     As in _scan_iv_task, on map tuples: the new legs b, r of each square,
     as complete_pushout builds them, are valid maps, the square commutes
-    and is bicartesian, and r is a deflation and b an inflation.
+    and is bicartesian, and r is a deflation and b an inflation.  Dually
+    to axiom iv, the 2,165 spans of axiom_suite(4) push out to only 220
+    cospans, so the cospan half is kept per task.
     """
     w, u, v, lmaps, tmaps = args
     ts = [F1Morphism(u, v, m) for m in tmaps]
+    universal = _universal_by_halves(kernel.span_half, _Kept(kernel.cospan_half))
     count = 0
     for l in [F1Morphism(u, w, m) for m in lmaps]:
         for t in ts:
@@ -721,7 +769,7 @@ def _scan_v_task(args):
                 len(rm) == v + 1
                 and kernel.is_valid_map(bm, x)
                 and kernel.is_valid_map(rm, x)
-                and _bicartesian(l.map, t.map, bm, rm, u, v, w, x)
+                and _bicartesian(l.map, t.map, bm, rm, u, v, w, x, universal)
                 and kernel.is_surjective(rm, x)
                 and kernel.is_injective(bm)
             ):
@@ -761,9 +809,25 @@ def _class_closure(max_size, infl, defl):
 
 
 def _cartesian_iff_cocartesian(max_size, infl, defl):
-    """(iii) Every commuting square is a pullback iff it is a pushout."""
+    """(iii) Every commuting square is a pullback iff it is a pushout.
+
+    The squares repeat their spans and cospans (25,827 squares of
+    axiom_suite(4) have 2,013 distinct spans and 2,165 distinct
+    cospans), so each span key and cospan key of is_pullback is kept
+    for this call (see _Kept).  The squares of one (t, r) come in a
+    row (see _commuting_squares), so the images that is_pushout reads of
+    t and r are computed once per row, and its verdict, which reads
+    only b, those images and x (261 distinct triples at window 4), is
+    kept for this call too."""
+    span_key, cospan_key = _Kept(kernel.span_key), _Kept(kernel.cospan_key)
+    covers_once = _Kept(kernel.covers_once)
+    row = None
     for sq in _commuting_squares(max_size, infl, defl):
-        pb, po = kernel.is_pullback(*sq), kernel.is_pushout(*sq)
+        l, t, b, r, u, v, w, x = sq
+        if row != (t, r):
+            row, missed = (t, r), kernel.missed_images(t, r, v)
+        pb = span_key[l, t] == cospan_key[b, r, w]
+        po = covers_once[b, missed, x]
         if pb != po:
             yield "cartesian=%s cocartesian=%s for %s" % (pb, po, _square_text(*sq))
         else:
@@ -861,7 +925,9 @@ def _summed_square_ok(s1, s2):
         and kernel.is_injective(b)
         and kernel.is_surjective(l, w1 + w2)
         and kernel.is_surjective(r, x1 + x2)
-        and _bicartesian(l, t, b, r, u1 + u2, v1 + v2, w1 + w2, x1 + x2)
+        and _bicartesian(
+            l, t, b, r, u1 + u2, v1 + v2, w1 + w2, x1 + x2, kernel.universal_square_ok
+        )
     )
 
 

@@ -40,12 +40,12 @@ Spans compose on their canonical map tuples (``sub`` and ``pmap``):
 ``q_compose`` walks the second span's middle once and keeps what
 pulls back along the first, which is already the canonical composite.
 ``QSpan`` validates its data through the kernel, except for the
-composites ``q_compose`` builds from spans already validated, and
-F1Morphism is the boundary type of ``QSpan.to_morphisms`` and
-``QSpan.from_morphisms``.  The hermitian span category enumerates the
-isotropic reductions of each target form once per build, takes each
-isometry onto the source straight from ``forms.isometry_maps``, and
-checks each span once, by ``is_reductive_span``.  Nothing is cached
+composites ``q_compose`` builds from spans already validated; it
+takes and gives map tuples, not F1Morphisms.  The hermitian span
+category enumerates the isotropic reductions of each target form once
+per build, takes each isometry onto the source straight from
+``forms.isometry_maps``, and checks each span once, by
+``is_reductive_span``.  Nothing is cached
 between calls.
 """
 
@@ -82,7 +82,6 @@ from .pointed import (
     all_conflations,
     compose,
     inc_right,
-    is_inflation,
     proj_left,
 )
 
@@ -148,26 +147,8 @@ class QSpan:
         return self._hash
 
     @classmethod
-    def from_morphisms(cls, p, j):
-        """Canonicalize the span given by p: E ->> src and j: E >-> dst.
-        ``__init__`` refuses a p that is not a deflation."""
-        if p.src != j.src:
-            raise TypeMismatch("span legs must share the middle object")
-        if not is_inflation(j):
-            raise ValueError("the incoming leg must be an inflation")
-        return cls(p.dst, j.dst, *_by_image(p.map, j.map))
-
-    @classmethod
     def identity(cls, n):
         return cls(n, n, tuple(range(1, n + 1)), tuple(range(n + 1)))
-
-    def to_morphisms(self):
-        """The canonical pair (p: E ->> src, j: E >-> dst)."""
-        e = len(self.sub)
-        return (
-            F1Morphism(e, self.src, self.pmap),
-            F1Morphism(e, self.dst, (0,) + self.sub),
-        )
 
     def kernel_points(self):
         """Points of dst lying in the image whose deflation value is 0."""

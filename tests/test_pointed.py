@@ -2,6 +2,8 @@
 squares, and the exact-structure axiom suite."""
 
 import itertools
+from collections import Counter
+from operator import mul
 
 import pytest
 
@@ -36,8 +38,11 @@ from f1kgw.pointed import (
     retraction_of_splitting,
     section_of_splitting,
     split_conflation,
+    UNIVERSAL_BOUND,
     _commuting_squares,
     _exact_bifunctor,
+    _refusal,
+    _square_text,
 )
 from f1kgw._backend import kernel
 from f1kgw.qcat import q_category
@@ -619,3 +624,158 @@ def test_axiom_iii_notes_the_deflations_it_cannot_visit():
     assert len(report.notes) == 1
     for max_size in range(5):
         assert len(axiom_suite(max_size).notes) == 1
+
+
+# ------------------------------------------- the squares decided afresh
+
+
+def fresh_bicartesian(l, t, b, r, u, v, w, x):
+    """The square commutes and is bicartesian, each test asked of the
+    kernel for this square alone."""
+    return (
+        kernel.compose(b, l) == kernel.compose(r, t)
+        and kernel.is_pullback(l, t, b, r, u, v, w, x)
+        and kernel.is_pushout(l, t, b, r, u, v, w, x)
+        and kernel.universal_square_ok(l, t, b, r, u, v, w, x, UNIVERSAL_BOUND)
+    )
+
+
+def fresh_iv(w, x, v, bmaps, rmaps):
+    """Axiom iv on one size triple, as (checked, first witness or None)."""
+    rs = [F1Morphism(v, x, m) for m in rmaps]
+    count = 0
+    for b in [F1Morphism(w, x, m) for m in bmaps]:
+        if rs and not is_inflation(b):
+            return count + 1, "cospan b=%s r=%s: %s" % (b, rs[0], _refusal("cospan", b))
+        for r in rs:
+            count += 1
+            lm, tm = kernel.pullback_legs(b.map, r.map, w, v)
+            u = len(lm) - 1
+            if not (
+                len(tm) == u + 1
+                and kernel.is_valid_map(lm, w)
+                and kernel.is_valid_map(tm, v)
+                and fresh_bicartesian(lm, tm, b.map, r.map, u, v, w, x)
+                and kernel.is_surjective(lm, w)
+                and kernel.is_injective(tm)
+            ):
+                return count, "cospan b=%s r=%s" % (b, r)
+    return count, None
+
+
+def fresh_v(w, u, v, lmaps, tmaps):
+    """Axiom v on one size triple, as (checked, first witness or None)."""
+    ts = [F1Morphism(u, v, m) for m in tmaps]
+    count = 0
+    for l in [F1Morphism(u, w, m) for m in lmaps]:
+        for t in ts:
+            count += 1
+            if not is_inflation(t):
+                return count, "span l=%s t=%s: %s" % (l, t, _refusal("span", t))
+            bm, rm, x = kernel.pushout_legs(l.map, t.map, w, v)
+            if not (
+                len(rm) == v + 1
+                and kernel.is_valid_map(bm, x)
+                and kernel.is_valid_map(rm, x)
+                and fresh_bicartesian(l.map, t.map, bm, rm, u, v, w, x)
+                and kernel.is_surjective(rm, x)
+                and kernel.is_injective(bm)
+            ):
+                return count, "span l=%s t=%s" % (l, t)
+    return count, None
+
+
+def fresh_rows(max_size, infl, defl):
+    """(name, checked, witness) of axioms iii, iv and v, deciding every
+    square afresh: the per-square loop that the suite's kept span and
+    cospan parts replace."""
+
+    def iii_cases():
+        for sq in _commuting_squares(max_size, infl, defl):
+            pb, po = kernel.is_pullback(*sq), kernel.is_pushout(*sq)
+            if pb != po:
+                yield "cartesian=%s cocartesian=%s for %s" % (pb, po, _square_text(*sq))
+            else:
+                yield ""
+
+    iii = CheckResult.first_failure("axiom iii: cartesian iff cocartesian", iii_cases())
+    rows = [(iii.name, iii.checked, iii.witness)]
+    triples = list(itertools.product(range(max_size + 1), repeat=3))
+    iv_scans = [fresh_iv(w, x, v, infl(w, x), defl(v, x)) for w, x, v in triples]
+    v_scans = [fresh_v(w, u, v, defl(u, w), infl(u, v)) for w, u, v in triples]
+    for name, scans in (
+        ("axiom iv: pullback completion", iv_scans),
+        ("axiom v: pushout completion", v_scans),
+    ):
+        witness = next((wit for _, wit in scans if wit), "")
+        rows.append((name, sum(c for c, _ in scans), witness))
+    return rows
+
+
+@pytest.mark.parametrize("classes", sorted(SQUARE_CLASSES))
+def test_kept_square_parts_decide_as_the_fresh_loop(classes):
+    # Newly covers: axioms iii, iv and v keep the span and cospan parts
+    # of their square tests for one call; every count and witness is
+    # the one that deciding each square afresh gives, for every class,
+    # at both job counts.
+    given = SQUARE_CLASSES[classes]
+    infl = given.get("inflation_maps_of", kernel.inflation_maps)
+    defl = given.get("deflation_maps_of", kernel.deflation_maps)
+    failed = 0
+    for max_size in range(4):
+        want = fresh_rows(max_size, infl, defl)
+        failed += any(wit for _, _, wit in want)
+        for jobs in (1, 2):
+            report = axiom_suite(max_size, jobs=jobs, **given)
+            got = [(c.name, c.checked, c.witness) for c in report.checks[2:5]]
+            assert got == want, (max_size, jobs)
+    assert failed == (0 if classes in ("honest", "no isos among inflations") else 3)
+
+
+def bijective(first, second, left, right):
+    """The pre-split test of universal_square_ok at one test object: is
+    m ↦ (first[m], second[m]) a bijection onto the index pairs (i, j)
+    with left[i] == right[j], given the tallies left and right?"""
+    if len(set(zip(first, second))) != len(first):
+        return False
+    return sum(map(mul, left.values(), map(right.__getitem__, left))) == len(first)
+
+
+def test_halves_join_as_the_bijection_test():
+    # Newly covers: at every test object n <= 3, the span half joined
+    # with the cospan half gives the verdict of the two bijection tests
+    # that read all four legs' tables at once, on every commuting square
+    # with corners <= 2, of the honest classes and of hom_maps in both
+    # slots.  128 of the 180 squares fail (each at n = 1, 2 and 3), and
+    # each of the join's four comparisons is false somewhere.
+    verdicts, false_parts = Counter(), set()
+    for classes in (
+        (kernel.inflation_maps, kernel.deflation_maps),
+        (kernel.hom_maps, kernel.hom_maps),
+    ):
+        for l, t, b, r, u, v, w, x in _commuting_squares(2, *classes):
+            span = kernel.span_half(l, t, u, v, w, 3)
+            cospan = kernel.cospan_half(b, r, w, v, x, 3)
+            ls, ts = kernel._leg_upto(l, u, w, 3), kernel._leg_upto(t, u, v, 3)
+            bs, rs = kernel._leg_upto(b, w, x, 3), kernel._leg_upto(r, v, x, 3)
+            passed = 0
+            for n in range(4):
+                want = bijective(ls[n][0], ts[n][0], bs[n][1], rs[n][1]) and bijective(
+                    bs[n][2], rs[n][2], ls[n][3], ts[n][3]
+                )
+                assert kernel.universal_join(span[n : n + 1], cospan[n : n + 1]) == want
+                passed += want
+                (homs_into_u, span_injective, pairs_out_of) = span[n]
+                (homs_out_of_x, cospan_injective, pairs_into) = cospan[n]
+                parts = (
+                    span_injective,
+                    cospan_injective,
+                    homs_into_u == pairs_into,
+                    homs_out_of_x == pairs_out_of,
+                )
+                false_parts.update(k for k, part in enumerate(parts) if not part)
+            ok = kernel.universal_square_ok(l, t, b, r, u, v, w, x, 3)
+            assert ok == (passed == 4)
+            verdicts[ok, passed] += 1
+    assert verdicts == {(True, 4): 52, (False, 1): 128}
+    assert false_parts == {0, 1, 2, 3}
