@@ -14,7 +14,10 @@ universal_square_ok joins span_half with cospan_half.  Every part is a
 pure function of the maps and sizes it reads, so a scan that meets a
 span or a cospan in many squares may keep its part for the scan and
 compare it again; the axiom suite does so for one check call or one
-task.  Only what depends on a single map is cached for the process.
+task, and decides axiom iii on one square per row of one (t, r).  Only
+what depends on a single map is cached for the process: a leg's index
+tables, their tallies and whether each table is injective, read by
+every half that has that leg.
 """
 
 from collections import Counter
@@ -277,11 +280,13 @@ def pre_table(f, n, src, dst):
 @lru_cache(maxsize=None)
 def _leg(g, src, dst):
     """What universal_square_ok reads of the leg g: src -> dst.  Entry n
-    is (post_table, its tally, pre_table, its tally) for the test object
-    of size n; the list is filled by _leg_upto up to the largest n asked
-    for, so a leg has one entry whatever bound its squares use.  The
-    tables repeat few distinct composites (159 in 8,222 entries for
-    axiom_suite(4)), hence the tallies."""
+    is (post_table, its tally, pre_table, its tally, is post_table
+    injective, is pre_table injective) for the test object of size n;
+    the list is filled by _leg_upto up to the largest n asked for, so a
+    leg has one entry whatever bound its squares use, and it lives for
+    the process.  The tables repeat few distinct composites (159 in
+    8,222 entries for axiom_suite(4)), hence the tallies; a table is
+    injective when its tally has one key per entry."""
     return []
 
 
@@ -290,17 +295,22 @@ def _leg_upto(g, src, dst, bound):
     tables = _leg(g, src, dst)
     for n in range(len(tables), bound + 1):
         post, pre = post_table(g, n, src, dst), pre_table(g, n, src, dst)
-        tables.append((post, Counter(post), pre, Counter(pre)))
+        post_tally, pre_tally = Counter(post), Counter(pre)
+        injective = len(post_tally) == len(post), len(pre_tally) == len(pre)
+        tables.append((post, post_tally, pre, pre_tally, *injective))
     return tables
 
 
-def _half_at(first, second, left, right):
+def _half_at(first, second, left, right, injective):
     """(|hom|, is m ↦ (first[m], second[m]) injective over the hom set
     that first is indexed by, the number of index pairs (i, j) with
     left[i] == right[j]), given the tallies left and right of those two
     index tables: the sum of left[k] * right[k] over the indices k of
-    left."""
-    injective = len(set(zip(first, second))) == len(first)
+    left.  injective says that first or second is injective on its own,
+    which makes the pair injective; only when it is false are the pairs
+    counted."""
+    if not injective:
+        injective = len(set(zip(first, second))) == len(first)
     return len(first), injective, sum(map(mul, left.values(), map(right.__getitem__, left)))
 
 
@@ -316,8 +326,9 @@ def span_half(l, t, u_size, v_size, w_size, bound):
     ls = _leg_upto(l, u_size, w_size, bound)[: bound + 1]
     ts = _leg_upto(t, u_size, v_size, bound)[: bound + 1]
     return tuple(
-        _half_at(l_post, t_post, l_pre_tally, t_pre_tally)
-        for (l_post, _, _, l_pre_tally), (t_post, _, _, t_pre_tally) in zip(ls, ts)
+        _half_at(l_post, t_post, l_pre_tally, t_pre_tally, l_inj or t_inj)
+        for (l_post, _, _, l_pre_tally, l_inj, _), (t_post, _, _, t_pre_tally, t_inj, _)
+        in zip(ls, ts)
     )
 
 
@@ -330,8 +341,9 @@ def cospan_half(b, r, w_size, v_size, x_size, bound):
     bs = _leg_upto(b, w_size, x_size, bound)[: bound + 1]
     rs = _leg_upto(r, v_size, x_size, bound)[: bound + 1]
     return tuple(
-        _half_at(b_pre, r_pre, b_post_tally, r_post_tally)
-        for (_, b_post_tally, b_pre, _), (_, r_post_tally, r_pre, _) in zip(bs, rs)
+        _half_at(b_pre, r_pre, b_post_tally, r_post_tally, b_inj or r_inj)
+        for (_, b_post_tally, b_pre, _, _, b_inj), (_, r_post_tally, r_pre, _, _, r_inj)
+        in zip(bs, rs)
     )
 
 

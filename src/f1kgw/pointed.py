@@ -30,7 +30,7 @@ new legs from the kernel functions that complete_pullback and
 complete_pushout use.
 """
 
-from itertools import permutations, product
+from itertools import permutations, product, repeat
 
 from ._backend import kernel
 
@@ -587,10 +587,12 @@ def _support(m):
     return tuple(map(bool, m))
 
 
-def _commuting_squares(max_size, infl, defl):
-    """Yield every commuting distinguished square with corners <= max_size,
-    as (l, t, b, r, u, v, w, x): the leg maps, then the corner sizes, in
-    the order of (u, v, t, x, r, w, l).
+def _square_rows(max_size, infl, defl):
+    """Yield every commuting distinguished square with corners <= max_size
+    by rows of one (t, r), as (t, r, u, v, w, x, d, ls): d = r∘t, and
+    ls the (l, reader of l^ad) of the row, in order, each giving the
+    square (l, t, d∘l^ad, r, u, v, w, x).  Rows come in the order of
+    (u, v, t, x, r); a (t, r) with no square yields no row.
 
     Enumerates (t, r) and builds each square from d = r∘t.  When l hits
     every point of W, as a deflation does, b∘l = d forces b, and b is an
@@ -607,11 +609,6 @@ def _commuting_squares(max_size, infl, defl):
     Each composition reads through a kernel reader that fixes its right
     leg: d = r∘t through one reader of t, shared by every r, and
     b = d∘l^ad through one reader of l^ad per l.
-
-    The squares come in rows of one (t, r), l innermost (4,511 rows of
-    25,827 squares at window 4), and spans and cospans recur across
-    rows, so axiom iii keeps what it reads of each (see
-    _cartesian_iff_cocartesian).
 
     A corrupted deflation class can hold an l that misses a point of W.
     Its commuting squares, whose b is free on the missed points, are
@@ -634,9 +631,18 @@ def _commuting_squares(max_size, infl, defl):
                     for r in defl(v, x):
                         d = through_t(r)
                         key = _support(d)
-                        w = sum(key)
-                        for l, through_back in by_support.get(key, ()):
-                            yield l, t, through_back(d), r, u, v, w, x
+                        ls = by_support.get(key)
+                        if ls:
+                            yield t, r, u, v, sum(key), x, d, ls
+
+
+def _commuting_squares(max_size, infl, defl):
+    """The squares of _square_rows, one by one, as (l, t, b, r, u, v, w, x):
+    the leg maps, then the corner sizes, in the order of
+    (u, v, t, x, r, w, l).  Window 4 has 25,827 in 4,511 rows."""
+    for t, r, u, v, w, x, d, ls in _square_rows(max_size, infl, defl):
+        for l, through_back in ls:
+            yield l, t, through_back(d), r, u, v, w, x
 
 
 def _deflations_missing_a_point(max_size, defl):
@@ -811,27 +817,33 @@ def _class_closure(max_size, infl, defl):
 def _cartesian_iff_cocartesian(max_size, infl, defl):
     """(iii) Every commuting square is a pullback iff it is a pushout.
 
-    The squares repeat their spans and cospans (25,827 squares of
-    axiom_suite(4) have 2,013 distinct spans and 2,165 distinct
-    cospans), so each span key and cospan key of is_pullback is kept
-    for this call (see _Kept).  The squares of one (t, r) come in a
-    row (see _commuting_squares), so the images that is_pushout reads of
-    t and r are computed once per row, and its verdict, which reads
-    only b, those images and x (261 distinct triples at window 4), is
-    kept for this call too."""
+    Decided once per row of one (t, r) (see _square_rows), on the row's
+    first square: every square of a row has that square's pullback and
+    pushout verdicts.  Every l of a row has support supp(d) and is a
+    bijection onto W, so two squares (l, b) and (l', b') of a row differ
+    by an automorphism σ of W: l' = σ∘l and b' = b∘σ^-1.  span_key reads
+    l's sorted values and its zero slots, cospan_key reads which w have
+    b(w) in r's image (all of them, as b's values are d's) and r's
+    kernel, and covers_once sorts b's values: each is invariant under σ.
+    A passing row counts each of its squares; a failing row stops at
+    its first square, the first failing square of the per-square loop.
+
+    The first squares of rows repeat their spans, cospans and pushout
+    triples (the 4,511 rows of axiom_suite(4) read 633 distinct spans,
+    2,165 cospans and 261 covers_once triples), so each part is kept
+    for this call (see _Kept)."""
     span_key, cospan_key = _Kept(kernel.span_key), _Kept(kernel.cospan_key)
     covers_once = _Kept(kernel.covers_once)
-    row = None
-    for sq in _commuting_squares(max_size, infl, defl):
-        l, t, b, r, u, v, w, x = sq
-        if row != (t, r):
-            row, missed = (t, r), kernel.missed_images(t, r, v)
+    for t, r, u, v, w, x, d, ls in _square_rows(max_size, infl, defl):
+        l, through_back = ls[0]
+        b = through_back(d)
         pb = span_key[l, t] == cospan_key[b, r, w]
-        po = covers_once[b, missed, x]
+        po = covers_once[b, kernel.missed_images(t, r, v), x]
         if pb != po:
-            yield "cartesian=%s cocartesian=%s for %s" % (pb, po, _square_text(*sq))
+            square = _square_text(l, t, b, r, u, v, w, x)
+            yield "cartesian=%s cocartesian=%s for %s" % (pb, po, square)
         else:
-            yield ""
+            yield from repeat("", len(ls))
 
 
 def _calibration(max_size):

@@ -363,6 +363,33 @@ def test_per_leg_caches_hold_one_entry_per_leg(monkeypatch):
     for leg in legs:
         assert len(_corepy._leg(*leg)) in (3, 4)
     assert _corepy._leg.cache_info().currsize == len(legs)
-    assert intrinsic_calls[0] == 19274 and len(maps) == 155
+    assert intrinsic_calls[0] == 17894 and len(maps) == 155
     for cache in per_map:
         assert 0 < cache.cache_info().currsize <= len(maps)
+
+
+def test_leg_flags_say_whether_each_table_is_injective(monkeypatch):
+    # Newly covers: each _leg entry records whether its post table and
+    # its pre table are injective, which lets the halves skip pairing
+    # the two legs' tables; after the honest suite and after the class
+    # of hom_maps in both slots, whose legs include non-injective
+    # tables, both flags of every entry are those of the table itself.
+    # Each flag is false on some entry; no leg read has both false.
+    _corepy._leg.cache_clear()
+    leg, keys = _corepy._leg, set()
+
+    def recording(*key):
+        keys.add(key)
+        return leg(*key)
+
+    monkeypatch.setattr(_corepy, "_leg", recording)
+    flags = set()
+    both_slots = dict(inflation_maps_of=_corepy.hom_maps, deflation_maps_of=_corepy.hom_maps)
+    for classes in ({}, both_slots):
+        axiom_suite(3, **classes)
+        for key in keys:
+            for post, _, pre, _, post_injective, pre_injective in leg(*key):
+                assert post_injective == (len(set(post)) == len(post)), key
+                assert pre_injective == (len(set(pre)) == len(pre)), key
+                flags.add((post_injective, pre_injective))
+    assert flags == {(True, True), (True, False), (False, True)}

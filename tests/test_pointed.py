@@ -3,7 +3,7 @@ squares, and the exact-structure axiom suite."""
 
 import itertools
 from collections import Counter
-from operator import mul
+from operator import itemgetter, mul
 
 import pytest
 
@@ -42,6 +42,7 @@ from f1kgw.pointed import (
     _commuting_squares,
     _exact_bifunctor,
     _refusal,
+    _square_rows,
     _square_text,
 )
 from f1kgw._backend import kernel
@@ -730,6 +731,35 @@ def test_kept_square_parts_decide_as_the_fresh_loop(classes):
             got = [(c.name, c.checked, c.witness) for c in report.checks[2:5]]
             assert got == want, (max_size, jobs)
     assert failed == (0 if classes in ("honest", "no isos among inflations") else 3)
+
+
+@pytest.mark.parametrize("classes", sorted(SQUARE_CLASSES))
+def test_squares_of_a_row_share_their_verdicts(classes):
+    # Newly covers: the lemma on which axiom iii decides one square per
+    # row.  The squares of one (t, r) come consecutively, every square
+    # of a row has the same (is_pullback, is_pushout) pair, and the rows
+    # of _square_rows flatten to _commuting_squares; the pair still
+    # differs between rows, for every class.
+    given = SQUARE_CLASSES[classes]
+    infl = given.get("inflation_maps_of", kernel.inflation_maps)
+    defl = given.get("deflation_maps_of", kernel.deflation_maps)
+    verdicts = set()
+    for max_size in range(5 if classes == "honest" else 4):
+        squares = list(_commuting_squares(max_size, infl, defl))
+        row_of = itemgetter(4, 5, 1, 7, 3)  # (u, v, t, x, r)
+        rows = [list(row) for _, row in itertools.groupby(squares, key=row_of)]
+        assert len(rows) == len({row_of(row[0]) for row in rows})
+        for row in rows:
+            pairs = {(kernel.is_pullback(*sq), kernel.is_pushout(*sq)) for sq in row}
+            assert len(pairs) == 1, row[0]
+            verdicts |= pairs
+        flattened = [
+            (l, t, through_back(d), r, u, v, w, x)
+            for t, r, u, v, w, x, d, ls in _square_rows(max_size, infl, defl)
+            for l, through_back in ls
+        ]
+        assert flattened == squares
+    assert len(verdicts) > 1
 
 
 def bijective(first, second, left, right):
