@@ -13,11 +13,13 @@ by a comparison: is_pullback compares span_key with cospan_key, and
 universal_square_ok joins span_half with cospan_half.  Every part is a
 pure function of the maps and sizes it reads, so a scan that meets a
 span or a cospan in many squares may keep its part for the scan and
-compare it again; the axiom suite does so for one check call or one
-task, and decides axiom iii on one square per row of one (t, r).  Only
-what depends on a single map is cached for the process: a leg's index
-tables, their tallies and whether each table is injective, read by
-every half that has that leg.
+compare it again; axiom iii does so for one call, on one square per row
+of one (t, r).  Axioms iv and v call the whole tests, once per orbit
+type of cospan or span.  Only what depends on a single map is cached
+for the process: its image and kernel, and a leg's index tables, their
+tallies and whether each table is injective, read by every half that
+has that leg.  Hom sets are cached by hom_maps; fresh_hom_maps builds
+one that a scan reads once and drops.
 """
 
 from collections import Counter
@@ -225,9 +227,10 @@ def is_surjective(f, dst):
     return len(values) - values.count(0) == dst
 
 
-@lru_cache(maxsize=None)
-def hom_maps(src, dst):
-    """All maps src -> dst in lexicographic order of the value tuple."""
+def fresh_hom_maps(src, dst):
+    """All maps src -> dst in lexicographic order of the value tuple,
+    enumerated afresh on each call: a scan that reads a hom set once
+    drops it when done, where hom_maps would keep it for the process."""
     out = []
     cur = [0] * (src + 1)
 
@@ -245,6 +248,12 @@ def hom_maps(src, dst):
 
     rec(1, 0)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def hom_maps(src, dst):
+    """fresh_hom_maps(src, dst), kept for the process."""
+    return fresh_hom_maps(src, dst)
 
 
 @lru_cache(maxsize=None)

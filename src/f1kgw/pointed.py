@@ -30,7 +30,7 @@ new legs from the kernel functions that complete_pullback and
 complete_pushout use.
 """
 
-from itertools import permutations, product, repeat
+from itertools import permutations, product
 
 from ._backend import kernel
 
@@ -541,14 +541,19 @@ class CheckResult:
 
     @classmethod
     def first_failure(cls, name, cases):
-        """Run a check whose cases yield "" on a pass and a witness
-        string on a failure; stop at the first witness, counting the
-        cases consumed up to and including it."""
+        """Run a check whose cases yield "" on a pass, a witness string
+        on a failure, or a positive int n for a batch of n passing
+        cases; stop at the first witness, counting the cases consumed up
+        to and including it.  A "" is read by one truthiness test, so a
+        check that yields one case at a time pays nothing for batches."""
         checked = 0
         for witness in cases:
-            checked += 1
             if witness:
-                return cls(name, checked, witness)
+                if witness.__class__ is int:
+                    checked += witness
+                    continue
+                return cls(name, checked + 1, witness)
+            checked += 1
         return cls(name, checked)
 
 
@@ -664,17 +669,16 @@ def _square_text(l, t, b, r, u, v, w, x):
     return repr(tuple(F1Morphism(*leg) for leg in legs))
 
 
-def _bicartesian(l, t, b, r, u, v, w, x, universal):
+def _bicartesian(l, t, b, r, u, v, w, x):
     """Does the square commute and is it a pullback and a pushout, by
-    the intrinsic criteria and, through universal (universal_square_ok
-    or a scan's join of kept halves), against every test object of
-    size <= UNIVERSAL_BOUND?  universal reads the legs last, once the
+    the intrinsic criteria and against every test object of size <=
+    UNIVERSAL_BOUND?  The universal check reads the legs last, once the
     square is known to commute."""
     return (
         kernel.compose(b, l) == kernel.compose(r, t)
         and kernel.is_pullback(l, t, b, r, u, v, w, x)
         and kernel.is_pushout(l, t, b, r, u, v, w, x)
-        and universal(l, t, b, r, u, v, w, x, UNIVERSAL_BOUND)
+        and kernel.universal_square_ok(l, t, b, r, u, v, w, x, UNIVERSAL_BOUND)
     )
 
 
@@ -682,8 +686,7 @@ class _Kept(dict):
     """The values of part, a pure function of its arguments, by argument
     tuple: kept[args] is part(*args), computed at the first lookup and
     kept while this dict lives.  A check that makes one per call keeps
-    what it revisits for that call only; nothing outlives it.  Calling
-    it looks up its arguments, so it can stand in for part."""
+    what it revisits for that call only; nothing outlives it."""
 
     __slots__ = ("part",)
 
@@ -694,20 +697,26 @@ class _Kept(dict):
         value = self[args] = self.part(*args)
         return value
 
-    def __call__(self, *args):
-        return self[args]
+
+def _cospan_type(b, r):
+    """(|im b ∩ im r|, |im b|, |im r|) of the cospan W -b-> X <-r- V of
+    partial injections.  With the sizes of W, X and V fixed it is a
+    complete invariant of the cospan's orbit under Σ_W × Σ_X × Σ_V,
+    which relabels the nonzero points of each corner: the cospan is a
+    sum of path components w -> x <- v, w -> x, x <- v, w, x and v, and
+    the key with the sizes gives the number of each."""
+    image_b, image_r = kernel._image(b), kernel._image(r)
+    return len(image_b & image_r), len(image_b), len(image_r)
 
 
-def _universal_by_halves(span_half, cospan_half):
-    """universal_square_ok as the join of the halves that span_half and
-    cospan_half give, so that a scan can pass a kept one."""
-
-    def universal(l, t, b, r, u, v, w, x, bound):
-        return kernel.universal_join(
-            span_half(l, t, u, v, w, bound), cospan_half(b, r, w, v, x, bound)
-        )
-
-    return universal
+def _span_type(l, t):
+    """(|ker l|, |ker t|, |ker l ∩ ker t|) of the span W <-l- U -t-> V of
+    partial injections: dually to _cospan_type, with the sizes of W, U
+    and V fixed, a complete invariant of its orbit under
+    Σ_W × Σ_U × Σ_V, as the number of each component kind
+    w <- u -> v, u -> v, w <- u, u, w and v."""
+    kernel_l, kernel_t = kernel._kernel_points(l), kernel._kernel_points(t)
+    return len(kernel_l), len(kernel_t), len(set(kernel_l).intersection(kernel_t))
 
 
 def _scan_iv_task(args):
@@ -715,37 +724,49 @@ def _scan_iv_task(args):
     triple, given as (w, x, v, the b, the r); returns (checked, first
     failure or None).  A refused leg counts as a failure, not an error.
 
-    Each square is completed and checked on map tuples, as
+    A square is completed and checked on map tuples, as
     complete_pullback would complete it and BicartesianSquare.verify
     check it: its new legs l, t are valid maps, it commutes and is
     bicartesian, and l is a deflation and t an inflation.  The given
     maps are wrapped once per task, for their validation and to print
     a witness.
 
-    Each cospan occurs once, but the 2,165 cospans of axiom_suite(4)
-    pull back to only 220 spans, so the span half of the universal
-    check is kept per task (see _Kept); the cospan half is computed
-    for each square.
+    The check is made once per orbit type (see _cospan_type), on the
+    first cospan of that type, and its verdict kept for the task.  The
+    verdict reads only the kernel's legs and tests, no class, and
+    relabelling the corners of a cospan relabels its completion, which
+    is then as valid, bicartesian, onto and injective as before.  So
+    every cospan of a type has the verdict of the first, and the first
+    failing cospan is the first whose type fails.  Every cospan is
+    still enumerated and counted, so checked stays a census, and no
+    certificate that the classes are closed under relabelling is
+    needed: only a scan that skipped the enumeration and counted the
+    cospans of a type would need one.  The 2,165 cospans of
+    axiom_suite(4) fall into 35 types.
     """
     w, x, v, bmaps, rmaps = args
     rs = [F1Morphism(v, x, m) for m in rmaps]
-    universal = _universal_by_halves(_Kept(kernel.span_half), kernel.cospan_half)
+    verdicts = {}
     count = 0
     for b in [F1Morphism(w, x, m) for m in bmaps]:
         if rs and not is_inflation(b):
             return count + 1, "cospan b=%s r=%s: %s" % (b, rs[0], _refusal("cospan", b))
         for r in rs:
             count += 1
-            lm, tm = kernel.pullback_legs(b.map, r.map, w, v)
-            u = len(lm) - 1
-            if not (
-                len(tm) == u + 1
-                and kernel.is_valid_map(lm, w)
-                and kernel.is_valid_map(tm, v)
-                and _bicartesian(lm, tm, b.map, r.map, u, v, w, x, universal)
-                and kernel.is_surjective(lm, w)
-                and kernel.is_injective(tm)
-            ):
+            key = _cospan_type(b.map, r.map)
+            ok = verdicts.get(key)
+            if ok is None:
+                lm, tm = kernel.pullback_legs(b.map, r.map, w, v)
+                u = len(lm) - 1
+                ok = verdicts[key] = (
+                    len(tm) == u + 1
+                    and kernel.is_valid_map(lm, w)
+                    and kernel.is_valid_map(tm, v)
+                    and _bicartesian(lm, tm, b.map, r.map, u, v, w, x)
+                    and kernel.is_surjective(lm, w)
+                    and kernel.is_injective(tm)
+                )
+            if not ok:
                 return count, "cospan b=%s r=%s" % (b, r)
     return count, None
 
@@ -758,27 +779,34 @@ def _scan_v_task(args):
     As in _scan_iv_task, on map tuples: the new legs b, r of each square,
     as complete_pushout builds them, are valid maps, the square commutes
     and is bicartesian, and r is a deflation and b an inflation.  Dually
-    to axiom iv, the 2,165 spans of axiom_suite(4) push out to only 220
-    cospans, so the cospan half is kept per task.
+    to axiom iv, the check is made once per orbit type (see _span_type)
+    and its verdict kept for the task.  The verdict reads no class and
+    every span is still enumerated and counted, so, as there, no
+    certificate of the classes' symmetry is needed while the scan
+    enumerates.
     """
     w, u, v, lmaps, tmaps = args
     ts = [F1Morphism(u, v, m) for m in tmaps]
-    universal = _universal_by_halves(kernel.span_half, _Kept(kernel.cospan_half))
+    verdicts = {}
     count = 0
     for l in [F1Morphism(u, w, m) for m in lmaps]:
         for t in ts:
             count += 1
             if not is_inflation(t):
                 return count, "span l=%s t=%s: %s" % (l, t, _refusal("span", t))
-            bm, rm, x = kernel.pushout_legs(l.map, t.map, w, v)
-            if not (
-                len(rm) == v + 1
-                and kernel.is_valid_map(bm, x)
-                and kernel.is_valid_map(rm, x)
-                and _bicartesian(l.map, t.map, bm, rm, u, v, w, x, universal)
-                and kernel.is_surjective(rm, x)
-                and kernel.is_injective(bm)
-            ):
+            key = _span_type(l.map, t.map)
+            ok = verdicts.get(key)
+            if ok is None:
+                bm, rm, x = kernel.pushout_legs(l.map, t.map, w, v)
+                ok = verdicts[key] = (
+                    len(rm) == v + 1
+                    and kernel.is_valid_map(bm, x)
+                    and kernel.is_valid_map(rm, x)
+                    and _bicartesian(l.map, t.map, bm, rm, u, v, w, x)
+                    and kernel.is_surjective(rm, x)
+                    and kernel.is_injective(bm)
+                )
+            if not ok:
                 return count, "span l=%s t=%s" % (l, t)
     return count, None
 
@@ -825,8 +853,10 @@ def _cartesian_iff_cocartesian(max_size, infl, defl):
     l's sorted values and its zero slots, cospan_key reads which w have
     b(w) in r's image (all of them, as b's values are d's) and r's
     kernel, and covers_once sorts b's values: each is invariant under σ.
-    A passing row counts each of its squares; a failing row stops at
-    its first square, the first failing square of the per-square loop.
+    A passing row yields the number of its squares, a batch that
+    CheckResult.first_failure counts in one step; a failing row stops
+    at its first square, the first failing square of the per-square
+    loop.
 
     The first squares of rows repeat their spans, cospans and pushout
     triples (the 4,511 rows of axiom_suite(4) read 633 distinct spans,
@@ -843,7 +873,7 @@ def _cartesian_iff_cocartesian(max_size, infl, defl):
             square = _square_text(l, t, b, r, u, v, w, x)
             yield "cartesian=%s cocartesian=%s for %s" % (pb, po, square)
         else:
-            yield from repeat("", len(ls))
+            yield len(ls)
 
 
 def _calibration(max_size):
@@ -937,36 +967,75 @@ def _summed_square_ok(s1, s2):
         and kernel.is_injective(b)
         and kernel.is_surjective(l, w1 + w2)
         and kernel.is_surjective(r, x1 + x2)
-        and _bicartesian(
-            l, t, b, r, u1 + u2, v1 + v2, w1 + w2, x1 + x2, kernel.universal_square_ok
-        )
+        and _bicartesian(l, t, b, r, u1 + u2, v1 + v2, w1 + w2, x1 + x2)
     )
 
 
 def _restriction_injective(max_size):
     """DS3: restriction along the block inclusions (dually, corestriction
-    along the block projections) is injective.  The restrictions m∘il
-    and m∘ir read m through one reader of il and one of ir per (u, v),
-    and the corestrictions pl∘m and pr∘m read through one reader of m."""
+    along the block projections) is injective.
+
+    For s = u+v ascending and then each w, hom(s, w) is built once, by
+    the uncached fresh_hom_maps, and every split (u, v) of s, u
+    ascending, is tested on it; then hom(w, s) likewise.  Each hom set
+    is dropped before the next is built and none enters the hom_maps
+    cache, where these sets, most of them past the window, took 6.94 M
+    maps at window 6.  A split is one batch.  Its restrictions
+    (m∘il, m∘ir) read m through one reader of il and one of ir, its
+    corestrictions (pl∘m, pr∘m) through one reader of m.  A batch with
+    as many distinct keys as maps yields its length; otherwise it
+    searches for the first clash and yields the passing cases before
+    it, then the witness.  This order of cases, by s, w, direction and
+    split, matters only for a witness: every count is that of the
+    case-by-case loop.  DS3 reads no class.
+    """
     sizes = range(max_size + 1)
-    for u, v in product(sizes, repeat=2):
+    for s in range(2 * max_size + 1):
+        splits = [(u, s - u) for u in sizes if s - u in sizes]
+        for w in sizes:
+            yield from _restrictions_out_of(s, w, splits)
+            yield from _corestrictions_into(s, w, splits)
+
+
+def _restrictions_out_of(s, w, splits):
+    """DS3's batches for the restrictions of hom(s, w), one per split."""
+    out_of = kernel.fresh_hom_maps(s, w)
+    for u, v in splits:
         at_il = kernel.reader(inc_left(u, v).map)
         at_ir = kernel.reader(inc_right(u, v).map)
+        yield from _injective_batch(
+            lambda: zip(map(at_il, out_of), map(at_ir, out_of)),
+            len(out_of),
+            "restriction collision out of %d⊕%d" % (u, v),
+        )
+
+
+def _corestrictions_into(s, w, splits):
+    """DS3's batches for the corestrictions of hom(w, s), one per split."""
+    into = kernel.fresh_hom_maps(w, s)
+    for u, v in splits:
         pl, pr = proj_left(u, v).map, proj_right(u, v).map
-        for w in sizes:
-            seen = set()
-            for m in kernel.hom_maps(u + v, w):
-                key = (at_il(m), at_ir(m))
-                clash = key in seen
-                yield "restriction collision out of %d⊕%d" % (u, v) if clash else ""
-                seen.add(key)
-            seen = set()
-            for m in kernel.hom_maps(w, u + v):
-                at_m = kernel.reader(m)
-                key = (at_m(pl), at_m(pr))
-                clash = key in seen
-                yield "corestriction collision into %d⊕%d" % (u, v) if clash else ""
-                seen.add(key)
+        yield from _injective_batch(
+            lambda: ((at_m(pl), at_m(pr)) for at_m in map(kernel.reader, into)),
+            len(into),
+            "corestriction collision into %d⊕%d" % (u, v),
+        )
+
+
+def _injective_batch(keys, n, witness):
+    """The cases of a batch whose n keys keys() gives: n when they are
+    distinct; otherwise the number of keys before the first that repeats
+    an earlier one, then witness."""
+    if len(set(keys())) == n:
+        yield n
+        return
+    seen = set()
+    for k, key in enumerate(keys()):
+        if key in seen:
+            yield k
+            yield witness
+            return
+        seen.add(key)
 
 
 def _unique_splitting_extension(max_size):
@@ -1042,7 +1111,9 @@ def axiom_suite(max_size, jobs=1, inflation_maps_of=None, deflation_maps_of=None
     and the tasks of both go to one parallel_map call (so that workers
     can share them): each task stops at its first failing case, the
     witness of an axiom is that of its first failing triple, and the
-    cases of every triple are counted.
+    cases of every triple are counted.  Every case of every check is
+    enumerated and counted, though axiom iii decides one square per
+    row and axioms iv and v one cospan or span per orbit type.
 
     Completions and small squares additionally get the pullback/pushout
     universal property checked against every test object of size <=

@@ -8,7 +8,7 @@ import itertools
 import pytest
 
 import f1kgw
-from f1kgw import _corepy
+from f1kgw import _corepy, pointed
 from f1kgw.pointed import _commuting_squares, axiom_suite
 
 
@@ -293,10 +293,10 @@ def test_per_leg_caches_hold_one_entry_per_leg(monkeypatch):
     # endpoints), so after a whole suite they hold at most one entry per
     # distinct leg: their memory follows the maps, not the squares, nor
     # the two universal-property bounds that the suite uses.  The suite
-    # reaches the tables through universal_square_ok and through the
-    # halves that axioms iv and v keep, and the per-map caches through
-    # is_pullback and is_pushout and through the parts that axiom iii
-    # keeps; every one of these entry points records what it reads.
+    # reaches the tables through universal_square_ok, and the per-map
+    # caches through is_pullback and is_pushout, through the parts that
+    # axiom iii keeps and through the orbit types of axioms iv and v;
+    # every one of these entry points records what it reads.
     per_map = (
         _corepy._image,
         _corepy._kernel_points,
@@ -315,14 +315,6 @@ def test_per_leg_caches_hold_one_entry_per_leg(monkeypatch):
             intrinsic_calls[0] += 1
             maps.update({l, t, b, r})
 
-    def span_half(l, t, u, v, w, bound):
-        bounds.add(bound)
-        legs.update({(l, u, w), (t, u, v)})
-
-    def cospan_half(b, r, w, v, x, bound):
-        bounds.add(bound)
-        legs.update({(b, w, x), (r, v, x)})
-
     def intrinsic(*legs_read):
         intrinsic_calls[0] += 1
         maps.update(legs_read)
@@ -331,8 +323,6 @@ def test_per_leg_caches_hold_one_entry_per_leg(monkeypatch):
         "is_pullback": square,
         "is_pushout": square,
         "universal_square_ok": square,
-        "span_half": span_half,
-        "cospan_half": cospan_half,
         "span_key": lambda l, t: intrinsic(l, t),
         "cospan_key": lambda b, r, w: intrinsic(b, r),
         "missed_images": lambda t, r, v: intrinsic(t, r),
@@ -357,13 +347,16 @@ def test_per_leg_caches_hold_one_entry_per_leg(monkeypatch):
 
     for name, record in records.items():
         monkeypatch.setattr(_corepy, name, recording(getattr(_corepy, name), record))
+    for name in ("_cospan_type", "_span_type"):
+        orbit_type = recording(getattr(pointed, name), lambda *read: maps.update(read))
+        monkeypatch.setattr(pointed, name, orbit_type)
     assert axiom_suite(4).ok
     assert bounds == {2, 3}
-    assert _corepy._leg.cache_info().currsize == len(legs) == 179
+    assert _corepy._leg.cache_info().currsize == len(legs) == 129
     for leg in legs:
         assert len(_corepy._leg(*leg)) in (3, 4)
     assert _corepy._leg.cache_info().currsize == len(legs)
-    assert intrinsic_calls[0] == 17894 and len(maps) == 155
+    assert intrinsic_calls[0] == 9374 and len(maps) == 155
     for cache in per_map:
         assert 0 < cache.cache_info().currsize <= len(maps)
 

@@ -42,6 +42,7 @@ from f1kgw.pointed import (
     _commuting_squares,
     _exact_bifunctor,
     _refusal,
+    _restriction_injective,
     _square_rows,
     _square_text,
 )
@@ -473,6 +474,98 @@ def test_check_result_passes_exactly_when_it_has_no_witness():
     assert CheckResult.first_failure("c", iter(["", "bad", ""])).checked == 2
 
 
+def test_first_failure_counts_batches_of_passing_cases():
+    # Newly covers: a positive int is that many passing cases, whether
+    # it comes before a witness, between single cases or after the
+    # witness, where it is not read.
+    def run(cases):
+        result = CheckResult.first_failure("c", iter(cases))
+        return result.checked, result.witness
+
+    assert run([3, "", 2]) == (6, "")
+    assert run([3, "", 2, "bad", 5, ""]) == (7, "bad")
+    assert run(["", "bad", 4]) == (2, "bad")
+    assert run([1, 1, "bad"]) == (3, "bad")
+    assert run([]) == (0, "")
+
+
+def ds3_cases(max_size):
+    """DS3 one case at a time, in the suite's order of hom sets and
+    splits, on hom sets from itertools; each key still reads through
+    kernel.reader, as the suite's do."""
+    sizes = range(max_size + 1)
+    for s in range(2 * max_size + 1):
+        splits = [(u, s - u) for u in sizes if s - u in sizes]
+        for w in sizes:
+            for u, v in splits:
+                at_il = kernel.reader(inc_left(u, v).map)
+                at_ir = kernel.reader(inc_right(u, v).map)
+                seen = set()
+                for m in partial_injections(s, w):
+                    key = (at_il(m), at_ir(m))
+                    yield "restriction collision out of %d⊕%d" % (u, v) if key in seen else ""
+                    seen.add(key)
+            for u, v in splits:
+                pl, pr = proj_left(u, v).map, proj_right(u, v).map
+                seen = set()
+                for m in partial_injections(w, s):
+                    at_m = kernel.reader(m)
+                    key = (at_m(pl), at_m(pr))
+                    yield "corestriction collision into %d⊕%d" % (u, v) if key in seen else ""
+                    seen.add(key)
+
+
+def test_ds3_counts_batches_and_finds_a_forced_clash(monkeypatch):
+    # Newly covers: DS3 yields one count per hom set and split, and
+    # gives the case-by-case loop's count and witness, both when it
+    # passes and when a reader that forgets the block V of 1⊕1 makes
+    # two maps out of 1⊕1 restrict alike.
+    for max_size in range(4):
+        want = CheckResult.first_failure("DS3", ds3_cases(max_size))
+        got = CheckResult.first_failure("DS3", _restriction_injective(max_size))
+        assert (got.checked, got.witness) == (want.checked, "")
+    assert got.checked == 2464
+    honest = kernel.reader
+    forgetful = inc_right(1, 1).map
+    monkeypatch.setattr(kernel, "reader", lambda f: (lambda g: ()) if f == forgetful else honest(f))
+    for max_size in (1, 2, 3):
+        want = CheckResult.first_failure("DS3", ds3_cases(max_size))
+        got = CheckResult.first_failure("DS3", _restriction_injective(max_size))
+        assert (got.checked, got.witness) == (want.checked, want.witness)
+    assert (got.checked, got.witness) == (59, "restriction collision out of 1⊕1")
+
+
+def test_ds3_leaves_no_hom_set_past_the_window_in_the_cache(monkeypatch):
+    # Newly covers: DS3 reads hom(u+v, w) and hom(w, u+v) through the
+    # uncached fresh_hom_maps, so it puts nothing in the hom_maps cache.
+    # After axiom_suite(4) the cache holds no hom set with a side of
+    # size 7 or 8, which only DS3 reads; the universal property of the
+    # block squares, whose corners reach size 6, reads the others.
+    from f1kgw import _corepy
+
+    cached, fresh = set(), set()
+    hom_maps, fresh_hom_maps = _corepy.hom_maps, _corepy.fresh_hom_maps
+
+    def recording(seen, fn):
+        def wrapper(src, dst):
+            seen.add((src, dst))
+            return fn(src, dst)
+
+        return wrapper
+
+    monkeypatch.setattr(_corepy, "hom_maps", recording(cached, hom_maps))
+    monkeypatch.setattr(_corepy, "fresh_hom_maps", recording(fresh, fresh_hom_maps))
+    for max_size in range(5):
+        hom_maps.cache_clear()
+        assert CheckResult.first_failure("DS3", _restriction_injective(max_size)).passed
+        assert hom_maps.cache_info().currsize == 0 and not cached
+        assert (2 * max_size, max_size) in fresh and (max_size, 2 * max_size) in fresh
+    fresh.clear()
+    assert axiom_suite(4).ok
+    only_ds3 = {pair for pair in fresh if max(pair) > 6}
+    assert len(only_ds3) == 20 and only_ds3.isdisjoint(cached)
+
+
 def test_ds2_reports_a_summed_square_outside_the_classes(monkeypatch):
     # Newly covers: DS2 checks the classes of each summed square itself,
     # so a block sum that drops its second block fails with a witness
@@ -519,25 +612,26 @@ def test_ds2_sums_each_triple_once_and_hides_no_wrong_sum(monkeypatch):
 
 
 def test_completion_scans_take_the_legs_of_the_public_completions(monkeypatch):
-    # Newly covers: axioms iv and v complete each square on map tuples.
-    # Every cospan and span with corners <= 3 gets the legs that
-    # complete_pullback and complete_pushout build, and the scans build
-    # no square object and wrap each map of the hom sets a task carries
-    # once.
+    # Newly covers: axioms iv and v complete squares on map tuples, one
+    # per orbit type of cospan or span in each task.  In every task with
+    # corners <= 3 the scans complete one cospan or span of each type,
+    # with the legs that complete_pullback and complete_pushout build;
+    # they build no square object and wrap each map of the hom sets a
+    # task carries once.
     from f1kgw import pointed
 
-    legs = {"pullback": {}, "pushout": {}}
+    calls = []
 
-    def recording(kind, fn):
-        def wrapper(a, b, *sizes):
-            got = fn(a, b, *sizes)
-            legs[kind][(a, b) + sizes] = got
+    def recording(fn):
+        def wrapper(*args):
+            got = fn(*args)
+            calls[-1][1].append((args, got))
             return got
 
         return wrapper
 
-    monkeypatch.setattr(kernel, "pullback_legs", recording("pullback", kernel.pullback_legs))
-    monkeypatch.setattr(kernel, "pushout_legs", recording("pushout", kernel.pushout_legs))
+    monkeypatch.setattr(kernel, "pullback_legs", recording(kernel.pullback_legs))
+    monkeypatch.setattr(kernel, "pushout_legs", recording(kernel.pushout_legs))
     wrapped, squares = [0], [0]
     init, square_init = F1Morphism.__init__, BicartesianSquare.__init__
 
@@ -551,38 +645,37 @@ def test_completion_scans_take_the_legs_of_the_public_completions(monkeypatch):
 
     monkeypatch.setattr(F1Morphism, "__init__", counting)
     monkeypatch.setattr(BicartesianSquare, "__init__", square)
-    sizes = range(4)
     class_maps = 0
-    for a, b, c in itertools.product(sizes, repeat=3):
+    for a, b, c in itertools.product(range(4), repeat=3):
         for scan, outer, inner in (
             (pointed._scan_iv_task, kernel.inflation_maps(a, b), kernel.deflation_maps(c, b)),
             (pointed._scan_v_task, kernel.deflation_maps(b, a), kernel.inflation_maps(b, c)),
         ):
+            calls.append(((scan, a, b, c, outer, inner), []))
             count, witness = scan((a, b, c, outer, inner))
             assert (count, witness) == (len(outer) * len(inner), None)
             class_maps += len(outer) + len(inner)
     assert wrapped[0] == class_maps and squares[0] == 0
     monkeypatch.undo()
-    cospans = [
-        (F1Morphism(w, x, bm), F1Morphism(v, x, rm))
-        for w, x, v in itertools.product(sizes, repeat=3)
-        for bm in kernel.inflation_maps(w, x)
-        for rm in kernel.deflation_maps(v, x)
-    ]
-    spans = [
-        (F1Morphism(u, w, lm), F1Morphism(u, v, tm))
-        for w, u, v in itertools.product(sizes, repeat=3)
-        for lm in kernel.deflation_maps(u, w)
-        for tm in kernel.inflation_maps(u, v)
-    ]
-    assert len(legs["pullback"]) == len(cospans) and len(legs["pushout"]) == len(spans)
-    for b, r in cospans:
-        sq = complete_pullback(b, r)
-        assert legs["pullback"][b.map, r.map, b.src, r.src] == (sq.left.map, sq.top.map)
-    for l, t in spans:
-        sq = complete_pushout(l, t)
-        got = legs["pushout"][l.map, t.map, l.dst, t.dst]
-        assert got == (sq.bottom.map, sq.right.map, sq.right.dst)
+    completed = 0
+    for (scan, a, b, c, outer, inner), legs in calls:
+        if scan is pointed._scan_iv_task:
+            w, x, v = a, b, c
+            types = {pointed._cospan_type(bm, rm) for bm in outer for rm in inner}
+            for (bm, rm, *_), got in legs:
+                sq = complete_pullback(F1Morphism(w, x, bm), F1Morphism(v, x, rm))
+                assert got == (sq.left.map, sq.top.map)
+            assert sorted(pointed._cospan_type(bm, rm) for (bm, rm, *_), _ in legs) == sorted(types)
+        else:
+            w, u, v = a, b, c
+            types = {pointed._span_type(lm, tm) for lm in outer for tm in inner}
+            for (lm, tm, *_), got in legs:
+                sq = complete_pushout(F1Morphism(u, w, lm), F1Morphism(u, v, tm))
+                assert got == (sq.bottom.map, sq.right.map, sq.right.dst)
+            assert sorted(pointed._span_type(lm, tm) for (lm, tm, *_), _ in legs) == sorted(types)
+        completed += len(legs)
+    # 152 cospans and 152 spans in 40 types
+    assert completed == 40
 
 
 def test_complete_pushout_reads_the_kernel_legs(monkeypatch):
@@ -688,8 +781,8 @@ def fresh_v(w, u, v, lmaps, tmaps):
 
 def fresh_rows(max_size, infl, defl):
     """(name, checked, witness) of axioms iii, iv and v, deciding every
-    square afresh: the per-square loop that the suite's kept span and
-    cospan parts replace."""
+    square afresh: the per-square loop that the suite's rows of axiom
+    iii and orbit types of axioms iv and v replace."""
 
     def iii_cases():
         for sq in _commuting_squares(max_size, infl, defl):
@@ -715,15 +808,16 @@ def fresh_rows(max_size, infl, defl):
 
 @pytest.mark.parametrize("classes", sorted(SQUARE_CLASSES))
 def test_kept_square_parts_decide_as_the_fresh_loop(classes):
-    # Newly covers: axioms iii, iv and v keep the span and cospan parts
-    # of their square tests for one call; every count and witness is
-    # the one that deciding each square afresh gives, for every class,
-    # at both job counts.
+    # Newly covers: axiom iii decides one square per row and axioms iv
+    # and v one cospan or span per orbit type; every count and witness
+    # is the one that deciding each square afresh gives, for every class
+    # at windows 0-3 and for the honest classes at window 4, at both job
+    # counts.
     given = SQUARE_CLASSES[classes]
     infl = given.get("inflation_maps_of", kernel.inflation_maps)
     defl = given.get("deflation_maps_of", kernel.deflation_maps)
     failed = 0
-    for max_size in range(4):
+    for max_size in range(5 if classes == "honest" else 4):
         want = fresh_rows(max_size, infl, defl)
         failed += any(wit for _, _, wit in want)
         for jobs in (1, 2):
@@ -731,6 +825,60 @@ def test_kept_square_parts_decide_as_the_fresh_loop(classes):
             got = [(c.name, c.checked, c.witness) for c in report.checks[2:5]]
             assert got == want, (max_size, jobs)
     assert failed == (0 if classes in ("honest", "no isos among inflations") else 3)
+
+
+def partial_injections(src, dst):
+    """Every map src -> dst, from itertools alone, not the kernel."""
+    return [
+        (0,) + tail
+        for tail in itertools.product(range(dst + 1), repeat=src)
+        if len(set(filter(None, tail))) == len(tuple(filter(None, tail)))
+    ]
+
+
+def relabel(f, before, after):
+    """after∘f∘before⁻¹ for permutations before and after, as tuples
+    that fix 0."""
+    out = [0] * len(f)
+    for i, value in enumerate(f):
+        out[before[i]] = after[value]
+    return tuple(out)
+
+
+def orbit(first, second, a, b, c, cospan):
+    """The least pair in the orbit of the cospan a -first-> b <-second- c
+    or of the span b <-first- a -second-> c, found by trying every
+    permutation of each corner."""
+    perms = [[(0,) + p for p in itertools.permutations(range(1, n + 1))] for n in (a, b, c)]
+    if cospan:
+        return min(
+            (relabel(first, pa, pb), relabel(second, pc, pb))
+            for pa, pb, pc in itertools.product(*perms)
+        )
+    return min(
+        (relabel(first, pa, pb), relabel(second, pa, pc))
+        for pa, pb, pc in itertools.product(*perms)
+    )
+
+
+def test_orbit_types_are_complete_invariants():
+    # Newly covers: two cospans W -b-> X <-r- V (two spans W <-l- U -t-> V)
+    # of partial injections with the same corner sizes <= 3 have the
+    # same _cospan_type (_span_type) exactly when relabelling the
+    # corners turns one into the other, so one verdict per type is one
+    # verdict per orbit.  Maps and orbits come from itertools alone.
+    from f1kgw.pointed import _cospan_type, _span_type
+
+    types = 0
+    for a, b, c in itertools.product(range(4), repeat=3):
+        for key, cospan in ((_cospan_type, True), (_span_type, False)):
+            # a cospan's legs run a -> b <- c, a span's b <- a -> c
+            first = partial_injections(a, b)
+            second = partial_injections(c, b) if cospan else partial_injections(a, c)
+            pairs = {(key(f, g), orbit(f, g, a, b, c, cospan)) for f in first for g in second}
+            assert len(pairs) == len({k for k, _ in pairs}) == len({o for _, o in pairs})
+            types += len(pairs)
+    assert types == 560
 
 
 @pytest.mark.parametrize("classes", sorted(SQUARE_CLASSES))
