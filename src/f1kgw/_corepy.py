@@ -12,14 +12,16 @@ W <-l- U -t-> V and what it reads of the cospan W -b-> X <-r- V, joined
 by a comparison: is_pullback compares span_key with cospan_key, and
 universal_square_ok joins span_half with cospan_half.  Every part is a
 pure function of the maps and sizes it reads, so a scan that meets a
-span or a cospan in many squares may keep its part for the scan and
-compare it again; axiom iii does so for one call, on one square per row
-of one (t, r).  Axioms iv and v call the whole tests, once per orbit
-type of cospan or span.  Only what depends on a single map is cached
-for the process: its image and kernel, and a leg's index tables, their
-tallies and whether each table is injective, read by every half that
-has that leg.  Hom sets are cached by hom_maps; fresh_hom_maps builds
-one that a scan reads once and drops.
+span or a cospan in many squares may keep its key and compare it again;
+axiom iii keeps span_key and cospan_key for one call, on one square per
+row of one (t, r).  No scan keeps a half: axioms iv and v call the whole
+tests once per orbit type of cospan or span, and every other caller of
+universal_square_ok once per square.  Only what depends on a single map
+is cached for the process: its image and kernel, and a leg's index
+tables, their tallies and whether each table is injective, read by
+every half that has that leg; a half pairs two legs' tables only when
+neither is injective.  Hom sets are cached by hom_maps; fresh_hom_maps
+builds one that a scan reads once and drops.
 """
 
 from collections import Counter
@@ -330,8 +332,7 @@ def span_half(l, t, u_size, v_size, w_size, bound):
         (|hom(T, U)|, is m ↦ (l∘m, t∘m) injective on hom(T, U),
          the number of pairs c: W -> T, d: V -> T with c∘l = d∘t).
 
-    It is a pure function of its arguments, so a scan that meets the
-    span in many squares may keep it."""
+    universal_square_ok joins it with the cospan_half of its square."""
     ls = _leg_upto(l, u_size, w_size, bound)[: bound + 1]
     ts = _leg_upto(t, u_size, v_size, bound)[: bound + 1]
     return tuple(

@@ -545,7 +545,9 @@ class CheckResult:
         on a failure, or a positive int n for a batch of n passing
         cases; stop at the first witness, counting the cases consumed up
         to and including it.  A "" is read by one truthiness test, so a
-        check that yields one case at a time pays nothing for batches."""
+        check that yields one case at a time pays nothing for batches.
+        A batch must not be 0, which that test would read as one passing
+        case: a producer with no passing cases to report yields nothing."""
         checked = 0
         for witness in cases:
             if witness:
@@ -975,31 +977,34 @@ def _restriction_injective(max_size):
     """DS3: restriction along the block inclusions (dually, corestriction
     along the block projections) is injective.
 
-    For s = u+v ascending and then each w, hom(s, w) is built once, by
-    the uncached fresh_hom_maps, and every split (u, v) of s, u
-    ascending, is tested on it; then hom(w, s) likewise.  Each hom set
-    is dropped before the next is built and none enters the hom_maps
-    cache, where these sets, most of them past the window, took 6.94 M
-    maps at window 6.  A split is one batch.  Its restrictions
-    (m∘il, m∘ir) read m through one reader of il and one of ir, its
-    corestrictions (pl∘m, pr∘m) through one reader of m.  A batch with
-    as many distinct keys as maps yields its length; otherwise it
-    searches for the first clash and yields the passing cases before
-    it, then the witness.  This order of cases, by s, w, direction and
-    split, matters only for a witness: every count is that of the
-    case-by-case loop.  DS3 reads no class.
+    For s = u+v ascending and then each w, hom(s, w) is read once and
+    every split (u, v) of s, u ascending, is tested on it; then hom(w, s)
+    likewise.  A hom set inside the window (s <= max_size) comes from
+    hom_maps, whose cache the suite's other checks fill with every such
+    set.  One past the window is built by the uncached fresh_hom_maps
+    and dropped before the next is built, so it never enters the cache,
+    where DS3's hom sets, most of them past the window, took 6.94 M maps
+    at window 6.  A split is one batch.  Its restrictions (m∘il, m∘ir)
+    read m through one reader of il and one of ir, its corestrictions
+    (pl∘m, pr∘m) through one reader of m.  A batch with as many distinct
+    keys as maps yields its length; otherwise it searches for the first
+    clash and yields the passing cases before it, then the witness.
+    This order of cases, by s, w, direction and split, matters only for
+    a witness: every count is that of the case-by-case loop.  DS3 reads
+    no class.
     """
     sizes = range(max_size + 1)
     for s in range(2 * max_size + 1):
         splits = [(u, s - u) for u in sizes if s - u in sizes]
+        homs = kernel.hom_maps if s <= max_size else kernel.fresh_hom_maps
         for w in sizes:
-            yield from _restrictions_out_of(s, w, splits)
-            yield from _corestrictions_into(s, w, splits)
+            yield from _restrictions_out_of(homs(s, w), splits)
+            yield from _corestrictions_into(homs(w, s), splits)
 
 
-def _restrictions_out_of(s, w, splits):
-    """DS3's batches for the restrictions of hom(s, w), one per split."""
-    out_of = kernel.fresh_hom_maps(s, w)
+def _restrictions_out_of(out_of, splits):
+    """DS3's batches for the restrictions of the hom set out_of, out of
+    u+v, one per split (u, v)."""
     for u, v in splits:
         at_il = kernel.reader(inc_left(u, v).map)
         at_ir = kernel.reader(inc_right(u, v).map)
@@ -1010,9 +1015,9 @@ def _restrictions_out_of(s, w, splits):
         )
 
 
-def _corestrictions_into(s, w, splits):
-    """DS3's batches for the corestrictions of hom(w, s), one per split."""
-    into = kernel.fresh_hom_maps(w, s)
+def _corestrictions_into(into, splits):
+    """DS3's batches for the corestrictions of the hom set into, into
+    u+v, one per split (u, v)."""
     for u, v in splits:
         pl, pr = proj_left(u, v).map, proj_right(u, v).map
         yield from _injective_batch(
@@ -1025,7 +1030,9 @@ def _corestrictions_into(s, w, splits):
 def _injective_batch(keys, n, witness):
     """The cases of a batch whose n keys keys() gives: n when they are
     distinct; otherwise the number of keys before the first that repeats
-    an earlier one, then witness."""
+    an earlier one, then witness.  Neither count is 0, as
+    CheckResult.first_failure requires: a hom set holds at least the
+    zero map, and the first key repeats none."""
     if len(set(keys())) == n:
         yield n
         return

@@ -536,12 +536,16 @@ def test_ds3_counts_batches_and_finds_a_forced_clash(monkeypatch):
 
 
 def test_ds3_leaves_no_hom_set_past_the_window_in_the_cache(monkeypatch):
-    # Newly covers: DS3 reads hom(u+v, w) and hom(w, u+v) through the
-    # uncached fresh_hom_maps, so it puts nothing in the hom_maps cache.
-    # After axiom_suite(4) the cache holds no hom set with a side of
-    # size 7 or 8, which only DS3 reads; the universal property of the
-    # block squares, whose corners reach size 6, reads the others.
-    from f1kgw import _corepy
+    # Newly covers: DS3 reads the hom sets inside the window through
+    # hom_maps and builds those past it through the uncached
+    # fresh_hom_maps, so after DS3 alone the cache holds exactly the
+    # window's hom sets, and after axiom_suite(4) it holds only those
+    # of DS3's hom sets past the window that another check reads too.
+    # Without DS3,
+    # axiom_suite(3) and axiom_suite(4) from empty caches already leave
+    # every hom set inside the window in the cache, so DS3 builds none
+    # of them again.
+    from f1kgw import _corepy, pointed
 
     cached, fresh = set(), set()
     hom_maps, fresh_hom_maps = _corepy.hom_maps, _corepy.fresh_hom_maps
@@ -553,17 +557,47 @@ def test_ds3_leaves_no_hom_set_past_the_window_in_the_cache(monkeypatch):
 
         return wrapper
 
+    def inside(max_size):
+        return set(itertools.product(range(max_size + 1), repeat=2))
+
+    def past(max_size):
+        beyond = range(max_size + 1, 2 * max_size + 1)
+        return {pair for s in beyond for w in range(max_size + 1) for pair in ((s, w), (w, s))}
+
+    def clear_caches():
+        hom_maps.cache_clear()
+        for part in vars(_corepy).values():
+            if hasattr(part, "cache_clear"):
+                part.cache_clear()
+
+    def held(pairs):
+        """How many of pairs the hom_maps cache holds; asking for each
+        puts the rest in it."""
+        before = hom_maps.cache_info().currsize
+        for pair in pairs:
+            hom_maps(*pair)
+        return len(pairs) - (hom_maps.cache_info().currsize - before)
+
     monkeypatch.setattr(_corepy, "hom_maps", recording(cached, hom_maps))
     monkeypatch.setattr(_corepy, "fresh_hom_maps", recording(fresh, fresh_hom_maps))
     for max_size in range(5):
         hom_maps.cache_clear()
+        cached.clear()
+        fresh.clear()
         assert CheckResult.first_failure("DS3", _restriction_injective(max_size)).passed
-        assert hom_maps.cache_info().currsize == 0 and not cached
-        assert (2 * max_size, max_size) in fresh and (max_size, 2 * max_size) in fresh
-    fresh.clear()
+        assert cached == inside(max_size) and fresh - cached == past(max_size)
+        assert hom_maps.cache_info().currsize == len(inside(max_size))
+    clear_caches()
     assert axiom_suite(4).ok
-    only_ds3 = {pair for pair in fresh if max(pair) > 6}
-    assert len(only_ds3) == 20 and only_ds3.isdisjoint(cached)
+    # the universal property of the block squares, whose corners reach
+    # size 6, reads hom(s, n) and hom(n, s) for test objects n <= 2
+    block = {pair for pair in past(4) if max(pair) <= 6 and min(pair) <= 2}
+    assert held(past(4) - block) == 0 and held(block) == len(block) == 12
+    monkeypatch.setattr(pointed, "_restriction_injective", lambda max_size: iter(()))
+    for max_size in (3, 4):
+        clear_caches()
+        assert axiom_suite(max_size).ok
+        assert held(inside(max_size)) == len(inside(max_size))
 
 
 def test_ds2_reports_a_summed_square_outside_the_classes(monkeypatch):
