@@ -209,48 +209,45 @@ def test_is_pullback_matches_the_pair_names():
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
+def matched_pairs(left, right):
+    """The number of pairs (i, j) with left[i] == right[j]."""
+    tally = {}
+    for k in left:
+        tally[k] = tally.get(k, 0) + 1
+    return sum(tally.get(k, 0) for k in right)
+
+
 def enumerated_universal_failure(l, t, b, r, u_size, v_size, w_size, x_size, bound):
     """The compose-per-map check that the tables replaced, kept as the
-    oracle: "" when the square passes, else which test failed first
-    ("duplicate": the comparison is not injective; "count": it misses
-    some matched pair)."""
+    oracle: () when the square passes, else the names of its four
+    comparisons that fail at the least test object T = n where one
+    does: "injective into U" (m ↦ (l∘m, t∘m) on hom(T, U)),
+    "|hom(T,U)| = pairs" (as many m as pairs c: T -> W, d: T -> V with
+    b∘c = r∘d), and dually "injective out of X" (m ↦ (m∘b, m∘r) on
+    hom(X, T)) and "|hom(X,T)| = pairs" (pairs c: W -> T, d: V -> T with
+    c∘l = d∘t)."""
     compose, hom_maps = _corepy.compose, _corepy.hom_maps
     for n in range(bound + 1):
-        tally = {}
-        for c in hom_maps(n, w_size):
-            k = compose(b, c)
-            tally[k] = tally.get(k, 0) + 1
-        pairs = 0
-        for d in hom_maps(n, v_size):
-            m = tally.get(compose(r, d))
-            if m:
-                pairs += m
-        seen = set()
-        for m in hom_maps(n, u_size):
-            key = (compose(l, m), compose(t, m))
-            if key in seen:
-                return "duplicate"
-            seen.add(key)
-        if len(seen) != pairs:
-            return "count"
-        tally = {}
-        for c in hom_maps(w_size, n):
-            k = compose(c, l)
-            tally[k] = tally.get(k, 0) + 1
-        pairs = 0
-        for d in hom_maps(v_size, n):
-            m = tally.get(compose(d, t))
-            if m:
-                pairs += m
-        seen = set()
-        for m in hom_maps(x_size, n):
-            key = (compose(m, b), compose(m, r))
-            if key in seen:
-                return "duplicate"
-            seen.add(key)
-        if len(seen) != pairs:
-            return "count"
-    return ""
+        into_u = [(compose(l, m), compose(t, m)) for m in hom_maps(n, u_size)]
+        out_of_x = [(compose(m, b), compose(m, r)) for m in hom_maps(x_size, n)]
+        pullback_pairs = matched_pairs(
+            [compose(b, c) for c in hom_maps(n, w_size)],
+            [compose(r, d) for d in hom_maps(n, v_size)],
+        )
+        pushout_pairs = matched_pairs(
+            [compose(c, l) for c in hom_maps(w_size, n)],
+            [compose(d, t) for d in hom_maps(v_size, n)],
+        )
+        comparisons = (
+            ("injective into U", len(set(into_u)) == len(into_u)),
+            ("injective out of X", len(set(out_of_x)) == len(out_of_x)),
+            ("|hom(T,U)| = pairs", len(into_u) == pullback_pairs),
+            ("|hom(X,T)| = pairs", len(out_of_x) == pushout_pairs),
+        )
+        failing = tuple(name for name, holds in comparisons if not holds)
+        if failing:
+            return failing
+    return ()
 
 
 def summed_square(s1, s2):
@@ -278,14 +275,23 @@ def test_universal_square_ok_matches_the_enumeration():
         summed_square(s1, s2) for s1, s2 in itertools.product(bicartesian, repeat=2)
     ]
     assert len(summed) == 676
-    reasons = {}
+    failing, split = set(), {}
     for squares, bound in ((honest, 3), (widened, 3), (summed, 2)):
         for sq in squares:
             reason = enumerated_universal_failure(*sq, bound)
-            assert _corepy.universal_square_ok(*sq, bound) == (reason == ""), sq
-            reasons[reason] = reasons.get(reason, 0) + 1
-    # both ways of failing occur, so neither branch goes unchecked
-    assert reasons["duplicate"] > 0 and reasons["count"] > 0 and reasons[""] > 0
+            assert _corepy.universal_square_ok(*sq, bound) == (reason == ()), sq
+            failing.update(reason)
+            if bound == 3:
+                split[reason == ()] = split.get(reason == (), 0) + 1
+    # each of the four comparisons fails on some square, so none goes
+    # unchecked; the squares with corners <= 2 at bound 3 split 52 / 128
+    assert failing == {
+        "injective into U",
+        "injective out of X",
+        "|hom(T,U)| = pairs",
+        "|hom(X,T)| = pairs",
+    }
+    assert split == {True: 52, False: 128}
 
 
 def test_per_leg_caches_hold_one_entry_per_leg(monkeypatch):
@@ -294,9 +300,9 @@ def test_per_leg_caches_hold_one_entry_per_leg(monkeypatch):
     # distinct leg: their memory follows the maps, not the squares, nor
     # the two universal-property bounds that the suite uses.  The suite
     # reaches the tables through universal_square_ok, and the per-map
-    # caches through is_pullback and is_pushout, through the parts that
-    # axiom iii keeps and through the orbit types of axioms iv and v;
-    # every one of these entry points records what it reads.
+    # caches through is_pullback and is_pushout and through the orbit
+    # types of axioms iv and v; every one of these entry points records
+    # what it reads.
     per_map = (
         _corepy._image,
         _corepy._kernel_points,
@@ -315,38 +321,16 @@ def test_per_leg_caches_hold_one_entry_per_leg(monkeypatch):
             intrinsic_calls[0] += 1
             maps.update({l, t, b, r})
 
-    def intrinsic(*legs_read):
-        intrinsic_calls[0] += 1
-        maps.update(legs_read)
-
-    records = {
-        "is_pullback": square,
-        "is_pushout": square,
-        "universal_square_ok": square,
-        "span_key": lambda l, t: intrinsic(l, t),
-        "cospan_key": lambda b, r, w: intrinsic(b, r),
-        "missed_images": lambda t, r, v: intrinsic(t, r),
-        "covers_once": lambda b, missed, x: intrinsic(b),
-    }
-
-    # only the calls the suite makes are recorded, not those that one
-    # entry point makes of another (is_pullback of span_key, say)
-    depth = [0]
-
+    # no entry point calls another, so each call recorded is the suite's
     def recording(check, record):
         def wrapper(*args):
-            if not depth[0]:
-                record(*args)
-            depth[0] += 1
-            try:
-                return check(*args)
-            finally:
-                depth[0] -= 1
+            record(*args)
+            return check(*args)
 
         return wrapper
 
-    for name, record in records.items():
-        monkeypatch.setattr(_corepy, name, recording(getattr(_corepy, name), record))
+    for name in ("is_pullback", "is_pushout", "universal_square_ok"):
+        monkeypatch.setattr(_corepy, name, recording(getattr(_corepy, name), square))
     for name in ("_cospan_type", "_span_type"):
         orbit_type = recording(getattr(pointed, name), lambda *read: maps.update(read))
         monkeypatch.setattr(pointed, name, orbit_type)
@@ -356,16 +340,16 @@ def test_per_leg_caches_hold_one_entry_per_leg(monkeypatch):
     for leg in legs:
         assert len(_corepy._leg(*leg)) in (3, 4)
     assert _corepy._leg.cache_info().currsize == len(legs)
-    assert intrinsic_calls[0] == 9374 and len(maps) == 155
+    assert intrinsic_calls[0] == 1944 and len(maps) == 155
     for cache in per_map:
         assert 0 < cache.cache_info().currsize <= len(maps)
 
 
 def test_leg_flags_say_whether_each_table_is_injective(monkeypatch):
     # Newly covers: each _leg entry records whether its post table and
-    # its pre table are injective, which lets the halves skip pairing
-    # the two legs' tables; after the honest suite and after the class
-    # of hom_maps in both slots, whose legs include non-injective
+    # its pre table are injective, which lets universal_square_ok skip
+    # pairing the two legs' tables; after the honest suite and after the
+    # class of hom_maps in both slots, whose legs include non-injective
     # tables, both flags of every entry are those of the table itself.
     # Each flag is false on some entry; no leg read has both false.
     _corepy._leg.cache_clear()

@@ -2,8 +2,7 @@
 squares, and the exact-structure axiom suite."""
 
 import itertools
-from collections import Counter
-from operator import itemgetter, mul
+from operator import itemgetter
 
 import pytest
 
@@ -279,6 +278,31 @@ def test_axiom_suite_reports_first_witness():
     assert not ii.passed
     assert ii.witness == "iso (0,) missing from a class"
     assert ii.checked == 22
+
+
+def test_calibration_and_block_squares_can_fail(monkeypatch):
+    # Newly covers: the two checks that no honest or corrupted class
+    # makes fail do fail, at their first case, when the universal
+    # property refuses one square, the identity square on 1
+    universal_square_ok = kernel.universal_square_ok
+
+    def refusing(l, t, b, r, u, v, w, x, bound):
+        identity = (l, t, b, r) == ((0, 1),) * 4
+        return not identity and universal_square_ok(l, t, b, r, u, v, w, x, bound)
+
+    monkeypatch.setattr(kernel, "universal_square_ok", refusing)
+    report = axiom_suite(2)
+    checks = {c.name: (c.checked, c.witness) for c in report.checks}
+    square = ", ".join(['F1Morphism("[0,1]:1->1")'] * 4)
+    assert checks["calibration: intrinsic vs universal"] == (
+        10,
+        "intrinsic=True universal=False for (%s)" % square,
+    )
+    assert checks["block pullback squares"] == (
+        10,
+        "block square for j=[0,1]:1->1, W=0 not bicartesian",
+    )
+    assert not report.ok
 
 
 def test_enumeration_class_filters():
@@ -842,11 +866,11 @@ def fresh_rows(max_size, infl, defl):
 
 @pytest.mark.parametrize("classes", sorted(SQUARE_CLASSES))
 def test_kept_square_parts_decide_as_the_fresh_loop(classes):
-    # Newly covers: axiom iii decides one square per row and axioms iv
-    # and v one cospan or span per orbit type; every count and witness
-    # is the one that deciding each square afresh gives, for every class
-    # at windows 0-3 and for the honest classes at window 4, at both job
-    # counts.
+    # Newly covers: axiom iii decides one square per orbit type of
+    # chain and axioms iv and v one cospan or span per orbit type; every
+    # count and witness is the one that deciding each square afresh
+    # gives, for every class at windows 0-3 and for the honest classes
+    # at window 4, at both job counts.
     given = SQUARE_CLASSES[classes]
     infl = given.get("inflation_maps_of", kernel.inflation_maps)
     defl = given.get("deflation_maps_of", kernel.deflation_maps)
@@ -895,13 +919,22 @@ def orbit(first, second, a, b, c, cospan):
     )
 
 
+def chain_orbit(t, r, a, b, c):
+    """The least pair in the orbit of the chain a -t-> b -r-> c, found by
+    trying every permutation of each corner."""
+    perms = [[(0,) + p for p in itertools.permutations(range(1, n + 1))] for n in (a, b, c)]
+    return min(
+        (relabel(t, pa, pb), relabel(r, pb, pc)) for pa, pb, pc in itertools.product(*perms)
+    )
+
+
 def test_orbit_types_are_complete_invariants():
     # Newly covers: two cospans W -b-> X <-r- V (two spans W <-l- U -t-> V)
     # of partial injections with the same corner sizes <= 3 have the
     # same _cospan_type (_span_type) exactly when relabelling the
     # corners turns one into the other, so one verdict per type is one
     # verdict per orbit.  Maps and orbits come from itertools alone.
-    from f1kgw.pointed import _cospan_type, _span_type
+    from f1kgw.pointed import _chain_type, _cospan_type, _span_type
 
     types = 0
     for a, b, c in itertools.product(range(4), repeat=3):
@@ -913,6 +946,18 @@ def test_orbit_types_are_complete_invariants():
             assert len(pairs) == len({k for k, _ in pairs}) == len({o for _, o in pairs})
             types += len(pairs)
     assert types == 560
+    # and so do two chains a -t-> b -r-> c with the same _chain_type and
+    # the same number w of points that r∘t keeps, as axiom iii keys them
+    chains = 0
+    for a, b, c in itertools.product(range(4), repeat=3):
+        pairs = {
+            ((_chain_type(t, r), sum(1 for k in t[1:] if r[k])), chain_orbit(t, r, a, b, c))
+            for t in partial_injections(a, b)
+            for r in partial_injections(b, c)
+        }
+        assert len(pairs) == len({k for k, _ in pairs}) == len({o for _, o in pairs})
+        chains += len(pairs)
+    assert chains == 280
 
 
 @pytest.mark.parametrize("classes", sorted(SQUARE_CLASSES))
@@ -921,7 +966,12 @@ def test_squares_of_a_row_share_their_verdicts(classes):
     # row.  The squares of one (t, r) come consecutively, every square
     # of a row has the same (is_pullback, is_pushout) pair, and the rows
     # of _square_rows flatten to _commuting_squares; the pair still
-    # differs between rows, for every class.
+    # differs between rows, for every class.  Every square of every row
+    # of one orbit type of chain U -t-> V -r-> X (_chain_type with the
+    # sizes) has the same pair too: the lemma on which axiom iii decides
+    # one square per type.
+    from f1kgw.pointed import _chain_type
+
     given = SQUARE_CLASSES[classes]
     infl = given.get("inflation_maps_of", kernel.inflation_maps)
     defl = given.get("deflation_maps_of", kernel.deflation_maps)
@@ -935,6 +985,12 @@ def test_squares_of_a_row_share_their_verdicts(classes):
             pairs = {(kernel.is_pullback(*sq), kernel.is_pushout(*sq)) for sq in row}
             assert len(pairs) == 1, row[0]
             verdicts |= pairs
+        by_type = {}
+        for sq in squares:
+            _, t, _, r, u, v, w, x = sq
+            pair = kernel.is_pullback(*sq), kernel.is_pushout(*sq)
+            by_type.setdefault((u, v, w, x, _chain_type(t, r)), set()).add(pair)
+        assert all(len(pairs) == 1 for pairs in by_type.values())
         flattened = [
             (l, t, through_back(d), r, u, v, w, x)
             for t, r, u, v, w, x, d, ls in _square_rows(max_size, infl, defl)
@@ -942,52 +998,3 @@ def test_squares_of_a_row_share_their_verdicts(classes):
         ]
         assert flattened == squares
     assert len(verdicts) > 1
-
-
-def bijective(first, second, left, right):
-    """The pre-split test of universal_square_ok at one test object: is
-    m ↦ (first[m], second[m]) a bijection onto the index pairs (i, j)
-    with left[i] == right[j], given the tallies left and right?"""
-    if len(set(zip(first, second))) != len(first):
-        return False
-    return sum(map(mul, left.values(), map(right.__getitem__, left))) == len(first)
-
-
-def test_halves_join_as_the_bijection_test():
-    # Newly covers: at every test object n <= 3, the span half joined
-    # with the cospan half gives the verdict of the two bijection tests
-    # that read all four legs' tables at once, on every commuting square
-    # with corners <= 2, of the honest classes and of hom_maps in both
-    # slots.  128 of the 180 squares fail (each at n = 1, 2 and 3), and
-    # each of the join's four comparisons is false somewhere.
-    verdicts, false_parts = Counter(), set()
-    for classes in (
-        (kernel.inflation_maps, kernel.deflation_maps),
-        (kernel.hom_maps, kernel.hom_maps),
-    ):
-        for l, t, b, r, u, v, w, x in _commuting_squares(2, *classes):
-            span = kernel.span_half(l, t, u, v, w, 3)
-            cospan = kernel.cospan_half(b, r, w, v, x, 3)
-            ls, ts = kernel._leg_upto(l, u, w, 3), kernel._leg_upto(t, u, v, 3)
-            bs, rs = kernel._leg_upto(b, w, x, 3), kernel._leg_upto(r, v, x, 3)
-            passed = 0
-            for n in range(4):
-                want = bijective(ls[n][0], ts[n][0], bs[n][1], rs[n][1]) and bijective(
-                    bs[n][2], rs[n][2], ls[n][3], ts[n][3]
-                )
-                assert kernel.universal_join(span[n : n + 1], cospan[n : n + 1]) == want
-                passed += want
-                (homs_into_u, span_injective, pairs_out_of) = span[n]
-                (homs_out_of_x, cospan_injective, pairs_into) = cospan[n]
-                parts = (
-                    span_injective,
-                    cospan_injective,
-                    homs_into_u == pairs_into,
-                    homs_out_of_x == pairs_out_of,
-                )
-                false_parts.update(k for k, part in enumerate(parts) if not part)
-            ok = kernel.universal_square_ok(l, t, b, r, u, v, w, x, 3)
-            assert ok == (passed == 4)
-            verdicts[ok, passed] += 1
-    assert verdicts == {(True, 4): 52, (False, 1): 128}
-    assert false_parts == {0, 1, 2, 3}
